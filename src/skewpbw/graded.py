@@ -105,6 +105,7 @@ class GradedProfile:
 def is_connected(grading: Grading) -> bool:
     """True iff the degree-0 part is spanned by 1 and is a field."""
     ring = grading.ring
+    ring._require_size("degree-0 component")
     zero_gens = grading.component_generators(0)
     comp: list[RingElement] = []
     for idx in range(ring.size):

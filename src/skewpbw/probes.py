@@ -17,6 +17,7 @@ Enumeration order for all bounded searches is graded lexicographic on
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -119,10 +120,14 @@ def _monomials_up_to(n: int, degree_cap: int) -> list[tuple]:
     return out
 
 
-def count_bounded_polys(A: ExtensionPresentation, degree_cap: int, support_cap: int) -> int:
-    M = len(_monomials_up_to(A.n, degree_cap))
+def _count_over_monomials(A: ExtensionPresentation, n_monos: int, support_cap: int) -> int:
+    """How many nonzero polynomials have at most support_cap of n_monos monomials."""
     nz = A.base.size - 1
-    return sum(_comb(M, s) * nz**s for s in range(1, support_cap + 1))
+    return sum(math.comb(n_monos, s) * nz**s for s in range(1, support_cap + 1))
+
+
+def count_bounded_polys(A: ExtensionPresentation, degree_cap: int, support_cap: int) -> int:
+    return _count_over_monomials(A, len(_monomials_up_to(A.n, degree_cap)), support_cap)
 
 
 def enumerate_bounded_polys(
@@ -133,24 +138,10 @@ def enumerate_bounded_polys(
 ) -> list[SkewPolynomial]:
     """All nonzero f with degree <= degree_cap and <= support_cap terms."""
     A._require_verified()
-    monos = _monomials_up_to(A.n, degree_cap)
-    nz = A.base.size - 1
-    total = sum(_comb(len(monos), s) * nz**s for s in range(1, support_cap + 1))
+    total = count_bounded_polys(A, degree_cap, support_cap)
     if total > budget:
         raise BudgetExceeded(total, budget, "bounded polynomial enumeration")
-    coeffs = list(range(1, A.base.size))
-    out = []
-    for s in range(1, support_cap + 1):
-        for combo in itertools.combinations(monos, s):
-            for cs in itertools.product(coeffs, repeat=s):
-                out.append(SkewPolynomial(A, dict(zip(combo, cs))))
-    return out
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
+    return _polys_over_monomials(A, _monomials_up_to(A.n, degree_cap), support_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +419,19 @@ def bounded_skew_armendariz(
     a_n x_n and uses sigma_i in place of sigma^{alpha_i}.
     """
     A._require_verified()
+    # both budgets are checked on the counts, before anything is enumerated
     if weak:
         monos = [A._zero_exp] + [
             tuple(1 if t == i else 0 for t in range(A.n)) for i in range(A.n)
         ]
-        polys = _polys_over_monomials(A, monos, min(support_cap, len(monos)))
     else:
-        polys = enumerate_bounded_polys(A, degree_cap, support_cap, pair_budget)
-    if len(polys) ** 2 > pair_budget:
-        raise BudgetExceeded(len(polys) ** 2, pair_budget, "Armendariz pair enumeration")
+        monos = _monomials_up_to(A.n, degree_cap)
+    total = _count_over_monomials(A, len(monos), support_cap)
+    if not weak and total > pair_budget:
+        raise BudgetExceeded(total, pair_budget, "bounded polynomial enumeration")
+    if total**2 > pair_budget:
+        raise BudgetExceeded(total**2, pair_budget, "Armendariz pair enumeration")
+    polys = _polys_over_monomials(A, monos, support_cap)
     base = A.base
     mul, _, _ = base.index_rows()
     sigma_pow: dict[tuple, list] = {}

@@ -145,6 +145,7 @@ class FiniteRing:
         self._neg_list: Optional[list] = None
         self._nilpotent_mask: Optional[np.ndarray] = None
         self._units_mask: Optional[np.ndarray] = None
+        self._orbit_reps: dict = {}
         self._all_ideal_masks: Optional[list] = None
         self._radical_cache: dict = {}
         self._profile: Optional["RingProfile"] = None
@@ -223,7 +224,13 @@ class FiniteRing:
             idx %= int(s)
         return RingElement(self, coords)
 
+    def _require_size(self, what: str) -> None:
+        """Refuse, before any allocation, to enumerate a ring over TABLE_CAP."""
+        if self.size > TABLE_CAP:
+            raise TooLarge(self.size, TABLE_CAP, what)
+
     def elements(self) -> list[RingElement]:
+        self._require_size("element list")
         return [self.element_from_index(i) for i in range(self.size)]
 
     @property
@@ -235,27 +242,36 @@ class FiniteRing:
     @property
     def elements_array(self) -> np.ndarray:
         if self._elements_arr is None:
+            self._require_size("element array")
             grids = np.indices(self.orders).reshape(self.m, -1).T
             self._elements_arr = np.ascontiguousarray(grids, dtype=np.int64)
         return self._elements_arr
 
     def _require_tables(self) -> None:
+        """Build the index tables of +, * and negation.
+
+        Multiplication contracts once: right[a, t] = a * e_t, so that
+        a * b = sum_t b_t (a * e_t) is one matmul per block of rows a.  That is
+        n^2 m^2 operations instead of the n^2 m^3 of contracting both factors
+        against the constants together.  Addition is accumulated one
+        coordinate at a time, with no n x n x m temporary.
+        """
         if self._mul_table is not None:
             return
-        if self.size > TABLE_CAP:
-            raise TooLarge(self.size, TABLE_CAP, "multiplication table")
+        self._require_size("multiplication table")
         A = self.elements_array
         ords = np.array(self.orders, dtype=np.int64)
         n = self.size
         mul = np.empty((n, n), dtype=np.int32)
-        add = np.empty((n, n), dtype=np.int32)
+        right = np.einsum("as,stu->atu", A, self.constants)
         block = max(1, (1 << 22) // max(1, n * self.m))
         for lo in range(0, n, block):
-            hi = min(n, lo + block)
-            prod = np.einsum("as,bt,stu->abu", A[lo:hi], A, self.constants) % ords
-            mul[lo:hi] = prod @ self._strides
-            s = (A[lo:hi, None, :] + A[None, :, :]) % ords
-            add[lo:hi] = s @ self._strides
+            prod = np.matmul(A, right[lo : lo + block]) % ords
+            mul[lo : lo + block] = prod @ self._strides
+        add = np.zeros((n, n), dtype=np.int32)
+        for u, (k, stride) in enumerate(zip(self.orders, self._strides.tolist())):
+            col = A[:, u].astype(np.int32)
+            add += (np.add.outer(col, col) % k) * np.int32(stride)
         self._mul_table = mul
         self._add_table = add
         self._neg_arr = ((-A) % ords @ self._strides).astype(np.int32)
@@ -289,6 +305,7 @@ class FiniteRing:
     def nilpotent_mask(self) -> np.ndarray:
         """Boolean mask over element indices of { r : r^k = 0, some k <= |R| }."""
         if self._nilpotent_mask is None:
+            self._require_size("nilpotent mask")
             # r is nilpotent iff r^(2^s) = 0 once 2^s >= |R|: the power sequence
             # of any element cycles within |R| steps, so if it ever hits 0 it
             # does so by exponent |R|.
@@ -307,6 +324,28 @@ class FiniteRing:
             mt = self.mul_table
             self._units_mask = ((mt == one) & (mt.T == one)).any(axis=1)
         return self._units_mask
+
+    def _unit_orbit_reps(self, two_sided: bool) -> np.ndarray:
+        """One element index per orbit {u a v} (two-sided) or {u a} (left), u, v units.
+
+        The orbits partition R, and each representative is the least index of
+        its orbit.  The quantifier checks below need only these: for units u, v
+        the two-sided ideal (u a v) equals (a), since a = u^-1 (u a v) v^-1.
+        """
+        if two_sided not in self._orbit_reps:
+            self._require_size("unit orbit pass")
+            mul = self.mul_table
+            U = np.nonzero(self.units_mask)[0]
+            seen = np.zeros(self.size, dtype=bool)
+            reps = []
+            for a in range(self.size):
+                if seen[a]:
+                    continue
+                reps.append(a)
+                left = mul[U, a]
+                seen[mul[np.ix_(left, U)] if two_sided else left] = True
+            self._orbit_reps[two_sided] = np.array(reps, dtype=np.intp)
+        return self._orbit_reps[two_sided]
 
     def mask_of(self, elements: Iterable[RingElement]) -> np.ndarray:
         mask = np.zeros(self.size, dtype=bool)
@@ -380,19 +419,9 @@ class Ideal:
         self.generators = generators
 
     def _verify(self) -> None:
-        mask = self.mask
-        ring = self.ring
-        if not mask[0]:
-            raise NotAnIdeal("0 is missing from the carrier")
-        idx = np.nonzero(mask)[0]
-        add = ring.add_table
-        mul = ring.mul_table
-        if not mask[add[np.ix_(idx, idx)]].all():
-            raise NotAnIdeal("carrier is not closed under addition")
-        if not mask[ring.neg_array[idx]].all():
-            raise NotAnIdeal("carrier is not closed under negation")
-        if not mask[mul[:, idx]].all() or not mask[mul[idx, :]].all():
-            raise NotAnIdeal("carrier does not absorb ring multiplication")
+        defect = _ideal_defect(self.ring, self.mask)
+        if defect:
+            raise NotAnIdeal(defect)
 
     @classmethod
     def from_mask(cls, ring: FiniteRing, mask: np.ndarray, verify: bool = False) -> "Ideal":
@@ -422,6 +451,21 @@ class Ideal:
     def __repr__(self) -> str:
         els = ",".join(repr(e) for e in self.sorted_elements())
         return f"Ideal({{{els}}})"
+
+
+def _ideal_defect(ring: FiniteRing, mask: np.ndarray) -> Optional[str]:
+    """Why the masked set is not a two-sided ideal, or None if it is one."""
+    if not mask[0]:
+        return "0 is missing from the carrier"
+    idx = np.nonzero(mask)[0]
+    if not mask[ring.add_table[np.ix_(idx, idx)]].all():
+        return "carrier is not closed under addition"
+    if not mask[ring.neg_array[idx]].all():
+        return "carrier is not closed under negation"
+    mul = ring.mul_table
+    if not mask[mul[:, idx]].all() or not mask[mul[idx, :]].all():
+        return "carrier does not absorb ring multiplication"
+    return None
 
 
 def _additive_closure(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
@@ -465,14 +509,18 @@ def _all_ideal_masks(ring: FiniteRing, cap: int) -> list[np.ndarray]:
     """Every two-sided ideal: principal ideals first, then closure under sums.
 
     Complete because each ideal is the sum of the principal ideals of its
-    elements, and the sum of two ideals is the additive span of their union.
+    elements.  Only one element per unit orbit {u a v} is closed, because
+    (u a v) = (a) for units u, v.  The sum I + J of two ideals is the set of
+    pairwise sums {i + j}, which is already an additive subgroup, so it is one
+    gather from the addition table with no closure iteration.
     """
     if ring.size > cap:
         raise TooLarge(ring.size, cap, "ideal enumeration")
     if ring._all_ideal_masks is not None:
         return ring._all_ideal_masks
+    add = ring.add_table
     principals = {}
-    for a in range(ring.size):
+    for a in ring._unit_orbit_reps(two_sided=True):
         seed = np.zeros(ring.size, dtype=bool)
         seed[0] = True
         seed[a] = True
@@ -485,8 +533,12 @@ def _all_ideal_masks(ring: FiniteRing, cap: int) -> list[np.ndarray]:
     queue = list(seen.values())
     while queue:
         mask = queue.pop()
+        idx = np.nonzero(mask)[0]
         for p in principals.values():
-            merged = _additive_closure(ring, mask | p)
+            if not (p & ~mask).any():
+                continue
+            merged = np.zeros_like(mask)
+            merged[add[np.ix_(idx, np.nonzero(p)[0])]] = True
             key = merged.tobytes()
             if key not in seen:
                 seen[key] = merged
@@ -496,15 +548,21 @@ def _all_ideal_masks(ring: FiniteRing, cap: int) -> list[np.ndarray]:
 
 
 def _is_prime_mask(ring: FiniteRing, mask: np.ndarray) -> bool:
+    """The ideal P is prime: proper, and aRb in P forces a or b into P.
+
+    a and b range over unit-orbit representatives outside P only.  An ideal
+    contains a whole orbit or none of it, and for units u, v, u', v'
+    (u a v) R (u' b v') = u (a R b) v', which lies in P exactly when aRb does.
+    """
     if mask.all():  # prime ideals are proper
         return False
     mul = ring.mul_table
-    outside = np.nonzero(~mask)[0]
-    inP = mask
+    reps = ring._unit_orbit_reps(two_sided=True)
+    outside = reps[~mask[reps]]
     for a in outside:
         # aRb for all b outside: column b survives iff some a*r*b escapes P
-        arb = mul[mul[a, :], :][:, outside]
-        if not (~inP[arb]).any(axis=0).all():
+        arb = mul[np.ix_(mul[a, :], outside)]
+        if not (~mask[arb]).any(axis=0).all():
             return False
     return True
 
@@ -638,48 +696,48 @@ class RingProfile:
         }
 
 
-def _is_ideal_mask(ring: FiniteRing, mask: np.ndarray) -> bool:
-    idx = np.nonzero(mask)[0]
-    if not mask[0]:
-        return False
-    if not mask[ring.add_table[np.ix_(idx, idx)]].all():
-        return False
-    if not mask[ring.neg_array[idx]].all():
-        return False
-    mul = ring.mul_table
-    return bool(mask[mul[:, idx]].all() and mask[mul[idx, :]].all())
-
-
 def _symmetric(ring: FiniteRing) -> bool:
+    """rst = 0 implies rts = 0, for r over the left unit orbits {u r} only.
+
+    For a unit u, (ur)st = u(rst) and (ur)ts = u(rts), and each is zero
+    exactly when the product without u is.
+    """
     mul = ring.mul_table
-    n = ring.size
-    for r in range(n):
-        rs = mul[r, :]  # r*s over s
-        rst = mul[rs, :]  # (r*s)*t, shape (n, n): [s, t]
-        rt = mul[r, :]
-        rts = mul[rt, :].T  # [s, t] -> (r*t)*s
-        if ((rst == 0) & (rts != 0)).any():
+    for r in ring._unit_orbit_reps(two_sided=False):
+        rst = mul[mul[r, :], :]  # [s, t] -> (r*s)*t; its transpose is (r*t)*s
+        if ((rst == 0) & (rst.T != 0)).any():
             return False
     return True
 
 
 def _semicommutative(ring: FiniteRing) -> bool:
+    """ab = 0 implies aRb = 0, for a over the two-sided unit orbits only.
+
+    For units u, v: (uav)b = 0 exactly when a(vb) = 0, and (uav)Rb = u(aRb)
+    with aRb = aR(vb), so the pair (uav, b) is the pair (a, vb) in disguise.
+    """
     mul = ring.mul_table
-    zero_pairs = np.argwhere(mul == 0)
-    for a, b in zero_pairs:
-        if mul[mul[a, :], b].any():
+    for a in ring._unit_orbit_reps(two_sided=True):
+        annihilated = np.nonzero(mul[a, :] == 0)[0]
+        if mul[np.ix_(mul[a, :], annihilated)].any():
             return False
     return True
 
 
 def _duo(ring: FiniteRing, right: bool) -> bool:
+    """Every principal right (left) ideal aR (Ra) is two-sided.
+
+    aR is row a of the multiplication table: it is an additive group and
+    contains a, so no closure is needed.  a ranges over the two-sided unit
+    orbits only: (uav)R = u(aR), and for a unit u, u(aR) is an ideal exactly
+    when aR is.  An ideal among the two absorbs u or u^-1 on the left, so it
+    contains the other, which has the same size; the two are then equal.
+    The left case is the mirror image, with R(uav) = (Ra)v.
+    """
     mul = ring.mul_table
-    n = ring.size
-    for a in range(n):
-        seed = np.zeros(n, dtype=bool)
-        seed[a] = True
-        seed[mul[a, :] if right else mul[:, a]] = True
-        one_sided = _additive_closure(ring, seed)
+    for a in ring._unit_orbit_reps(two_sided=True):
+        one_sided = np.zeros(ring.size, dtype=bool)
+        one_sided[mul[a, :] if right else mul[:, a]] = True
         idx = np.nonzero(one_sided)[0]
         other = mul[:, idx] if right else mul[idx, :]
         if not one_sided[other].all():
@@ -718,7 +776,7 @@ def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile
     domain = zero_count == 2 * ring.size - 1 and ring.size > 1
     reversible = bool((((mul == 0) == (mul.T == 0))).all())
     profile = RingProfile(
-        NI=_is_ideal_mask(ring, nil),
+        NI=_ideal_defect(ring, nil) is None,
         NJ=bool((nil == J.mask).all()),
         two_primal=bool((nil == Nlower.mask).all()),
         weakly_two_primal=bool((nil == L.mask).all()),

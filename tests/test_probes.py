@@ -248,3 +248,31 @@ def test_weak_armendariz_shape(swap_entry):
     if not res.holds:
         f = res.witness["f"]
         assert f.degree <= 1
+
+
+def test_armendariz_checks_budget_before_enumerating(q8_twisted, monkeypatch):
+    from skewpbw import probes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(probes, "enumerate_bounded_polys", refuse)
+    monkeypatch.setattr(probes, "_polys_over_monomials", refuse)
+    A = q8_twisted.presentation
+    # 195,840 polynomials fit the default budget, their pairs do not
+    with pytest.raises(BudgetExceeded) as exc:
+        bounded_skew_armendariz(A, 2, 2)
+    assert str(exc.value) == (
+        "Armendariz pair enumeration needs about 38353305600 operations, budget is 1000000"
+    )
+    # the enumeration total is checked first
+    with pytest.raises(BudgetExceeded) as exc:
+        bounded_skew_armendariz(A, 2, 2, pair_budget=10**5)
+    assert str(exc.value) == (
+        "bounded polynomial enumeration needs about 195840 operations, budget is 100000"
+    )
+    with pytest.raises(BudgetExceeded) as exc:
+        bounded_skew_armendariz(A, 1, 1, pair_budget=10**5)
+    assert str(exc.value) == (
+        "Armendariz pair enumeration needs about 260100 operations, budget is 100000"
+    )

@@ -1,8 +1,14 @@
 """Ring core: construction, arithmetic, radicals, classification."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import skewpbw
 from skewpbw import (
     Ideal,
     arith,
@@ -13,9 +19,19 @@ from skewpbw import (
     make_ring,
     nilpotent_set,
     prime_radical,
+    rings,
     upper_nilradical,
 )
-from skewpbw.corpus import field4, matrix_full, matrix_upper, product_ring, trunc_poly, zn
+from skewpbw.corpus import (
+    clifford_base,
+    field4,
+    group_ring_q8,
+    matrix_full,
+    matrix_upper,
+    product_ring,
+    trunc_poly,
+    zn,
+)
 from skewpbw.errors import (
     BadIdentity,
     BadShape,
@@ -91,6 +107,68 @@ def test_matrix_ring_against_numpy_oracle():
             expected = (as_matrix(x) @ as_matrix(y)) % 2
             got = as_matrix(x * y)
             assert (expected == got).all()
+
+
+@pytest.mark.parametrize(
+    "ring", [matrix_full(3), product_ring(zn(4), trunc_poly(2, 2))], ids=lambda r: r.name
+)
+def test_tables_match_coordinate_arithmetic(ring):
+    for a in range(ring.size):
+        x = ring.element_from_index(a).coords
+        assert ring.neg_array[a] == ring.index_of([-c % k for c, k in zip(x, ring.orders)])
+        for b in range(ring.size):
+            y = ring.element_from_index(b).coords
+            assert ring.mul_table[a, b] == ring.index_of(ring._mul_coords(x, y))
+            s = [(c + d) % k for c, d, k in zip(x, y, ring.orders)]
+            assert ring.add_table[a, b] == ring.index_of(s)
+
+
+# Run in a child process under an address-space limit, so that a path that
+# allocates before it checks the size cap fails with MemoryError instead of
+# taking the machine's memory.
+_HUGE_RING_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from skewpbw import classify_ring, make_ring, nilpotent_set
+from skewpbw.errors import TooLarge
+from skewpbw.graded import attach_grading, is_connected
+ring = make_ring([2**31], [[[1]]], [1])
+calls = [
+    ("classify_ring", lambda: classify_ring(ring)),
+    ("nilpotent_set", lambda: nilpotent_set(ring)),
+    ("elements", ring.elements),
+    ("elements_array", lambda: ring.elements_array),
+    ("unit_orbit_reps", lambda: ring._unit_orbit_reps(two_sided=True)),
+    ("is_connected", lambda: is_connected(attach_grading(ring, [0]))),
+]
+for name, call in calls:
+    try:
+        call()
+    except TooLarge as exc:
+        assert exc.size == 2**31 and exc.cap == 4096, exc
+        print(name)
+"""
+
+
+def test_huge_ring_raises_too_large_before_allocating():
+    src = Path(skewpbw.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_RING_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "classify_ring",
+        "nilpotent_set",
+        "elements",
+        "elements_array",
+        "unit_orbit_reps",
+        "is_connected",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +438,119 @@ def test_duo_rings_are_semicommutative(ring_entries):
         profile = classify_ring(entry.ring, cap=max(256, entry.ring.size))
         if profile.right_duo or profile.left_duo:
             assert profile.semicommutative, entry.name
+
+
+# ---------------------------------------------------------------------------
+# unit-orbit shortcuts against loops over every element
+# ---------------------------------------------------------------------------
+
+
+def _oracle_ideal_masks(ring):
+    """The principal ideal of every element, then sums by additive closure."""
+    principals = {}
+    for a in range(ring.size):
+        seed = np.zeros(ring.size, dtype=bool)
+        seed[[0, a]] = True
+        closed = rings._ideal_closure(ring, seed)
+        principals[closed.tobytes()] = closed
+    seen = dict(principals)
+    zero = np.zeros(ring.size, dtype=bool)
+    zero[0] = True
+    seen.setdefault(zero.tobytes(), zero)
+    queue = list(seen.values())
+    while queue:
+        mask = queue.pop()
+        for p in principals.values():
+            merged = rings._additive_closure(ring, mask | p)
+            if merged.tobytes() not in seen:
+                seen[merged.tobytes()] = merged
+                queue.append(merged)
+    return seen
+
+
+def _oracle_is_prime(ring, mask):
+    if mask.all():
+        return False
+    mul = ring.mul_table
+    outside = np.nonzero(~mask)[0]
+    for a in outside:
+        arb = mul[mul[a, :], :][:, outside]
+        if not (~mask[arb]).any(axis=0).all():
+            return False
+    return True
+
+
+def _oracle_duo(ring, right):
+    mul = ring.mul_table
+    for a in range(ring.size):
+        seed = np.zeros(ring.size, dtype=bool)
+        seed[a] = True
+        seed[mul[a, :] if right else mul[:, a]] = True
+        one_sided = rings._additive_closure(ring, seed)
+        idx = np.nonzero(one_sided)[0]
+        if not one_sided[mul[:, idx] if right else mul[idx, :]].all():
+            return False
+    return True
+
+
+def _oracle_symmetric(ring):
+    mul = ring.mul_table
+    for r in range(ring.size):
+        rst = mul[mul[r, :], :]
+        rts = mul[mul[r, :], :].T
+        if ((rst == 0) & (rts != 0)).any():
+            return False
+    return True
+
+
+def _oracle_semicommutative(ring):
+    mul = ring.mul_table
+    for a, b in np.argwhere(mul == 0):
+        if mul[mul[a, :], b].any():
+            return False
+    return True
+
+
+def _assert_orbit_shortcuts_exact(ring):
+    mul = ring.mul_table
+    units = np.nonzero(ring.units_mask)[0]
+    for two_sided in (True, False):
+        reps = ring._unit_orbit_reps(two_sided)
+        covered = np.zeros(ring.size, dtype=int)
+        for a in reps:
+            left = mul[units, a]
+            orbit = np.unique(mul[np.ix_(left, units)] if two_sided else left)
+            assert orbit[0] == a, (ring.name, two_sided, a)  # least index of its orbit
+            covered[orbit] += 1
+        assert (covered == 1).all(), (ring.name, two_sided)  # the orbits partition R
+    cap = ring.size
+    oracle = _oracle_ideal_masks(ring)
+    got = {m.tobytes(): m for m in rings._all_ideal_masks(ring, cap)}
+    assert len(got) == len(rings._all_ideal_masks(ring, cap)), ring.name
+    assert set(got) == set(oracle), ring.name
+    for mask in oracle.values():
+        assert rings._is_prime_mask(ring, mask) == _oracle_is_prime(ring, mask), ring.name
+    assert rings._duo(ring, right=True) == _oracle_duo(ring, right=True), ring.name
+    assert rings._duo(ring, right=False) == _oracle_duo(ring, right=False), ring.name
+    assert rings._symmetric(ring) == _oracle_symmetric(ring), ring.name
+    assert rings._semicommutative(ring) == _oracle_semicommutative(ring), ring.name
+
+
+def test_orbit_shortcuts_on_corpus_rings(ring_entries, corpus_entries):
+    for entry in ring_entries + corpus_entries:
+        _assert_orbit_shortcuts_exact(entry.ring)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        group_ring_q8,
+        lambda: product_ring(trunc_poly(3, 3), matrix_upper(2)),
+        lambda: product_ring(clifford_base(2), clifford_base(2)),
+        lambda: product_ring(product_ring(zn(2), zn(2)), zn(2)),  # only unit is 1
+        lambda: product_ring(matrix_full(2), zn(3)),
+    ],
+    ids=["F2[Q8]", "Z3[y]/(y^3)xU2(Z2)", "CliffBase2^2", "F2^3", "M2(Z2)xZ3"],
+)
+def test_orbit_shortcuts_on_product_rings(build):
+    _assert_orbit_shortcuts_exact(build())
