@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     NonInjectiveSigma,
     OverlapFails,
@@ -415,6 +417,107 @@ class ExtensionPresentation:
         ]
         status = "verified" if self.verified else "unverified"
         return f"ExtensionPresentation({self.name}; {status}; {', '.join(tags) or 'general'})"
+
+
+class DenseProducts:
+    """Batched products of polynomials supported on `monos`, as matmuls.
+
+    A polynomial sum_alpha r_alpha x^alpha with every alpha in `monos` is a
+    row of base coordinates with one block of m per monomial; block alpha
+    holds the coordinates of r_alpha (`base.elements_array`).  The rewriting
+    engine computes the atom tensor once,
+
+        T[(alpha, s), (beta, t)] = x^alpha e_s * x^beta e_t,
+
+    written over `out_monos`, the monomials its products use; by
+    bilinearity every product of two such polynomials lies on them.  For a
+    fixed f with row x_f, the map h -> h f has the matrix
+    sum_{beta,t} x_f[beta,t] T[:, (beta,t)] and h -> f h the matrix
+    sum_{alpha,s} x_f[alpha,s] T[(alpha,s), :]; a batch of products is one
+    matmul followed by reduction of each output coordinate modulo its order.
+    So `_mul_terms` stays the only definition of the multiplication.
+
+    Why this is exact: additively A is the direct sum of the Z_{k_u} x^gamma
+    e_u (Mon(A) is a left basis), and its multiplication is Z-bilinear.  An
+    integer coordinate c of e_s stands for its class modulo k_s, and another
+    representative c + q k_s changes the product by q (k_s e_s) y = 0.  So
+    the integer contraction of both factors' coordinates against T, reduced
+    coordinate by coordinate modulo k_u, is the product.  The matmuls run in
+    float64, exact on integers below 2^53: every factor entry is a reduced
+    coordinate below k = max(orders) <= TABLE_CAP, so no sum exceeds
+    (L m) (k - 1)^2, which T's own L^2 m^2 entries keep far below 2^53.
+    Results are reduced as integers, in int32 whenever that bound allows.
+    """
+
+    def __init__(self, A: "ExtensionPresentation", monos: Sequence[tuple]):
+        A._require_verified()
+        base = A.base
+        self.A = A
+        self.m = m = base.m
+        self.monos = list(monos)
+        self._pos = {alpha: i for i, alpha in enumerate(self.monos)}
+        atoms = [(alpha, base.generator(s).index) for alpha in self.monos for s in range(m)]
+        products = [[A._mul_terms({a: ea}, {b: eb}) for b, eb in atoms] for a, ea in atoms]
+        self.out_monos = sorted({g for row in products for p in row for g in p}, key=lambda a: (sum(a), a))
+        col = {gamma: k for k, gamma in enumerate(self.out_monos)}
+        elems = base.elements_array
+        T = np.zeros((len(atoms), len(atoms), len(self.out_monos), m), dtype=np.int16)
+        for i, row in enumerate(products):
+            for j, p in enumerate(row):
+                for gamma, c in p.items():
+                    T[i, j, col[gamma]] = elems[c]
+        self._T = T.reshape(len(atoms), len(atoms), -1)
+        orders = np.array(base.orders, dtype=np.int64)
+        bound = len(atoms) * (int(orders.max()) - 1) ** 2
+        self._acc = np.int32 if bound < 2**31 else np.int64
+        self._in_orders = np.tile(orders, len(self.monos)).astype(self._acc)
+        self._out_orders = np.tile(orders, len(self.out_monos)).astype(self._acc)
+        self.width = self._T.shape[2]
+        self._elems = elems.astype(np.float64)
+        self._strides = base._strides.astype(self._acc)
+
+    def keys(self, polys: Sequence[SkewPolynomial]) -> np.ndarray:
+        """Coefficient element index per monomial of `monos`, one row per poly."""
+        K = np.zeros((len(polys), len(self.monos)), dtype=np.int32)
+        rows, cols, vals = [], [], []
+        pos = self._pos
+        for r, f in enumerate(polys):
+            for alpha, c in f.terms.items():
+                rows.append(r)
+                cols.append(pos[alpha])
+                vals.append(c)
+        K[rows, cols] = vals
+        return K
+
+    def coords(self, keys: np.ndarray) -> np.ndarray:
+        """Coordinate rows (float64 integers) of element-index rows."""
+        return self._elems[keys].reshape(len(keys), -1)
+
+    def index_keys(self, P: np.ndarray) -> np.ndarray:
+        """Element-index rows of reduced integer coordinate rows."""
+        return (P.reshape(len(P), -1, self.m) @ self._strides).astype(np.int32)
+
+    def times(self, f: np.ndarray, side: str) -> np.ndarray:
+        """Matrix of h -> h f (side 'right') or h -> f h ('left'), reduced.
+
+        `f` is a coordinate row; only its nonzero columns are contracted.
+        """
+        nz = np.flatnonzero(f)
+        block = self._T[:, nz] if side == "right" else self._T[nz]
+        M = np.tensordot(block.astype(np.float64), f[nz], axes=([1 if side == "right" else 0], [0]))
+        return M % self._out_orders
+
+    def products(self, X: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """Reduced integer coordinate rows of the products X @ M."""
+        return (X @ M).astype(self._acc) % self._out_orders
+
+    def sums(self, X: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Reduced integer coordinate rows of the sums X + f."""
+        return (X + f).astype(self._acc) % self._in_orders
+
+    def poly(self, key: np.ndarray, monos: Sequence[tuple]) -> SkewPolynomial:
+        """The polynomial of one element-index row over `monos`."""
+        return SkewPolynomial(self.A, dict(zip(monos, key.tolist())))
 
 
 def make_extension(

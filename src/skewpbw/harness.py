@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
 from .corpus import CorpusEntry, commutative_poly, euler_like, matrix_poly, quasi_comm, standard_corpus, swap_extension, weyl_like
-from .errors import BudgetExceeded, WrongShape
+from .errors import BudgetExceeded, NotProvedNilpotent, WrongShape
 from .extension import SkewPolynomial
 from .graded import Grading, is_graded_extension, polynomial_is_homogeneous
 from .maps import (
@@ -287,24 +287,19 @@ def _tv_qr_face(scan: BoundedScan, grading: Optional[Grading] = None) -> TV:
             continue
         try:
             quasi_regularity_witness(f, scan.exponent_cap)
-        except Exception as exc:  # a failed witness would contradict ring axioms
+        except NotProvedNilpotent as exc:  # a failed witness would contradict ring axioms
             return TV(False, True, f"{f.to_expr()}: {exc}", "quasi-regularity of bounded nilpotents")
         checked += 1
     return TV(True, False, label=f"quasi-regularity of {checked} bounded nilpotents")
 
 
 def _get_scan(entry: CorpusEntry, budget: SearchBudget) -> BoundedScan:
-    A = entry.presentation
-    cache = getattr(A, "_scan_cache", None)
-    if cache is None:
-        cache = {}
-        A._scan_cache = cache
     key = budget.caps()
-    if key not in cache:
-        cache[key] = BoundedScan(
-            A, budget.degree_cap, budget.support_cap, budget.exponent_cap, budget.pair_budget
+    if key not in entry.scans:
+        entry.scans[key] = BoundedScan(
+            entry.presentation, budget.degree_cap, budget.support_cap, budget.exponent_cap, budget.pair_budget
         )
-    return cache[key]
+    return entry.scans[key]
 
 
 # ---------------------------------------------------------------------------

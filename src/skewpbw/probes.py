@@ -21,12 +21,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent
-from .extension import ExtensionPresentation, SkewPolynomial
+from .extension import DenseProducts, ExtensionPresentation, SkewPolynomial
 from .rings import Ideal
 
 DEFAULT_EXPONENT_CAP = 16
 DEFAULT_PAIR_BUDGET = 10**6
+BLOCK_ENTRIES = 1 << 22  # matrix entries per row block of a batched product
 
 NILPOTENT = "nilpotent"
 NOT_NILPOTENT = "not_nilpotent"
@@ -36,7 +39,7 @@ STABILIZED_POWER = "stabilized_power"
 UNIT_LEADING_CHAIN = "unit_leading_chain"
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeResult:
     status: str
     index: Optional[int] = None   # nilpotency index when status == nilpotent
@@ -212,45 +215,81 @@ def bounded_NI_check(
     ops = len(scan.polys) + len(pn) * len(pn) + 2 * len(pn) * len(scan.polys)
     if ops > pair_budget:
         raise BudgetExceeded(ops, pair_budget, "NI closure check")
-    unknown_checks = 0
-    checks = 0
-    # products first: the canonical witnesses (x*y on the Weyl-like fixture)
-    # live in the multiplication face, and enumeration order is deterministic
-    for f in pn:
-        for h in scan.polys:
-            for kind, p in (("left_product", h * f), ("right_product", f * h)):
-                if p.is_zero:
-                    continue
-                checks += 1
-                r = scan.probe(p)
-                if r.proved_not_nilpotent:
-                    scan.ni_result = NICheckResult(
-                        NICheckResult.VIOLATION,
-                        witness={"kind": kind, "f": f, "g": h, "result": p, "probe": r},
-                        stats=_scan_stats(scan, checks, unknown_checks),
-                    )
-                    return scan.ni_result
-                if r.status == UNKNOWN:
-                    unknown_checks += 1
-    for i, f in enumerate(pn):
-        for g in pn[i:]:
-            s = f + g
-            if s.is_zero:
-                continue
-            checks += 1
-            r = scan.probe(s)
-            if r.proved_not_nilpotent:
-                scan.ni_result = NICheckResult(
-                    NICheckResult.VIOLATION,
-                    witness={"kind": "sum", "f": f, "g": g, "result": s, "probe": r},
-                    stats=_scan_stats(scan, checks, unknown_checks),
-                )
-                return scan.ni_result
-            if r.status == UNKNOWN:
-                unknown_checks += 1
+    checks = unknown_checks = 0
+
+    def verdict(kind: str, f, g, hit) -> NICheckResult:
+        scan.ni_result = NICheckResult(
+            NICheckResult.VIOLATION,
+            witness={"kind": kind, "f": f, "g": g, "result": hit[1], "probe": hit[2]},
+            stats=_scan_stats(scan, checks, unknown_checks),
+        )
+        return scan.ni_result
+
+    if pn:
+        dense = DenseProducts(scan.A, _monomials_up_to(scan.A.n, scan.degree_cap))
+        K = dense.keys(scan.polys)
+        X_pn = dense.coords(dense.keys(pn))
+        # products first: the canonical witnesses (x*y on the Weyl-like fixture)
+        # live in the multiplication face.  Rows are [h0 f, f h0, h1 f, ...],
+        # the order of the scalar scan this replaces.
+        block = max(1, BLOCK_ENTRIES // (2 * dense.width))
+        for f, xf in zip(pn, X_pn):
+            right, left = dense.times(xf, "right"), dense.times(xf, "left")
+            for lo in range(0, len(K), block):
+                X = dense.coords(K[lo : lo + block])
+                rows = np.empty((2 * len(X), len(dense.out_monos)), dtype=np.int32)
+                rows[0::2] = dense.index_keys(dense.products(X, right))
+                rows[1::2] = dense.index_keys(dense.products(X, left))
+                c, u, hit = _probe_rows(scan, dense, rows, dense.out_monos)
+                checks += c
+                unknown_checks += u
+                if hit is not None:
+                    kind = "left_product" if hit[0] % 2 == 0 else "right_product"
+                    return verdict(kind, f, scan.polys[lo + hit[0] // 2], hit)
+        block = max(1, BLOCK_ENTRIES // X_pn.shape[1])
+        for i, f in enumerate(pn):
+            for lo in range(i, len(pn), block):
+                sums = dense.sums(X_pn[lo : lo + block], X_pn[i])
+                c, u, hit = _probe_rows(scan, dense, dense.index_keys(sums), dense.monos)
+                checks += c
+                unknown_checks += u
+                if hit is not None:
+                    return verdict("sum", f, pn[lo + hit[0]], hit)
     status = NICheckResult.CONSISTENT if unknown_checks == 0 else NICheckResult.INCONCLUSIVE
     scan.ni_result = NICheckResult(status, stats=_scan_stats(scan, checks, unknown_checks))
     return scan.ni_result
+
+
+def _probe_rows(scan: BoundedScan, dense: DenseProducts, rows: np.ndarray, monos: list) -> tuple:
+    """Closure checks on element-index rows, in row order: (checks, unknown, hit).
+
+    Zero rows are skipped, as the scalar scan skipped zero results.  Each
+    distinct nonzero row is probed once through `scan.probe`, in order of
+    first occurrence, up to the first one proved not nilpotent; `hit` is
+    (row, polynomial, probe) for that row, whose first occurrence is then the
+    first failing check.  Counts cover the rows up to and including it.
+    """
+    nonzero = rows.any(axis=1)
+    view = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(view.ravel(), return_index=True, return_inverse=True)
+    unknown = np.zeros(len(first), dtype=bool)
+    hit = None
+    for u in np.argsort(first):
+        row = int(first[u])
+        if not nonzero[row]:
+            continue
+        p = dense.poly(rows[row], monos)
+        r = scan.probe(p)
+        if r.proved_not_nilpotent:
+            hit = (row, p, r)
+            break
+        unknown[u] = r.status == UNKNOWN
+    end = len(rows) if hit is None else hit[0] + 1
+    return (
+        int(np.count_nonzero(nonzero[:end])),
+        int(np.count_nonzero(unknown[inverse.ravel()[:end]])),
+        hit,
+    )
 
 
 def _scan_stats(scan: BoundedScan, checks: int, unknown_checks: int) -> dict:
@@ -263,8 +302,12 @@ def _scan_stats(scan: BoundedScan, checks: int, unknown_checks: int) -> dict:
     }
 
 
-def replay_violation(witness: dict) -> bool:
-    """Re-evaluate a Violation witness with the engine; True if it reproduces."""
+def replay_violation(witness: dict, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> bool:
+    """Re-evaluate a Violation witness with the engine; True if it reproduces.
+
+    Pass the exponent cap of the scan that found the witness: its probes
+    were proved at that cap.
+    """
     f, g, result = witness["f"], witness["g"], witness["result"]
     kind = witness["kind"]
     if kind == "sum":
@@ -275,9 +318,9 @@ def replay_violation(witness: dict) -> bool:
         recomputed = f * g
     if recomputed != result:
         return False
-    pf = nilpotency_probe(f, DEFAULT_EXPONENT_CAP)
-    pg = nilpotency_probe(g, DEFAULT_EXPONENT_CAP) if kind == "sum" else None
-    pr = nilpotency_probe(recomputed, DEFAULT_EXPONENT_CAP)
+    pf = nilpotency_probe(f, exponent_cap)
+    pg = nilpotency_probe(g, exponent_cap) if kind == "sum" else None
+    pr = nilpotency_probe(recomputed, exponent_cap)
     if not pf.proved_nilpotent or not pr.proved_not_nilpotent:
         return False
     return pg is None or pg.proved_nilpotent
@@ -441,26 +484,33 @@ def bounded_skew_armendariz(
             sigma_pow[alpha] = A.system.sigma_power(alpha).tolist()
         return sigma_pow[alpha]
 
-    for f in polys:
-        for g in polys:
-            if not (f * g).is_zero:
-                continue
-            for alpha, a in f.terms.items():
-                for beta, b in g.terms.items():
-                    if weak:
-                        # sigma_i for the x_i term, identity for the constant
-                        nz = [t for t in range(A.n) if alpha[t]]
-                        img = A.system.sigmas[nz[0]].index_list[b] if nz else b
-                    else:
-                        img = sp(alpha)[b]
-                    if mul[a][img]:
-                        return ArmendarizResult(
-                            False,
-                            witness={"f": f, "g": g, "alpha": alpha, "beta": beta},
-                            degree_cap=degree_cap,
-                            support_cap=support_cap,
-                            weak=weak,
-                        )
+    dense = DenseProducts(A, monos)
+    block = max(1, BLOCK_ENTRIES // dense.width)
+    # one matmul per f against every g; the cross products are tested only
+    # where f g = 0, in f-major, g-minor order
+    X = dense.coords(dense.keys(polys))  # total**2 <= pair_budget keeps this small
+    for f, xf in zip(polys, X):
+        times_f = dense.times(xf, "left")
+        for lo in range(0, len(X), block):
+            zero = ~dense.products(X[lo : lo + block], times_f).any(axis=1)
+            for j in np.flatnonzero(zero):
+                g = polys[lo + j]
+                for alpha, a in f.terms.items():
+                    for beta, b in g.terms.items():
+                        if weak:
+                            # sigma_i for the x_i term, identity for the constant
+                            nz = [t for t in range(A.n) if alpha[t]]
+                            img = A.system.sigmas[nz[0]].index_list[b] if nz else b
+                        else:
+                            img = sp(alpha)[b]
+                        if mul[a][img]:
+                            return ArmendarizResult(
+                                False,
+                                witness={"f": f, "g": g, "alpha": alpha, "beta": beta},
+                                degree_cap=degree_cap,
+                                support_cap=support_cap,
+                                weak=weak,
+                            )
     return ArmendarizResult(True, degree_cap=degree_cap, support_cap=support_cap, weak=weak)
 
 

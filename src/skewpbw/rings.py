@@ -14,6 +14,7 @@ coincide, which the test suite uses as a cross-validation oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -172,13 +173,24 @@ class FiniteRing:
                 raise BadIdentity(i + 1)
 
     def _verify_associative(self) -> None:
-        gens = [self.generator(i) for i in range(self.m)]
-        for i, a in enumerate(gens):
-            for j, b in enumerate(gens):
-                ab = a * b
-                for k, c in enumerate(gens):
-                    if (ab * c) != (a * (b * c)):
-                        raise NonAssociative(i + 1, j + 1, k + 1)
+        """(e_i e_j) e_k = e_i (e_j e_k) for all generator triples, in one contraction.
+
+        (e_i e_j) e_k = sum_u C[i,j,u] e_u e_k and e_i (e_j e_k) =
+        sum_u C[j,k,u] e_i e_u; both are reduced modulo the orders, which is
+        exact once the constants are well defined.  The first failing triple
+        in lexicographic order is reported.  Sums are exact Python integers
+        when m (k - 1)^2 could overflow int64.
+        """
+        C = self.constants
+        if self.m * (max(self.orders) - 1) ** 2 >= 2**63:
+            C = C.astype(object)
+        ords = np.array(self.orders, dtype=C.dtype)
+        lhs = np.einsum("iju,ukv->ijkv", C, C) % ords
+        rhs = np.einsum("jku,iuv->ijkv", C, C) % ords
+        bad = np.argwhere((lhs != rhs).any(axis=3))
+        if len(bad):
+            i, j, k = (int(t) + 1 for t in bad[0])
+            raise NonAssociative(i, j, k)
 
     # -- element plumbing -------------------------------------------------------
 
@@ -415,8 +427,12 @@ class Ideal:
         else:
             self.mask = ring.mask_of(carrier)
             self._verify()
-        self.carrier = ring.set_of(self.mask)
         self.generators = generators
+
+    @cached_property
+    def carrier(self) -> frozenset:
+        """The elements as a frozenset, built on first use."""
+        return self.ring.set_of(self.mask)
 
     def _verify(self) -> None:
         defect = _ideal_defect(self.ring, self.mask)
@@ -425,9 +441,10 @@ class Ideal:
 
     @classmethod
     def from_mask(cls, ring: FiniteRing, mask: np.ndarray, verify: bool = False) -> "Ideal":
+        ideal = cls(ring, (), _trusted_mask=mask)
         if verify:
-            return cls(ring, ring.set_of(mask))
-        return cls(ring, (), _trusted_mask=mask)
+            ideal._verify()
+        return ideal
 
     def __contains__(self, el: RingElement) -> bool:
         return bool(self.mask[el.index])

@@ -1,0 +1,270 @@
+"""The dense product kernel against the rewriting engine and the scalar scans.
+
+The per-pair loops that `bounded_NI_check` and `bounded_skew_armendariz` ran
+before they went through `DenseProducts` are kept here as oracles, and the
+`skewpbw check --json` reports of the corpus are compared byte for byte with
+golden files (`tests/golden/check/`, written by the scalar scans).
+"""
+
+import contextlib
+import io
+import json
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from skewpbw import cli, corpus, defio, probes
+from skewpbw.extension import DenseProducts, SkewPolynomial
+from skewpbw.probes import (
+    UNKNOWN,
+    BoundedScan,
+    NICheckResult,
+    _monomials_up_to,
+    _polys_over_monomials,
+    _scan_stats,
+    bounded_NI_check,
+    bounded_skew_armendariz,
+)
+
+GOLDEN = Path(__file__).parent / "golden" / "check"
+ALL_PAIRS = 10**4  # below this many pairs every pair is checked
+SAMPLE = 1500  # seeded pairs per presentation above it
+
+
+def _budget(entry):
+    b = entry.budget
+    return b["degree_cap"], b["support_cap"], b["exponent_cap"]
+
+
+def _weak_monos(A):
+    return [A._zero_exp] + [tuple(1 if t == i else 0 for t in range(A.n)) for i in range(A.n)]
+
+
+# ---------------------------------------------------------------------------
+# the scalar scans, as they were before the dense kernel
+# ---------------------------------------------------------------------------
+
+
+def oracle_NI_check(scan: BoundedScan) -> NICheckResult:
+    pn = scan.proved_nilpotent
+    unknown_checks = 0
+    checks = 0
+    for f in pn:
+        for h in scan.polys:
+            for kind, p in (("left_product", h * f), ("right_product", f * h)):
+                if p.is_zero:
+                    continue
+                checks += 1
+                r = scan.probe(p)
+                if r.proved_not_nilpotent:
+                    return NICheckResult(
+                        NICheckResult.VIOLATION,
+                        witness={"kind": kind, "f": f, "g": h, "result": p, "probe": r},
+                        stats=_scan_stats(scan, checks, unknown_checks),
+                    )
+                if r.status == UNKNOWN:
+                    unknown_checks += 1
+    for i, f in enumerate(pn):
+        for g in pn[i:]:
+            s = f + g
+            if s.is_zero:
+                continue
+            checks += 1
+            r = scan.probe(s)
+            if r.proved_not_nilpotent:
+                return NICheckResult(
+                    NICheckResult.VIOLATION,
+                    witness={"kind": "sum", "f": f, "g": g, "result": s, "probe": r},
+                    stats=_scan_stats(scan, checks, unknown_checks),
+                )
+            if r.status == UNKNOWN:
+                unknown_checks += 1
+    status = NICheckResult.CONSISTENT if unknown_checks == 0 else NICheckResult.INCONCLUSIVE
+    return NICheckResult(status, stats=_scan_stats(scan, checks, unknown_checks))
+
+
+def oracle_armendariz(A, degree_cap, support_cap, weak=False):
+    """(holds, witness) of the scalar f-major, g-minor Armendariz scan."""
+    monos = _weak_monos(A) if weak else _monomials_up_to(A.n, degree_cap)
+    polys = _polys_over_monomials(A, monos, support_cap)
+    mul, _, _ = A.base.index_rows()
+    sigma_pow: dict = {}
+
+    def sp(alpha):
+        if alpha not in sigma_pow:
+            sigma_pow[alpha] = A.system.sigma_power(alpha).tolist()
+        return sigma_pow[alpha]
+
+    for f in polys:
+        for g in polys:
+            if not (f * g).is_zero:
+                continue
+            for alpha, a in f.terms.items():
+                for beta, b in g.terms.items():
+                    if weak:
+                        nz = [t for t in range(A.n) if alpha[t]]
+                        img = A.system.sigmas[nz[0]].index_list[b] if nz else b
+                    else:
+                        img = sp(alpha)[b]
+                    if mul[a][img]:
+                        return False, {"f": f, "g": g, "alpha": alpha, "beta": beta}
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# kernel against the engine
+# ---------------------------------------------------------------------------
+
+
+def _random_full_poly(rng, A, monos):
+    return SkewPolynomial(A, {alpha: rng.randrange(A.base.size) for alpha in monos})
+
+
+def _check_kernel(A, monos, polys, rng):
+    dense = DenseProducts(A, monos)
+    polys = polys + [_random_full_poly(rng, A, monos) for _ in range(20)]
+    X = dense.coords(dense.keys(polys))
+    n = len(polys)
+    if n * n < ALL_PAIRS:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(SAMPLE)]
+    by_f: dict = {}
+    for i, j in pairs:
+        by_f.setdefault(i, []).append(j)
+    for i, hs in by_f.items():
+        f = polys[i]
+        for side, engine in (("right", lambda h: h * f), ("left", lambda h: f * h)):
+            rows = dense.index_keys(dense.products(X[hs], dense.times(X[i], side)))
+            for j, row in zip(hs, rows):
+                assert dense.poly(row, dense.out_monos) == engine(polys[j]), (A.name, side, i, j)
+    return len(pairs)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_dense_products_match_engine(name):
+    entry = corpus.BUILDERS[name]()
+    A = entry.presentation
+    degree_cap, support_cap, _ = _budget(entry)
+    rng = random.Random(name)
+    monos = _monomials_up_to(A.n, degree_cap)
+    assert _check_kernel(A, monos, _polys_over_monomials(A, monos, support_cap), rng)
+    weak = _weak_monos(A)
+    assert _check_kernel(A, weak, _polys_over_monomials(A, weak, min(support_cap, 2)), rng)
+
+
+def test_dense_sums_and_keys_round_trip(euler3):
+    A = euler3.presentation
+    monos = _monomials_up_to(A.n, 2)
+    dense = DenseProducts(A, monos)
+    rng = random.Random(3)
+    polys = [_random_full_poly(rng, A, monos) for _ in range(30)]
+    K = dense.keys(polys)
+    assert K.dtype == np.int32
+    for f, row in zip(polys, K):
+        assert dense.poly(row, monos) == f
+    X = dense.coords(K)
+    for i, f in enumerate(polys):
+        rows = dense.index_keys(dense.sums(X, X[i]))
+        assert [dense.poly(r, monos) for r in rows] == [g + f for g in polys]
+
+
+def test_dense_kernel_builds_from_the_engine_only(weyl2, monkeypatch):
+    # the atom tensor is (|monos| m)^2 engine products, nothing else
+    A = weyl2.presentation
+    calls = []
+    real = type(A)._mul_terms
+
+    def counting(self, f, g):
+        calls.append((dict(f), dict(g)))
+        return real(self, f, g)
+
+    monkeypatch.setattr(type(A), "_mul_terms", counting)
+    monos = _monomials_up_to(A.n, 2)
+    DenseProducts(A, monos)
+    assert len(calls) == (len(monos) * A.base.m) ** 2
+    assert all(len(f) == 1 and len(g) == 1 for f, g in calls)
+
+
+# ---------------------------------------------------------------------------
+# the dense scans against the scalar ones
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_ni_check_matches_scalar_scan(name):
+    entry = corpus.BUILDERS[name]()
+    A = entry.presentation
+    caps = _budget(entry)
+    scan = BoundedScan(A, *caps)
+    got = bounded_NI_check(A, *caps, scan=scan)
+    ref_scan = BoundedScan(A, *caps)
+    ref = oracle_NI_check(ref_scan)
+    assert got.status == ref.status
+    assert got.stats == ref.stats
+    assert (got.witness is None) == (ref.witness is None)
+    if ref.witness is not None:
+        for key in ("kind", "f", "g", "result"):
+            assert got.witness[key] == ref.witness[key], key
+        assert got.witness["probe"] == ref.witness["probe"]
+    # every product and sum was probed exactly as the scalar scan probed it
+    assert scan.status == ref_scan.status
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+@pytest.mark.parametrize("weak", [False, True])
+def test_armendariz_matches_scalar_scan(name, weak):
+    entry = corpus.BUILDERS[name]()
+    A = entry.presentation
+    degree_cap, support_cap, _ = _budget(entry)
+    # the caps the T2 check uses
+    degree_cap, support_cap = min(degree_cap, 2), min(support_cap, 2)
+    got = bounded_skew_armendariz(A, degree_cap, support_cap, weak=weak)
+    holds, witness = oracle_armendariz(A, degree_cap, support_cap, weak=weak)
+    assert got.holds == holds
+    assert got.witness == witness
+
+
+@pytest.mark.parametrize("name", ["euler_like_3", "matrix_poly_2", "poly_z4_2v", "swap_extension", "weyl_like_2"])
+def test_scans_agree_across_row_blocks(name, monkeypatch):
+    # blocks of one or a few rows: witnesses and counts must not depend on them
+    entry = corpus.BUILDERS[name]()
+    A = entry.presentation
+    caps = _budget(entry)
+    ref_scan = BoundedScan(A, *caps)
+    ref = oracle_NI_check(ref_scan)
+    arm = bounded_skew_armendariz(A, min(caps[0], 2), min(caps[1], 2))
+    for entries in (1, 100):
+        monkeypatch.setattr(probes, "BLOCK_ENTRIES", entries)
+        scan = BoundedScan(A, *caps)
+        got = bounded_NI_check(A, *caps, scan=scan)
+        assert (got.status, got.stats, got.witness) == (ref.status, ref.stats, ref.witness)
+        assert scan.status == ref_scan.status
+        small = bounded_skew_armendariz(A, min(caps[0], 2), min(caps[1], 2))
+        assert (small.holds, small.witness) == (arm.holds, arm.witness)
+
+
+# ---------------------------------------------------------------------------
+# golden `skewpbw check --json` reports
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_check_report_matches_golden(name, tmp_path):
+    entry = corpus.BUILDERS[name]()
+    path = tmp_path / f"{name}.json"
+    path.write_text(defio.definition_to_text(defio.entry_to_definition(entry)), encoding="utf-8")
+    degree_cap, support_cap, exponent_cap = _budget(entry)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([
+            "check", str(path), "--json", "--degree", str(degree_cap),
+            "--support", str(support_cap), "--exponent", str(exponent_cap),
+        ])
+    report = json.loads(buf.getvalue())
+    assert report.pop("file") == str(path)
+    assert report["exit"] == code
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -259,3 +259,41 @@ def test_search_unknown_property_and_family():
         counterexample_search("not-a-property", "swap")
     with pytest.raises(WrongShape):
         counterexample_search("not-NI", "not-a-family")
+
+
+# ---------------------------------------------------------------------------
+# quasi-regularity face
+# ---------------------------------------------------------------------------
+
+
+def test_qr_face_propagates_programming_errors(euler2, clifford2, monkeypatch):
+    from skewpbw import harness
+    from skewpbw.probes import BoundedScan
+
+    scan = BoundedScan(euler2.presentation, 2, 3, 8)
+    assert scan.proved_nilpotent
+
+    def broken(f, exponent_cap):
+        raise RuntimeError("bug in the witness code")
+
+    monkeypatch.setattr(harness, "quasi_regularity_witness", broken)
+    with pytest.raises(RuntimeError, match="bug in the witness code"):
+        harness._tv_qr_face(scan)
+    with pytest.raises(RuntimeError, match="bug in the witness code"):
+        check("T6", clifford2, SearchBudget(**clifford2.budget))
+
+
+def test_qr_face_reports_failed_witness_as_exact_false(euler2, monkeypatch):
+    from skewpbw import harness
+    from skewpbw.errors import NotProvedNilpotent
+    from skewpbw.probes import BoundedScan
+
+    scan = BoundedScan(euler2.presentation, 2, 3, 8)
+
+    def refuse(f, exponent_cap):
+        raise NotProvedNilpotent("witness verification failed")
+
+    monkeypatch.setattr(harness, "quasi_regularity_witness", refuse)
+    tv = harness._tv_qr_face(scan)
+    assert tv.value is False and tv.exact
+    assert "witness verification failed" in tv.witness

@@ -142,6 +142,30 @@ def test_bounded_ni_weyl_violation_canonical_witness(weyl2):
     assert replay_violation(w)
 
 
+def test_replay_violation_uses_the_scan_cap(weyl2):
+    # the witness is found at cap 8; y has index 2, so at cap 1 nothing is proved
+    res = bounded_NI_check(weyl2.presentation, 2, 2, 8)
+    w = res.witness
+    assert replay_violation(w, exponent_cap=8)
+    assert not replay_violation(w, exponent_cap=1)
+
+
+def test_replay_violation_probes_at_the_given_cap(weyl2, monkeypatch):
+    from skewpbw import probes
+
+    caps = []
+    real = probes.nilpotency_probe
+
+    def spy(f, exponent_cap=probes.DEFAULT_EXPONENT_CAP):
+        caps.append(exponent_cap)
+        return real(f, exponent_cap)
+
+    w = bounded_NI_check(weyl2.presentation, 2, 2, 8).witness
+    monkeypatch.setattr(probes, "nilpotency_probe", spy)
+    assert replay_violation(w, exponent_cap=8)
+    assert caps == [8, 8]
+
+
 def test_bounded_ni_swap_violation(swap_entry):
     res = bounded_NI_check(swap_entry.presentation, 2, 2, 8)
     assert res.status == NICheckResult.VIOLATION

@@ -78,6 +78,82 @@ def test_make_ring_rejects_nonassociative():
         make_ring([3], [[[2]]], [1])
 
 
+def _first_nonassociative_triple(orders, constants):
+    """The scalar check: first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
+    m = len(orders)
+
+    def mul(a, b):
+        out = [0] * m
+        for s in range(m):
+            for t in range(m):
+                for u in range(m):
+                    out[u] += a[s] * b[t] * constants[s][t][u]
+        return [c % k for c, k in zip(out, orders)]
+
+    gens = [[int(s == i) for s in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                if mul(mul(gens[i], gens[j]), gens[k]) != mul(gens[i], mul(gens[j], gens[k])):
+                    return (i + 1, j + 1, k + 1)
+    return None
+
+
+@pytest.mark.parametrize(
+    "constants, triple",
+    [
+        # e1 = 1; e2 e3 = 0, e3 e2 = e1 + e2 + e3: (e2 e3) e2 = 0 but e2 (e3 e2) = e2
+        ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 1], [1, 1, 1], [1, 0, 1]]], (2, 3, 2)),
+        # e2 e3 = e3, e3 e2 = 0, e3 e3 = e2: (e3 e2) e3 = 0 but e3 (e2 e3) = e2
+        ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [0, 0, 0], [0, 1, 0]]], (3, 2, 3)),
+    ],
+)
+def test_make_ring_reports_first_nonassociative_triple(constants, triple):
+    assert _first_nonassociative_triple([2, 2, 2], constants) == triple
+    with pytest.raises(NonAssociative) as exc:
+        make_ring([2, 2, 2], constants, [1, 0, 0])
+    assert exc.value.triple == triple
+
+
+def test_associativity_check_matches_scalar_triples():
+    # random tensors with e1 = 1 over Z2^3 and Z3^2: same verdict, same triple
+    rng = np.random.default_rng(7)
+    seen = set()
+    for orders in ([2, 2, 2], [3, 3]):
+        m = len(orders)
+        for _ in range(150):
+            C = rng.integers(0, orders[0], (m, m, m))
+            C[0] = np.eye(m, dtype=int)
+            C[:, 0] = np.eye(m, dtype=int)
+            C = C.tolist()
+            expected = _first_nonassociative_triple(orders, C)
+            try:
+                make_ring(orders, C, [1] + [0] * (m - 1))
+                got = None
+            except NonAssociative as exc:
+                got = exc.triple
+            assert got == expected, (orders, C)
+            seen.add(got)
+    assert None in seen and len(seen) > 4
+
+
+def test_associativity_check_exact_for_huge_orders():
+    # Z_k x Z_k in the basis b1 = (1, b), b2 = (a, 1 + ab), k = 2^40 + 15: the
+    # constants are near k, so int64 sums of their products would wrap
+    k = 2**40 + 15
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        a, b = (int(t) for t in rng.integers(2**39, k, 2))
+        basis = [(1, b), (a, 1 + a * b)]
+
+        def coords(v):
+            return [((1 + a * b) * v[0] - a * v[1]) % k, (v[1] - b * v[0]) % k]
+
+        C = [[coords((x[0] * y[0], x[1] * y[1])) for y in basis] for x in basis]
+        r = make_ring([k, k], C, coords((1, 1)))
+        assert r.one * r.generator(1) == r.generator(1)
+
+
 def test_make_ring_rejects_ill_defined_constant():
     # orders (2, 4) with e1*e1 = e2: 2*(e1*e1) must vanish but 2*e2 != 0
     with pytest.raises(IllDefinedConstant):
@@ -304,6 +380,31 @@ def test_ideal_verification_rejects_non_ideal():
     z4 = zn(4)
     with pytest.raises(NotAnIdeal):
         Ideal(z4, [z4.el([0]), z4.el([1])])
+
+
+def test_ideal_carrier_is_built_on_first_use(monkeypatch):
+    z4 = zn(4)
+    calls = []
+    real = type(z4).set_of
+
+    def counting(self, mask):
+        calls.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(type(z4), "set_of", counting)
+    ideal = Ideal(z4, [z4.el([0]), z4.el([2])])
+    trusted = Ideal.from_mask(z4, ideal.mask.copy(), verify=True)
+    assert calls == []
+    assert coords_set(trusted.carrier) == [(0,), (2,)]
+    assert trusted.carrier is trusted.carrier and len(calls) == 1
+
+
+def test_ideal_from_mask_verifies_the_mask():
+    z4 = zn(4)
+    with pytest.raises(NotAnIdeal, match="addition"):
+        Ideal.from_mask(z4, np.array([True, True, False, False]), verify=True)
+    # unverified masks are trusted as given
+    assert len(Ideal.from_mask(z4, np.array([True, True, False, False]))) == 2
 
 
 # ---------------------------------------------------------------------------
