@@ -10,6 +10,12 @@ Termination of the rewriting recursion is measured lexicographically by
 keep the degree and strictly reduce inversions, while delta-pushes and tail
 branches strictly reduce the degree.
 
+The cost of a product is lopsided.  For each term x^alpha of the left factor,
+x^alpha is pushed past the right factor's coefficients (up to |alpha| + 1
+terms when delta != 0) and x^alpha x^beta is reordered by recursion on alpha;
+both grow with deg alpha and make cache keys per alpha.  So a long chain of
+products should keep its short factor on the left.
+
 Presentations are verified before any arithmetic is allowed: the overlap
 checks below are the finite diamond-lemma conditions that make the rewriting
 confluent, i.e. the multiplication associative and Mon(A) a left basis.
@@ -32,6 +38,19 @@ from .errors import (
 )
 from .maps import SigmaSystem
 from .rings import FiniteRing, RingElement
+
+CACHE_CAP = 1 << 18  # entries in each of _push_cache and _mono_cache
+
+
+def _cache_put(cache: dict, key, value) -> None:
+    """Insert into a rewriting cache, emptying it first if it is full.
+
+    Callers only read the cached dicts, so a dict handed out before the
+    clear stays valid; the cache just forgets it.
+    """
+    if len(cache) >= CACHE_CAP:
+        cache.clear()
+    cache[key] = value
 
 
 class SkewPolynomial:
@@ -314,7 +333,7 @@ class ExtensionPresentation:
                 prev = out.get(gamma, 0)
                 out[gamma] = add[prev][c] if prev else c
         out = {g: c for g, c in out.items() if c}
-        self._push_cache[key] = out
+        _cache_put(self._push_cache, key, out)
         return out
 
     def _mono(self, alpha: tuple, beta: tuple) -> dict:
@@ -332,7 +351,7 @@ class ExtensionPresentation:
         if j <= i:
             merged = tuple(a + b for a, b in zip(alpha, beta))
             out = {merged: self._one}
-            self._mono_cache[key] = out
+            _cache_put(self._mono_cache, key, out)
             return out
         # junction x_j x_i with j > i: substitute the defining relation
         left = list(alpha)
@@ -358,7 +377,7 @@ class ExtensionPresentation:
                         prev = out.get(eps, 0)
                         out[eps] = add[prev][coeff] if prev else coeff
         out = {g: c for g, c in out.items() if c}
-        self._mono_cache[key] = out
+        _cache_put(self._mono_cache, key, out)
         return out
 
     def _mul_terms(self, f: dict, g: dict) -> dict:

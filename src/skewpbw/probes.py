@@ -61,7 +61,14 @@ def _leading_coefficient_is_unit(f: SkewPolynomial) -> bool:
 
 
 def nilpotency_probe(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> ProbeResult:
-    """Power iteration with stabilization detection, see module docstring."""
+    """Power iteration with stabilization detection, see module docstring.
+
+    Powers are built as f^k = f * f^(k-1), with the short fixed factor on the
+    left.  By associativity and the uniqueness of the PBW normal form this is
+    the same element as f^(k-1) * f, but it is far cheaper: the rewriting
+    product pays for the degree of its left factor (see the extension module),
+    so the growing power belongs on the right.
+    """
     A = f.ext
     A._require_verified()
     if f.is_zero:
@@ -72,7 +79,7 @@ def nilpotency_probe(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPONENT_CAP
     powers = {1: f}
     current = f
     for k in range(2, exponent_cap + 1):
-        current = current * f
+        current = f * current
         if current.is_zero:
             return ProbeResult(NILPOTENT, index=k)
         powers[k] = current
@@ -96,7 +103,7 @@ def quasi_regularity_witness(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPO
     minus_f = -f
     for _ in range(probe.index):
         g = g + term
-        term = term * minus_f
+        term = minus_f * term
     one_plus_f = A.one_poly() + f
     if one_plus_f * g != A.one_poly() or g * one_plus_f != A.one_poly():
         raise NotProvedNilpotent("witness verification failed")  # engine bug if ever hit
@@ -226,6 +233,9 @@ def bounded_NI_check(
         return scan.ni_result
 
     if pn:
+        # one map per face from row bytes to probe result, across every f and block
+        seen_products: dict = {}
+        seen_sums: dict = {}
         dense = DenseProducts(scan.A, _monomials_up_to(scan.A.n, scan.degree_cap))
         K = dense.keys(scan.polys)
         X_pn = dense.coords(dense.keys(pn))
@@ -240,7 +250,7 @@ def bounded_NI_check(
                 rows = np.empty((2 * len(X), len(dense.out_monos)), dtype=np.int32)
                 rows[0::2] = dense.index_keys(dense.products(X, right))
                 rows[1::2] = dense.index_keys(dense.products(X, left))
-                c, u, hit = _probe_rows(scan, dense, rows, dense.out_monos)
+                c, u, hit = _probe_rows(scan, dense, rows, dense.out_monos, seen_products)
                 checks += c
                 unknown_checks += u
                 if hit is not None:
@@ -250,7 +260,7 @@ def bounded_NI_check(
         for i, f in enumerate(pn):
             for lo in range(i, len(pn), block):
                 sums = dense.sums(X_pn[lo : lo + block], X_pn[i])
-                c, u, hit = _probe_rows(scan, dense, dense.index_keys(sums), dense.monos)
+                c, u, hit = _probe_rows(scan, dense, dense.index_keys(sums), dense.monos, seen_sums)
                 checks += c
                 unknown_checks += u
                 if hit is not None:
@@ -260,14 +270,18 @@ def bounded_NI_check(
     return scan.ni_result
 
 
-def _probe_rows(scan: BoundedScan, dense: DenseProducts, rows: np.ndarray, monos: list) -> tuple:
+def _probe_rows(
+    scan: BoundedScan, dense: DenseProducts, rows: np.ndarray, monos: list, seen: dict
+) -> tuple:
     """Closure checks on element-index rows, in row order: (checks, unknown, hit).
 
     Zero rows are skipped, as the scalar scan skipped zero results.  Each
-    distinct nonzero row is probed once through `scan.probe`, in order of
-    first occurrence, up to the first one proved not nilpotent; `hit` is
-    (row, polynomial, probe) for that row, whose first occurrence is then the
-    first failing check.  Counts cover the rows up to and including it.
+    distinct nonzero row is looked up in `seen` (row bytes -> probe result,
+    shared by all blocks of one face) in order of first occurrence; only a
+    row not seen before becomes a polynomial and goes through `scan.probe`.
+    The walk stops at the first row proved not nilpotent; `hit` is (row,
+    polynomial, probe) for that row, whose first occurrence is then the first
+    failing check.  Counts cover the rows up to and including it.
     """
     nonzero = rows.any(axis=1)
     view = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
@@ -278,10 +292,12 @@ def _probe_rows(scan: BoundedScan, dense: DenseProducts, rows: np.ndarray, monos
         row = int(first[u])
         if not nonzero[row]:
             continue
-        p = dense.poly(rows[row], monos)
-        r = scan.probe(p)
+        key = rows[row].tobytes()
+        r = seen.get(key)
+        if r is None:
+            r = seen[key] = scan.probe(dense.poly(rows[row], monos))
         if r.proved_not_nilpotent:
-            hit = (row, p, r)
+            hit = (row, dense.poly(rows[row], monos), r)
             break
         unknown[u] = r.status == UNKNOWN
     end = len(rows) if hit is None else hit[0] + 1

@@ -343,3 +343,53 @@ def test_multivariate_expr(quasi_z3):
     A = quasi_z3.presentation
     f = A.monomial((2, 1)) + A.scalar(quasi_z3.ring.el([2]))
     assert f.to_expr() == "[1]*x1^2*x2^1 + [2]"
+
+
+# ---------------------------------------------------------------------------
+# bounded rewriting caches
+# ---------------------------------------------------------------------------
+
+
+class WatchedCache(dict):
+    """A cache dict that records its largest size and how often it was emptied."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak = 0
+        self.clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def _fresh(P, watch=False):
+    A = make_extension(P.base, P.system, d=P.d, tails=P.tails, name=P.name)
+    if watch:
+        A._push_cache = WatchedCache()
+        A._mono_cache = WatchedCache()
+    return verify_presentation(A)
+
+
+def test_capped_caches_give_the_uncapped_products(corpus_entries, monkeypatch):
+    from skewpbw import extension
+
+    rng = random.Random(41)
+    clears = 0
+    for entry in corpus_entries:
+        P = entry.presentation
+        pairs = [(random_poly(rng, P).terms, random_poly(rng, P).terms) for _ in range(25)]
+        U = _fresh(P)
+        expected = [U._mul_terms(f, g) for f, g in pairs]
+        with monkeypatch.context() as m:
+            m.setattr(extension, "CACHE_CAP", 16)
+            C = _fresh(P, watch=True)
+            assert [C._mul_terms(f, g) for f, g in pairs] == expected, entry.name
+        for cache in (C._push_cache, C._mono_cache):
+            assert cache.peak <= 16, entry.name
+            clears += cache.clears
+    assert clears > 0  # the cap was reached, so the clearing path ran

@@ -15,11 +15,18 @@ from skewpbw import (
     quasi_regularity_witness,
 )
 from skewpbw.errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent
+from skewpbw.extension import make_extension, verify_presentation
 from skewpbw.probes import (
+    NILPOTENT,
+    NOT_NILPOTENT,
+    UNKNOWN,
     NICheckResult,
+    ProbeResult,
     STABILIZED_POWER,
     UNIT_LEADING_CHAIN,
     BoundedScan,
+    _leading_coefficient_is_unit,
+    _monomials_up_to,
     coefficient_agreement,
     replay_violation,
 )
@@ -55,6 +62,70 @@ def test_probe_zero_and_unknown(weyl2):
     # x in a derivation-type extension: powers keep growing, no certificate
     res = nilpotency_probe(A.variable(1), 6)
     assert res.status == "unknown" and res.cap == 6
+
+
+# ---------------------------------------------------------------------------
+# the power chain against the right-associated one
+# ---------------------------------------------------------------------------
+
+
+def right_associated_probe(f, exponent_cap):
+    """The probe as it was with powers built as f^(k-1) * f: a reference."""
+    A = f.ext
+    if f.is_zero:
+        return ProbeResult(NILPOTENT, index=1)
+    if A.quasi_commutative and A.bijective and _leading_coefficient_is_unit(f):
+        return ProbeResult(NOT_NILPOTENT, reason=UNIT_LEADING_CHAIN)
+    powers = {1: f}
+    current = f
+    for k in range(2, exponent_cap + 1):
+        current = current * f
+        if current.is_zero:
+            return ProbeResult(NILPOTENT, index=k)
+        powers[k] = current
+        if k % 2 == 0 and powers[k // 2] == current:
+            return ProbeResult(NOT_NILPOTENT, reason=STABILIZED_POWER)
+    return ProbeResult(UNKNOWN, cap=exponent_cap)
+
+
+def right_associated_series(f, index):
+    """sum_{j<index} (-f)^j with each term built as (-f)^(j-1) * (-f)."""
+    A = f.ext
+    g, term, minus_f = A.zero_poly(), A.one_poly(), -f
+    for _ in range(index):
+        g = g + term
+        term = term * minus_f
+    return g
+
+
+def test_probe_matches_right_associated_chain(corpus_entries):
+    nilpotent = 0
+    for entry in corpus_entries:
+        b = entry.budget
+        for f in enumerate_bounded_polys(entry.presentation, b["degree_cap"], b["support_cap"]):
+            res = nilpotency_probe(f, 16)
+            assert res == right_associated_probe(f, 16), (entry.name, f)
+            if res.proved_nilpotent:
+                nilpotent += 1
+                g = quasi_regularity_witness(f, 16)
+                assert g == right_associated_series(f, res.index), (entry.name, f)
+    assert nilpotent > 0
+
+
+def test_power_chain_keeps_push_cache_small():
+    # With f on the left, every _push key (x^alpha, r) has deg alpha <= deg f;
+    # the right-associated chain pushed the growing power instead.
+    from skewpbw import corpus
+
+    for name in ("euler_like_3", "heisenberg_2"):
+        entry = corpus.BUILDERS[name]()
+        P = entry.presentation
+        A = verify_presentation(make_extension(P.base, P.system, d=P.d, tails=P.tails, name=P.name))
+        degree = entry.budget["degree_cap"]
+        for f in enumerate_bounded_polys(A, degree, entry.budget["support_cap"]):
+            nilpotency_probe(f, 32)
+        bound = len(_monomials_up_to(A.n, degree)) * A.base.size
+        assert len(A._push_cache) <= bound, (name, len(A._push_cache), bound)
 
 
 # ---------------------------------------------------------------------------
