@@ -37,6 +37,7 @@ from .rings import (
     arith,
     classify_ring,
     ideal_generated_by,
+    ideal_power_index,
     jacobson_radical,
     levitzki_radical,
     make_ring,

@@ -61,7 +61,6 @@ class SearchBudget:
     support_cap: int = 3
     exponent_cap: int = 16
     pair_budget: int = 10**6
-    time_hint_s: Optional[float] = None
 
     def __post_init__(self):
         for f in ("degree_cap", "support_cap", "exponent_cap", "pair_budget"):
@@ -77,7 +76,6 @@ class SearchBudget:
             self.support_cap + 1,
             self.exponent_cap * 2,
             self.pair_budget * 4,
-            self.time_hint_s,
         )
 
     def to_dict(self) -> dict:

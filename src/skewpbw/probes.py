@@ -4,6 +4,11 @@ Nilpotency in A is only semi-decidable by power iteration, so probes return a
 three-valued verdict instead of a boolean:
 
   * nilpotent(k)      -- f^k = 0 was computed, k minimal within the cap;
+  * nilpotent(<= t)   -- inside a BoundedScan only: every coefficient of f lies
+                         in J(R), J(R) is Sigma-Delta-invariant and J(R)^t = 0
+                         with t <= cap, so f^t = 0 without power iteration
+                         (reason ideal_power, the bound t in `cap`; see
+                         BoundedScan.probe);
   * not_nilpotent     -- a sound certificate was found, either a stabilized
                          power f^m = f^{2m} != 0 (then f^{cm} = f^m for all c)
                          or, in quasi-commutative bijective presentations, a
@@ -25,7 +30,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent
 from .extension import DenseProducts, ExtensionPresentation, SkewPolynomial
-from .rings import Ideal
+from .maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance
+from .rings import Ideal, ideal_power_index, jacobson_radical
 
 DEFAULT_EXPONENT_CAP = 16
 DEFAULT_PAIR_BUDGET = 10**6
@@ -37,14 +43,15 @@ UNKNOWN = "unknown"
 
 STABILIZED_POWER = "stabilized_power"
 UNIT_LEADING_CHAIN = "unit_leading_chain"
+IDEAL_POWER = "ideal_power"
 
 
 @dataclass(slots=True)
 class ProbeResult:
     status: str
-    index: Optional[int] = None   # nilpotency index when status == nilpotent
-    reason: Optional[str] = None  # certificate when status == not_nilpotent
-    cap: Optional[int] = None
+    index: Optional[int] = None   # nilpotency index, when power iteration proved nilpotent
+    reason: Optional[str] = None  # certificate: not_nilpotent, or nilpotent by ideal_power
+    cap: Optional[int] = None     # exponent cap when unknown; the bound t with f^t = 0 for ideal_power
 
     @property
     def proved_nilpotent(self) -> bool:
@@ -176,18 +183,49 @@ class BoundedScan:
         self.exponent_cap = exponent_cap
         self.pair_budget = pair_budget
         self.polys = enumerate_bounded_polys(A, degree_cap, support_cap, pair_budget)
+        # the ideal-power certificate of `probe`: (J(R), t) when it applies
+        J = jacobson_radical(A.base)
+        t = None
+        if invariance(J, A.system, SIGMA_INVARIANT).holds and invariance(J, A.system, DELTA_INVARIANT).holds:
+            t = ideal_power_index(J)
+        self.certificate: Optional[tuple[Ideal, int]] = (J, t) if t is not None and t <= exponent_cap else None
         self.status: dict[SkewPolynomial, ProbeResult] = {}
         for f in self.polys:
-            self.status[f] = nilpotency_probe(f, exponent_cap)
+            self.probe(f)
         self.proved_nilpotent = [f for f in self.polys if self.status[f].proved_nilpotent]
         self.scan_unknown = sum(1 for r in self.status.values() if r.status == UNKNOWN)
         self.ni_result: Optional["NICheckResult"] = None
         self.agreement: Optional["AgreementResult"] = None
 
     def probe(self, f: SkewPolynomial) -> ProbeResult:
-        if f not in self.status:
-            self.status[f] = nilpotency_probe(f, self.exponent_cap)
-        return self.status[f]
+        """The probe of f at the scan's exponent cap, computed once.
+
+        When `certificate` is (I, t), every f in I<x> is recorded as
+        nilpotent with reason ideal_power and bound t, without power
+        iteration.  Proof that f^t = 0: I is an ideal with sigma_i(I) <= I,
+        delta_i(I) <= I for every i, and I^t = 0.  Every I^k is again
+        Sigma-Delta-invariant, by sigma(ab) = sigma(a)sigma(b) and
+        delta(ab) = sigma(a)delta(b) + delta(a)b.  The rewriting keeps the
+        left coefficient c of c x^a on the left, and every coefficient of
+        x^a * d x^b is a sum of terms w(d) s, with w a word in the sigmas
+        and deltas and s in R.  So for c in I and d in I^(k-1) the
+        coefficients of c x^a * d x^b lie in I I^(k-1) R = I^k, that is
+        I<x> * I^(k-1)<x> <= I^k<x>.  By induction f^k = f * f^(k-1) lies in
+        I^k<x>, and f^t = 0.
+
+        Since t <= cap, power iteration would also reach 0 within the cap: it
+        never stabilizes on a nilpotent, and a coefficient in J(R) is never a
+        unit.  So the set of proved nilpotents is the one power iteration
+        gives; only `index` is left None, as t bounds it from above.
+        """
+        r = self.status.get(f)
+        if r is None:
+            if self.certificate is not None and extended_ideal_membership(self.certificate[0], f):
+                r = ProbeResult(NILPOTENT, reason=IDEAL_POWER, cap=self.certificate[1])
+            else:
+                r = nilpotency_probe(f, self.exponent_cap)
+            self.status[f] = r
+        return r
 
 
 @dataclass
@@ -415,8 +453,6 @@ def extended_ideal_closure_report(
     For a derivation-type A this is the executable face of: I<x_1..x_n> is an
     ideal of A iff I is a Delta-invariant ideal of R.
     """
-    from .maps import DELTA_INVARIANT, invariance
-
     if ideal.ring is not A.base:
         raise NotAnIdeal("ideal does not live in the base ring")
     A._require_verified()

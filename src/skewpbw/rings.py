@@ -584,6 +584,30 @@ def _is_prime_mask(ring: FiniteRing, mask: np.ndarray) -> bool:
     return True
 
 
+def ideal_power_index(ideal: Ideal) -> Optional[int]:
+    """The least t with I^t = 0, or None if no power of I is zero.
+
+    I^k is the additive span of the products a*b, a in I^(k-1), b in I; that
+    span is again an ideal.  The chain I >= I^2 >= ... descends in a finite
+    ring, so it either reaches 0 or repeats a nonzero ideal, after which it
+    is constant.
+    """
+    ring = ideal.ring
+    mul = ring.mul_table
+    idx = np.nonzero(ideal.mask)[0]
+    power = ideal.mask
+    t = 1
+    while power[1:].any():
+        product = np.zeros_like(power)
+        product[mul[np.ix_(np.nonzero(power)[0], idx)].ravel()] = True
+        product = _additive_closure(ring, product)
+        if np.array_equal(product, power):
+            return None
+        power = product
+        t += 1
+    return t
+
+
 def nilpotent_set(ring: FiniteRing) -> frozenset:
     """{ r : r^k = 0 for some 1 <= k <= |R| }."""
     return ring.set_of(ring.nilpotent_mask)
@@ -646,17 +670,7 @@ def levitzki_radical(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> Ideal:
     if "L" in ring._radical_cache:
         return ring._radical_cache["L"]
     ideal = upper_nilradical(ring, cap)
-    mul = ring.mul_table
-    idx = np.nonzero(ideal.mask)[0]
-    current = idx
-    for _ in range(ring.size + 1):
-        if (current == 0).all():
-            break
-        current = np.unique(mul[np.ix_(current, idx)].ravel())
-        current = current[current != 0]
-        if current.size == 0:
-            break
-    else:
+    if ideal_power_index(ideal) is None:
         raise NotAnIdeal("upper nilradical failed the nilpotence verification")
     ring._radical_cache["L"] = ideal
     return ideal

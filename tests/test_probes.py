@@ -10,13 +10,16 @@ from skewpbw import (
     enumerate_bounded_polys,
     extended_ideal_closure_report,
     extended_ideal_membership,
+    jacobson_radical,
     nilpotency_probe,
     nilpotent_set,
     quasi_regularity_witness,
 )
 from skewpbw.errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent
 from skewpbw.extension import make_extension, verify_presentation
+from skewpbw.maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance
 from skewpbw.probes import (
+    IDEAL_POWER,
     NILPOTENT,
     NOT_NILPOTENT,
     UNKNOWN,
@@ -126,6 +129,71 @@ def test_power_chain_keeps_push_cache_small():
             nilpotency_probe(f, 32)
         bound = len(_monomials_up_to(A.n, degree)) * A.base.size
         assert len(A._push_cache) <= bound, (name, len(A._push_cache), bound)
+
+
+# ---------------------------------------------------------------------------
+# the ideal-power certificate against power iteration
+# ---------------------------------------------------------------------------
+
+
+def test_ideal_power_certificate_against_power_iteration(corpus_entries):
+    applies = []
+    certified = 0
+    for entry in corpus_entries:
+        A = entry.presentation
+        b = entry.budget
+        caps = (b["degree_cap"], b["support_cap"], b["exponent_cap"])
+        scan = BoundedScan(A, *caps)
+        bounded_NI_check(A, *caps, scan=scan)
+        if scan.certificate is not None:
+            applies.append(entry.name)
+            J, t = scan.certificate
+            assert J == jacobson_radical(entry.ring) and t <= scan.exponent_cap
+            assert extended_ideal_closure_report(J, A).holds, entry.name
+        for f, r in scan.status.items():
+            if r.reason != IDEAL_POWER:
+                continue
+            certified += 1
+            assert r.proved_nilpotent and r.index is None, (entry.name, f)
+            assert scan.certificate is not None and r.cap == scan.certificate[1]
+            p = nilpotency_probe(f, r.cap)
+            assert p.proved_nilpotent and p.index <= r.cap, (entry.name, f, p)
+            assert nilpotency_probe(f, scan.exponent_cap) == p, (entry.name, f)
+    # J(R) is Sigma-Delta-invariant on every corpus entry but weyl_like(2)
+    assert len(applies) == 9 and "weyl_like(2)" not in applies
+    assert certified > 0
+
+
+def test_ideal_power_certificate_needs_delta_invariance(weyl2):
+    A = weyl2.presentation
+    J = jacobson_radical(weyl2.ring)
+    assert invariance(J, A.system, SIGMA_INVARIANT).holds
+    assert not invariance(J, A.system, DELTA_INVARIANT).holds  # d/dy(y) = 1
+    scan = BoundedScan(A, 2, 2, 8)
+    bounded_NI_check(A, 2, 2, 8, scan=scan)
+    assert scan.certificate is None
+    assert all(r.reason != IDEAL_POWER for r in scan.status.values())
+    # y x lies in J<x>, yet (yx)^2 = y(yx + 1)x = yx: not nilpotent
+    f = A.scalar(weyl2.ring.el([0, 1])) * A.variable(1)
+    assert extended_ideal_membership(J, f)
+    r = scan.probe(f)
+    assert r.proved_not_nilpotent and r.reason == STABILIZED_POWER
+
+
+def test_ideal_power_certificate_needs_cap_at_least_t(q8_twisted):
+    A = q8_twisted.presentation
+    J = jacobson_radical(q8_twisted.ring)
+    assert invariance(J, A.system, SIGMA_INVARIANT).holds
+    assert invariance(J, A.system, DELTA_INVARIANT).holds
+    scan = BoundedScan(A, 1, 1, 4)  # J^5 = 0 but J^4 != 0
+    bounded_NI_check(A, 1, 1, 4, scan=scan)
+    assert scan.certificate is None
+    assert scan.status == {f: nilpotency_probe(f, 4) for f in scan.status}
+    # some members of J<x> are left unknown at cap 4: certifying them would
+    # change the report
+    assert any(
+        r.status == UNKNOWN and extended_ideal_membership(J, f) for f, r in scan.status.items()
+    )
 
 
 # ---------------------------------------------------------------------------

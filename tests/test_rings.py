@@ -14,6 +14,7 @@ from skewpbw import (
     arith,
     classify_ring,
     ideal_generated_by,
+    ideal_power_index,
     jacobson_radical,
     levitzki_radical,
     make_ring,
@@ -366,6 +367,23 @@ def test_levitzki_examples():
     assert coords_set(levitzki_radical(zn(5)).carrier) == [(0,)]
     u2 = matrix_upper(2)
     assert levitzki_radical(u2) == upper_nilradical(u2)
+
+
+def test_ideal_power_index_closed_forms():
+    # J(Z_5[y]/(y^4)) = (y): y^3 != 0 = y^4
+    assert ideal_power_index(jacobson_radical(trunc_poly(5, 4))) == 4
+    # J(clifford_base(2)) is spanned by y_1, y_2, and every y_i y_j = 0
+    assert ideal_power_index(jacobson_radical(clifford_base(2))) == 2
+    # F_2[Q_8]: J is the augmentation ideal, of Loewy length
+    # 1 + sum_i i d_i = 1 + (1*2 + 2*1) = 5 by Jennings' theorem
+    # (Jennings series Q_8 > Z(Q_8) > 1 with d_1 = 2, d_2 = 1)
+    assert ideal_power_index(jacobson_radical(group_ring_q8())) == 5
+    ring = matrix_upper(2)
+    zero = np.zeros(ring.size, dtype=bool)
+    zero[0] = True
+    assert ideal_power_index(Ideal.from_mask(ring, zero)) == 1
+    # R^2 = R != 0: no power of the whole ring vanishes
+    assert ideal_power_index(Ideal.from_mask(ring, np.ones(ring.size, dtype=bool))) is None
 
 
 def test_ideal_generated_by():
