@@ -3,10 +3,13 @@
 The per-pair loops that `bounded_NI_check` and `bounded_skew_armendariz` ran
 before they went through `DenseProducts` are kept here as oracles, and the
 `skewpbw check --json` reports of the corpus are compared byte for byte with
-golden files (`tests/golden/check/`, written by the scalar scans).
+golden files (`tests/golden/check/`).  Those at the recorded budgets were
+written by the scalar scans; the doubled, reduced-pair and forced variants
+by the hand-written theorem checks that the statement table replaced.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -17,6 +20,7 @@ import pytest
 
 from skewpbw import cli, corpus, defio, probes
 from skewpbw.extension import DenseProducts, SkewPolynomial
+from skewpbw.harness import SearchBudget
 from skewpbw.probes import (
     UNKNOWN,
     BoundedScan,
@@ -251,20 +255,49 @@ def test_scans_agree_across_row_blocks(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
-def test_check_report_matches_golden(name, tmp_path):
+def _recorded(budget):
+    return budget
+
+
+def _pairs_100000(budget):
+    return dataclasses.replace(budget, pair_budget=100000)
+
+
+# golden file stem -> (corpus entry, budget from the recorded one, extra flags).
+# Doubled budgets are left out where one check takes several seconds:
+# clifford_trunc_2, q8_twist, euler_like_3, heisenberg_2 and poly_z4_2v.
+GOLDEN_CASES = {
+    **{name: (name, _recorded, ()) for name in sorted(corpus.BUILDERS)},
+    **{
+        f"{name}.doubled": (name, SearchBudget.doubled, ())
+        for name in ("euler_like_2", "matrix_poly_2", "quasi_comm_z3", "swap_extension", "weyl_like_2")
+    },
+    # the NI check and Armendariz exceed this budget, theorem by theorem
+    **{f"{name}.pairs100000": (name, _pairs_100000, ()) for name in ("clifford_trunc_2", "q8_twist")},
+    **{
+        f"{name}.forced": (name, _recorded, ("--force-conclusions",))
+        for name in ("matrix_poly_2", "swap_extension", "weyl_like_2")
+    },
+}
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_CASES))
+def test_check_report_matches_golden(stem, tmp_path):
+    name, make_budget, flags = GOLDEN_CASES[stem]
     entry = corpus.BUILDERS[name]()
     path = tmp_path / f"{name}.json"
     path.write_text(defio.definition_to_text(defio.entry_to_definition(entry)), encoding="utf-8")
-    degree_cap, support_cap, exponent_cap = _budget(entry)
+    budget = make_budget(SearchBudget(**entry.budget))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main([
-            "check", str(path), "--json", "--degree", str(degree_cap),
-            "--support", str(support_cap), "--exponent", str(exponent_cap),
+            "check", str(path), "--json", "--degree", str(budget.degree_cap),
+            "--support", str(budget.support_cap), "--exponent", str(budget.exponent_cap),
+            "--pairs", str(budget.pair_budget), *flags,
         ])
     report = json.loads(buf.getvalue())
     assert report.pop("file") == str(path)
     assert report["exit"] == code
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    golden = GOLDEN / f"{stem}.json"
+    assert text == golden.read_text(encoding="utf-8")
