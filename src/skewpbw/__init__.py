@@ -34,7 +34,6 @@ from .rings import (
     Ideal,
     RingElement,
     RingProfile,
-    arith,
     classify_ring,
     ideal_generated_by,
     ideal_power_index,

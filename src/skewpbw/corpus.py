@@ -181,10 +181,11 @@ class CorpusEntry:
     expected: dict = field(default_factory=dict)
     budget: Optional[dict] = None  # per-entry bounded-search caps for the sweep
     shadows: str = ""  # which infinite example this truncation stands in for
-    # bounded scans by budget caps, filled by the harness; kept here rather than
-    # on the presentation, which every scan points back to, so that no cycle
-    # keeps them alive once the entry is dropped
-    scans: dict = field(default_factory=dict, repr=False, compare=False)
+    # the harness's Evidence by budget caps, made on first use.  It is kept
+    # here rather than on the presentation, which its scan points back to, and
+    # it holds no reference to the entry, so no cycle keeps it alive once the
+    # entry is dropped
+    evidence: dict = field(default_factory=dict, repr=False, compare=False)
 
     def selfcheck(self) -> None:
         """Recompute the expected ring profile; raises on mismatch."""

@@ -1,6 +1,13 @@
 """Executable encodings of the NI/NJ theorems as consistency checks.
 
-Each check evaluates its preconditions and conclusions and reports one of:
+The theorems rest on a few facts about one instance: whether R is NI or
+2-primal, the (weak) Sigma/Delta-compatibility of R, whether A is NI at the
+bounds, whether N(A) = N(R)<x>, and whether the bounded nilpotents are
+quasi-regular.  `Evidence` computes each fact once per (entry, budget) and is
+kept on the entry, so the checks share one scan, one NI closure check and one
+quasi-regularity witness per proved nilpotent.  Each theorem is a row of
+`STATEMENTS`: its hypotheses, its named conclusions and its verdict rule, an
+implication or an equivalence.  `run_check` evaluates a row and reports one of:
 
   Consistent          -- everything observed matches the theorem;
   Violated            -- exactly-computed results contradict the theorem
@@ -18,7 +25,9 @@ Inconclusive into either verdict but never Consistent into Violated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Union
 
 from .corpus import CorpusEntry, commutative_poly, euler_like, matrix_poly, quasi_comm, standard_corpus, swap_extension, weyl_like
@@ -32,12 +41,12 @@ from .maps import (
     invariance,
     is_delta_compatible,
     is_sigma_compatible,
+    is_sigma_rigid,
     is_sigma_rigid_subset,
     is_weak_delta_compatible,
     is_weak_sigma_compatible,
 )
 from .probes import (
-    AgreementResult,
     BoundedScan,
     NICheckResult,
     bounded_NI_check,
@@ -79,12 +88,7 @@ class SearchBudget:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "degree_cap": self.degree_cap,
-            "support_cap": self.support_cap,
-            "exponent_cap": self.exponent_cap,
-            "pair_budget": self.pair_budget,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -102,17 +106,17 @@ class TV:
     value: bool
     exact: bool
     witness: Optional[str] = None
-    label: str = ""
+    bounded_cap: Optional[int] = None  # the search cap behind a semi-decided value
 
 
-def tv_and(parts: list, label: str = "") -> Optional[TV]:
+def tv_and(parts: list) -> Optional[TV]:
     falses = [p for p in parts if p is not None and not p.value]
     if falses:
         pick = next((p for p in falses if p.exact), falses[0])
-        return TV(False, pick.exact, pick.witness, label or pick.label)
+        return TV(False, pick.exact, pick.witness)
     if any(p is None for p in parts):
         return None
-    return TV(True, all(p.exact for p in parts), None, label)
+    return TV(True, all(p.exact for p in parts))
 
 
 def _compare(a: Optional[TV], b: Optional[TV]) -> str:
@@ -136,12 +140,7 @@ def _implication(q: Optional[TV], preconditions_exact: bool) -> str:
 
 
 def _worst(verdicts: Iterable[str]) -> str:
-    order = {CONSISTENT: 0, INCONCLUSIVE: 1, VIOLATED: 2}
-    worst = CONSISTENT
-    for v in verdicts:
-        if order[v] > order[worst]:
-            worst = v
-    return worst
+    return max(verdicts, key=[CONSISTENT, INCONCLUSIVE, VIOLATED].index, default=CONSISTENT)
 
 
 @dataclass
@@ -154,7 +153,6 @@ class TheoremReport:
     budget: Optional[SearchBudget] = None
     notes: list = field(default_factory=list)
     wall_time_s: float = 0.0
-    violation_witness: Optional[dict] = None
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -183,121 +181,265 @@ def _wstr(w) -> Optional[str]:
     return str(w)
 
 
-def _cond(name: str, tv: Optional[TV], bounded_cap=None) -> dict:
-    if tv is None:
-        return {"name": name, "holds": None, "exact": False, "witness": None, "bounded_cap": bounded_cap}
-    return {
-        "name": name,
-        "holds": tv.value,
-        "exact": tv.exact,
-        "witness": tv.witness,
-        "bounded_cap": bounded_cap,
-    }
+def _cond(name: str, tv: Optional[TV]) -> dict:
+    tv = tv or TV(None, False)  # undecided
+    return {"name": name, "holds": tv.value, "exact": tv.exact, "witness": tv.witness, "bounded_cap": tv.bounded_cap}
 
 
 # ---------------------------------------------------------------------------
-# statement evaluators
+# the evidence
 # ---------------------------------------------------------------------------
 
 
 def _tv_compat(res: CompatResult) -> TV:
     exact = (not res.holds) or res.bounded is None  # found witnesses are exact
-    return TV(res.holds, exact, _wstr(res.witness))
+    return TV(res.holds, exact, _wstr(res.witness), res.bounded)
 
 
-def _tv_ring_flag(entry: CorpusEntry, flag: str) -> TV:
-    profile = classify_ring(entry.ring)
-    value = getattr(profile, flag)
-    witness = None
-    if not value:
-        # for the radical-equality predicates, exhibit a separating element
-        radical = {
-            "NI": profile.upper_nilradical.carrier,
-            "NJ": profile.jacobson_radical.carrier,
-            "two_primal": profile.prime_radical.carrier,
-            "weakly_two_primal": profile.levitzki_radical.carrier,
-            "reduced": frozenset([entry.ring.zero]),
-        }.get(flag)
-        if radical is not None:
-            apart = (profile.nilpotents - radical) | (radical - profile.nilpotents)
-            if apart:
-                sep = sorted(apart, key=lambda e: e.index)[0]
-                side = "N(R)" if sep in profile.nilpotents else "radical"
-                witness = f"{sep!r} separates N(R) from the comparison set (in {side})"
-    return TV(value, True, witness, label=f"R.{flag}")
+def _tv_qr_face(scan: BoundedScan, grading: Optional[Grading] = None, memo: Optional[dict] = None) -> TV:
+    """Every proved-nilpotent (optionally homogeneous) element is quasi-regular.
 
-
-def _tv_N_is_ideal(entry: CorpusEntry) -> TV:
-    return _tv_ring_flag(entry, "NI")  # N(R) is an ideal iff R is NI
-
-
-def _tv_sigma_ideal_N(entry: CorpusEntry) -> TV:
-    profile = classify_ring(entry.ring)
-    if not profile.NI:
-        return TV(False, True, "N(R) is not an ideal", "N(R) Sigma-ideal")
-    ideal = Ideal(entry.ring, profile.nilpotents)
-    res = invariance(ideal, entry.system, SIGMA_IDEAL)
-    return TV(res.holds, True, _wstr(res.witness), "N(R) Sigma-ideal")
-
-
-def _tv_sigma_rigid_N(entry: CorpusEntry) -> TV:
-    profile = classify_ring(entry.ring)
-    res = is_sigma_rigid_subset(entry.ring, entry.system, profile.nilpotents)
-    return TV(res.holds, True, _wstr(res.witness), "N(R) Sigma-rigid")
-
-
-def _tv_delta_invariant_ideal_N(entry: CorpusEntry) -> TV:
-    profile = classify_ring(entry.ring)
-    if not profile.NI:
-        return TV(False, True, "N(R) is not an ideal", "N(R) Delta-invariant ideal")
-    ideal = Ideal(entry.ring, profile.nilpotents)
-    res = invariance(ideal, entry.system, DELTA_INVARIANT)
-    return TV(res.holds, True, _wstr(res.witness), "N(R) Delta-invariant ideal")
-
-
-def _tv_nstar_eq_N(entry: CorpusEntry) -> TV:
-    profile = classify_ring(entry.ring)
-    eq = profile.upper_nilradical.carrier == profile.nilpotents
-    return TV(eq, True, label="N*(R) = N(R)")
-
-
-def _tv_A_NI(ni: NICheckResult) -> Optional[TV]:
-    if ni.status == NICheckResult.VIOLATION:
-        return TV(False, True, _wstr(ni.witness), "A NI (bounded)")
-    if ni.status == NICheckResult.CONSISTENT:
-        return TV(True, False, label="A NI (bounded)")
-    return None
-
-
-def _tv_agreement(agr: AgreementResult) -> Optional[TV]:
-    if not agr.holds:
-        return TV(False, True, _wstr(agr.witness), "N(A) = N(R)<x> (bounded)")
-    if agr.unknown:
-        return None
-    return TV(True, False, label="N(A) = N(R)<x> (bounded)")
-
-
-def _tv_qr_face(scan: BoundedScan, grading: Optional[Grading] = None) -> TV:
-    """Every proved-nilpotent (optionally homogeneous) element is quasi-regular."""
-    checked = 0
+    `memo` maps each proved nilpotent already tried to the reason its witness
+    failed, or to None, so that faces sharing it try each element once.
+    """
+    memo = {} if memo is None else memo
     for f in scan.proved_nilpotent:
         if grading is not None and not polynomial_is_homogeneous(f, grading):
             continue
-        try:
-            quasi_regularity_witness(f, scan.exponent_cap)
-        except NotProvedNilpotent as exc:  # a failed witness would contradict ring axioms
-            return TV(False, True, f"{f.to_expr()}: {exc}", "quasi-regularity of bounded nilpotents")
-        checked += 1
-    return TV(True, False, label=f"quasi-regularity of {checked} bounded nilpotents")
+        if f not in memo:
+            try:
+                quasi_regularity_witness(f, scan.exponent_cap)
+                memo[f] = None
+            except NotProvedNilpotent as exc:  # a failed witness would contradict ring axioms
+                memo[f] = str(exc)
+        if memo[f] is not None:
+            return TV(False, True, f"{f.to_expr()}: {memo[f]}")
+    return TV(True, False)
 
 
-def _get_scan(entry: CorpusEntry, budget: SearchBudget) -> BoundedScan:
-    key = budget.caps()
-    if key not in entry.scans:
-        entry.scans[key] = BoundedScan(
-            entry.presentation, budget.degree_cap, budget.support_cap, budget.exponent_cap, budget.pair_budget
-        )
-    return entry.scans[key]
+class Evidence:
+    """The facts the theorems rest on, for one entry at one budget.
+
+    Each fact is a TV, or None when the bounded search left it undecided,
+    computed on first use and kept: first the bounded facts about A, then the
+    exact facts about R and its maps.  A fact whose computation raises, such as
+    BudgetExceeded, is not kept, so each theorem that needs it meets the same
+    exception.  The object holds the entry's ring, system, presentation and
+    grading, but not the entry, which holds it.
+    """
+
+    def __init__(self, entry: CorpusEntry, budget: SearchBudget):
+        self.ring, self.system = entry.ring, entry.system
+        self.A, self.grading = entry.presentation, entry.grading
+        self.budget = budget
+        self._qr: dict = {}  # proved nilpotent -> why its witness failed, or None
+
+    @staticmethod
+    def of(entry: CorpusEntry, budget: Optional[SearchBudget] = None) -> "Evidence":
+        """The entry's evidence at this budget, by default its recorded one, made on first use."""
+        if budget is None:
+            budget = SearchBudget(**entry.budget) if entry.budget else SearchBudget()
+        return entry.evidence.setdefault(budget.caps(), Evidence(entry, budget))
+
+    scan = cached_property(lambda self: BoundedScan(self.A, *self.budget.caps()))
+    ni = cached_property(lambda self: bounded_NI_check(self.A, *self.budget.caps(), scan=self.scan))
+    qr = cached_property(lambda self: _tv_qr_face(self.scan, memo=self._qr))
+    qr_homogeneous = cached_property(lambda self: _tv_qr_face(self.scan, self.grading, self._qr))
+
+    @cached_property
+    def A_NI(self) -> Optional[TV]:
+        if self.ni.status == NICheckResult.VIOLATION:
+            return TV(False, True, _wstr(self.ni.witness))
+        return TV(True, False) if self.ni.status == NICheckResult.CONSISTENT else None
+
+    @cached_property
+    def agreement(self) -> Optional[TV]:
+        """N(A) = N(R)<x> over the scan, by the coefficient criterion."""
+        agr = coefficient_agreement(self.scan)
+        if not agr.holds:
+            return TV(False, True, _wstr(agr.witness))
+        return None if agr.unknown else TV(True, False)
+
+    @cached_property
+    def armendariz(self) -> TV:
+        b = self.budget
+        res = bounded_skew_armendariz(self.A, min(b.degree_cap, 2), min(b.support_cap, 2), b.pair_budget)
+        return TV(res.holds, not res.holds, _wstr(res.witness), res.degree_cap)
+
+    @cached_property
+    def d_units(self) -> TV:
+        bad = [(pair, dv) for pair, dv in self.A.d.items() if not self.ring.units_mask[dv.index]]
+        return TV(not bad, True, _wstr(bad[0]) if bad else None)
+
+    # J(A) n R_0 is nil when R_0 is a field; undecided for a non-connected base
+    R0_nil = cached_property(lambda self: TV(True, True) if is_graded_extension(self.A, self.grading).connected else None)
+
+    profile = cached_property(lambda self: classify_ring(self.ring))
+
+    def _flag(self, flag: str, radical: Optional[Ideal] = None) -> TV:
+        """A ring flag; a failed radical equality names an element of N(R) xor the radical."""
+        value, nil = getattr(self.profile, flag), self.profile.nilpotents
+        apart = nil ^ radical.carrier if radical is not None and not value else ()
+        if not apart:
+            return TV(value, True)
+        sep = min(apart, key=lambda e: e.index)
+        side = "N(R)" if sep in nil else "radical"
+        return TV(value, True, f"{sep!r} separates N(R) from the comparison set (in {side})")
+
+    def _N_invariance(self, mode: str) -> TV:
+        if not self.profile.NI:
+            return TV(False, True, "N(R) is not an ideal")
+        return _tv_compat(invariance(Ideal(self.ring, self.profile.nilpotents), self.system, mode))
+
+    R_NI = cached_property(lambda self: self._flag("NI", self.profile.upper_nilradical))  # N(R) is an ideal
+    two_primal = cached_property(lambda self: self._flag("two_primal", self.profile.prime_radical))
+    weakly_two_primal = cached_property(lambda self: self._flag("weakly_two_primal", self.profile.levitzki_radical))
+    locally_finite = cached_property(lambda self: self._flag("locally_finite"))
+    sigma_compatible = cached_property(lambda self: _tv_compat(is_sigma_compatible(self.ring, self.system)))
+    delta_compatible = cached_property(lambda self: _tv_compat(is_delta_compatible(self.ring, self.system)))
+    weak_sigma_compatible = cached_property(lambda self: _tv_compat(is_weak_sigma_compatible(self.ring, self.system)))
+    weak_delta_compatible = cached_property(lambda self: _tv_compat(is_weak_delta_compatible(self.ring, self.system)))
+    N_sigma_ideal = cached_property(lambda self: self._N_invariance(SIGMA_IDEAL))
+    N_delta_invariant = cached_property(lambda self: self._N_invariance(DELTA_INVARIANT))
+    N_sigma_rigid = cached_property(
+        lambda self: _tv_compat(is_sigma_rigid_subset(self.ring, self.system, self.profile.nilpotents))
+    )
+    Nstar_eq_N = cached_property(lambda self: TV(self.profile.upper_nilradical.carrier == self.profile.nilpotents, True))
+
+
+# ---------------------------------------------------------------------------
+# the theorems as statements
+# ---------------------------------------------------------------------------
+
+# report names of the facts used as hypotheses
+_PRE_NAMES = {
+    "weak_sigma_compatible": "weak Sigma-compatible",
+    "weak_delta_compatible": "weak Delta-compatible",
+    "sigma_compatible": "Sigma-compatible",
+    "delta_compatible": "Delta-compatible",
+    "two_primal": "2-primal",
+    "weakly_two_primal": "weakly 2-primal",
+    "locally_finite": "locally finite",
+    "armendariz": "Sigma-skew Armendariz (bounded)",
+    "A_NI": "A NI (bounded)",
+}
+
+
+@dataclass(frozen=True)
+class Statement:
+    """One theorem as data.  An expression names `Evidence` facts joined by " & " (`tv_and`)."""
+
+    # _implication: the hypothesis used => every conclusion; _compare: the
+    # sides hold together, the worst verdict over every pair of them
+    verdict: Callable
+    # (name, expression) in report order; a third item is the note reported
+    # in place of a conclusion whose fact is None
+    conclusions: tuple
+    # alternative hypotheses: the first that holds is used, and a later one is
+    # evaluated only when the earlier ones fail
+    pre: tuple = ()
+    sides: tuple = ()  # what an equivalence compares, when not the conclusions
+    notes: tuple = ()
+    forced_note: bool = False  # say so when conclusions are forced past failed hypotheses
+    witness_note: bool = False  # say so when the NI check found a violation witness
+
+
+STATEMENTS = {
+    # weak-compatibility NI transfer: R NI iff A NI.  The A side is evaluated
+    # first, so that a budget it exceeds is met before R is classified.
+    "T1": Statement(_compare, (("R NI", "R_NI"), ("A NI (bounded)", "A_NI")), sides=("A_NI", "R_NI"),
+                    pre=("weak_sigma_compatible & weak_delta_compatible",), forced_note=True),
+    # 2-primal + compatible, or locally finite + compatible + skew Armendariz => A NI
+    "T2": Statement(_implication, (("A NI (bounded)", "A_NI"),), pre=(
+        "two_primal & sigma_compatible & delta_compatible",
+        "locally_finite & sigma_compatible & delta_compatible & armendariz",
+    )),
+    # derivation type: A NI iff N(R) Delta-invariant ideal and N(A) = N(R)<x>
+    "T3": Statement(_compare, (
+        ("A NI (bounded)", "A_NI"), ("N(R) Delta-invariant ideal", "N_delta_invariant"),
+        ("N(A) = N(R)<x> (bounded)", "agreement"),
+    ), sides=("A_NI", "N_delta_invariant & agreement"), witness_note=True),
+    # three-way equivalence for general A, with bounded A-side equalities
+    "T4": Statement(_compare, (
+        ("(i) A NI and N(R) Sigma-rigid", "A_NI & N_sigma_rigid"),
+        ("(ii) N(R) Sigma-ideal and N(A)=N(R)<x>", "N_sigma_ideal & agreement"),
+        ("(iii) N(R) Sigma-rigid ideal and N*(A)=N*(R)<x>", "N_sigma_rigid & R_NI & agreement"),
+    ), notes=("(iii) A-side uses the bounded N-agreement; the radicals collapse under the equivalence",)),
+    # if A is NI, the d_ij are units (and A is Dedekind-finite in the large)
+    "T5": Statement(_implication, (("every d_ij has a two-sided inverse", "d_units"),), pre=("A_NI",)),
+    # graded A: NJ iff NI and J(A) n R_0 nil; computable faces only
+    "T6": Statement(_implication, (
+        ("homogeneous bounded nilpotents are quasi-regular", "qr_homogeneous"),
+        ("J(A) n R_0 nil (via connectedness)", "R0_nil",
+         "J(A) n R_0 is not computable for a non-connected base; clause reported unchecked"),
+    )),
+    # quasi-commutative bijective over weakly 2-primal weak Sigma-compatible R: A NJ
+    "T7": Statement(_implication, (("A NI (bounded)", "A_NI"), ("bounded nilpotents quasi-regular", "qr")),
+                    pre=("weakly_two_primal & weak_sigma_compatible",)),
+    # derivation type: A NI iff A NJ, with the radical chain faces
+    "T8": Statement(_compare, (
+        ("A NI (bounded)", "A_NI"), ("A NJ (bounded face)", "A_NI & qr"),
+        ("R NI and N(A)=N(R)<x> (bounded)", "R_NI & agreement"),
+    ), witness_note=True),
+    # quasi-commutative four-way equivalence
+    "T9": Statement(_compare, (
+        ("(i) A NJ and N(A)=N(R)<x>", "A_NI & qr & agreement"),
+        ("(ii) N(R) Sigma-ideal and N(A)=N(R)<x>", "N_sigma_ideal & agreement"),
+        ("(iii) A NI and N(R) Sigma-rigid", "A_NI & N_sigma_rigid"),
+        ("(iv) N(R) Sigma-rigid ideal and N*(A)=N*(R)<x>", "N_sigma_rigid & R_NI & agreement"),
+    )),
+    # derivation-type four-way equivalence (NJ, NI, coefficient faces)
+    "T10": Statement(_compare, (
+        ("(i) A NJ (bounded face)", "A_NI & qr"), ("(ii) A NI (bounded)", "A_NI"),
+        ("(iii) R NI and N(A)=N(R)<x>", "R_NI & agreement"),
+        ("(iv) R NI and N*(A)=N*(R)<x>", "R_NI & Nstar_eq_N & agreement"),
+    )),
+}
+
+
+def _tv(ev: Evidence, expr: str) -> Optional[TV]:
+    facts = expr.split(" & ")
+    return getattr(ev, expr) if len(facts) == 1 else tv_and([getattr(ev, f) for f in facts])
+
+
+def _evaluate(st: Statement, ev: Evidence, force: bool, report: TheoremReport) -> None:
+    """Fill the report's verdict, conditions and notes from the statement."""
+    exact, gated = True, bool(st.pre)
+    for alternative in st.pre:
+        listed = [p["name"] for p in report.preconditions]  # shared ones once
+        for fact in alternative.split(" & "):
+            if _PRE_NAMES[fact] not in listed:
+                report.preconditions.append(_cond(_PRE_NAMES[fact], getattr(ev, fact)))
+        holds = _tv(ev, alternative)
+        if holds is None:  # an undecided hypothesis leaves nothing to conclude
+            report.verdict = INCONCLUSIVE
+            return
+        if holds.value:
+            exact, gated = holds.exact, False
+            break
+    if gated and not force:
+        report.verdict = PRECONDITION_FAILED
+        return
+    report.notes.extend(st.notes)
+    if st.verdict is _compare:
+        sides = [_tv(ev, expr) for expr in st.sides or [c[1] for c in st.conclusions]]
+        report.verdict = _worst(_compare(a, b) for a, b in combinations(sides, 2))
+    parts = []
+    for name, expr, *unchecked in st.conclusions:
+        tv = _tv(ev, expr)
+        if tv is None and unchecked:
+            report.notes.extend(unchecked)
+            continue
+        report.conclusions.append(_cond(name, tv))
+        parts.append(tv)
+    if st.verdict is _implication:
+        report.verdict = _implication(tv_and(parts), exact)
+    if gated:
+        report.verdict = PRECONDITION_FAILED
+        if st.forced_note:
+            report.notes.append("conclusions evaluated despite failed hypotheses (forced)")
+    if st.witness_note and ev.ni.witness:
+        report.notes.append("bounded NI violation witness recorded")
 
 
 # ---------------------------------------------------------------------------
@@ -329,292 +471,18 @@ def run_check(check: TheoremCheck) -> TheoremReport:
         raise WrongShape(tid, "unknown theorem id")
     if not shape_compatible(tid, entry):
         raise WrongShape(tid, f"instance {entry.name} lacks the required structure")
-    budget = check.budget
-    if budget is None:
-        budget = SearchBudget(**entry.budget) if entry.budget else SearchBudget()
+    ev = Evidence.of(entry, check.budget)
+    budget = ev.budget
     start = time.perf_counter()
+    report = TheoremReport(tid, entry.name, INCONCLUSIVE, budget=budget)
     try:
-        report = _RUNNERS[tid](entry, budget, check.force_conclusions)
-    except BudgetExceeded as exc:
+        _evaluate(STATEMENTS[tid], ev, check.force_conclusions, report)
+    except BudgetExceeded as exc:  # a fresh report: no conditions, the note alone
         report = TheoremReport(
             tid, entry.name, INCONCLUSIVE, budget=budget, notes=[f"budget exceeded: {exc}"]
         )
-    report.id = tid
-    report.instance = entry.name
-    report.budget = budget
     report.wall_time_s = time.perf_counter() - start
     return report
-
-
-def _check_T1(entry: CorpusEntry, budget: SearchBudget, force: bool = False) -> TheoremReport:
-    """Weak-compatibility NI transfer: R NI iff A NI."""
-    ws = _tv_compat(is_weak_sigma_compatible(entry.ring, entry.system))
-    wd_res = is_weak_delta_compatible(entry.ring, entry.system)
-    wd = _tv_compat(wd_res)
-    pre = [_cond("weak Sigma-compatible", ws), _cond("weak Delta-compatible", wd, wd_res.bounded)]
-    gated = not ws.value or not wd.value
-    if gated and not force:
-        return TheoremReport("T1", entry.name, PRECONDITION_FAILED, preconditions=pre)
-    scan = _get_scan(entry, budget)
-    ni = bounded_NI_check(entry.presentation, *budget.caps(), scan=scan)
-    a_side = _tv_A_NI(ni)
-    r_side = _tv_ring_flag(entry, "NI")
-    verdict = PRECONDITION_FAILED if gated else _compare(r_side, a_side)
-    report = TheoremReport(
-        "T1", entry.name, verdict, preconditions=pre,
-        conclusions=[_cond("R NI", r_side), _cond("A NI (bounded)", a_side)],
-    )
-    if gated:
-        report.notes.append("conclusions evaluated despite failed hypotheses (forced)")
-    if verdict == VIOLATED and ni.witness:
-        report.violation_witness = ni.witness
-    return report
-
-
-def _check_T2(entry: CorpusEntry, budget: SearchBudget, force: bool = False) -> TheoremReport:
-    """2-primal + compatible, or locally finite + compatible + skew Armendariz => A NI."""
-    sc_res = is_sigma_compatible(entry.ring, entry.system)
-    dc_res = is_delta_compatible(entry.ring, entry.system)
-    sc, dc = _tv_compat(sc_res), _tv_compat(dc_res)
-    two_primal = _tv_ring_flag(entry, "two_primal")
-    locally_finite = _tv_ring_flag(entry, "locally_finite")
-    branch1 = tv_and([two_primal, sc, dc], "2-primal and (Sigma,Delta)-compatible")
-    pre = [
-        _cond("2-primal", two_primal),
-        _cond("Sigma-compatible", sc),
-        _cond("Delta-compatible", dc, dc_res.bounded),
-    ]
-    arm = None
-    if branch1 is None or not branch1.value:
-        arm_res = bounded_skew_armendariz(
-            entry.presentation, min(budget.degree_cap, 2), min(budget.support_cap, 2), budget.pair_budget
-        )
-        arm = TV(arm_res.holds, not arm_res.holds, _wstr(arm_res.witness), "Sigma-skew Armendariz (bounded)")
-        pre.append(_cond("locally finite", locally_finite))
-        pre.append(_cond("Sigma-skew Armendariz (bounded)", arm, arm_res.degree_cap))
-    branch2 = tv_and([locally_finite, sc, dc, arm]) if arm is not None else None
-    chosen = None
-    for b in (branch1, branch2):
-        if b is not None and b.value:
-            chosen = b
-            break
-    if chosen is None and not force:
-        return TheoremReport("T2", entry.name, PRECONDITION_FAILED, preconditions=pre)
-    scan = _get_scan(entry, budget)
-    ni = bounded_NI_check(entry.presentation, *budget.caps(), scan=scan)
-    a_side = _tv_A_NI(ni)
-    if chosen is None:
-        verdict = PRECONDITION_FAILED
-    else:
-        verdict = _implication(a_side, chosen.exact)
-    report = TheoremReport(
-        "T2", entry.name, verdict, preconditions=pre,
-        conclusions=[_cond("A NI (bounded)", a_side)],
-    )
-    if verdict == VIOLATED and ni.witness:
-        report.violation_witness = ni.witness
-    return report
-
-
-def _check_T3(entry: CorpusEntry, budget: SearchBudget, force: bool = False) -> TheoremReport:
-    """Derivation type: A NI iff N(R) Delta-invariant ideal and N(A) = N(R)<x>."""
-    scan = _get_scan(entry, budget)
-    ni = bounded_NI_check(entry.presentation, *budget.caps(), scan=scan)
-    lhs = _tv_A_NI(ni)
-    dinv = _tv_delta_invariant_ideal_N(entry)
-    agr = _tv_agreement(coefficient_agreement(scan))
-    rhs = tv_and([dinv, agr], "N(R) Delta-invariant ideal and N(A) = N(R)<x>")
-    verdict = _compare(lhs, rhs)
-    report = TheoremReport(
-        "T3", entry.name, verdict,
-        conclusions=[
-            _cond("A NI (bounded)", lhs),
-            _cond("N(R) Delta-invariant ideal", dinv),
-            _cond("N(A) = N(R)<x> (bounded)", agr),
-        ],
-    )
-    if ni.witness:
-        report.violation_witness = ni.witness
-        report.notes.append("bounded NI violation witness recorded")
-    return report
-
-
-def _check_T4(entry: CorpusEntry, budget: SearchBudget, force: bool = False) -> TheoremReport:
-    """Three-way equivalence for general A, with bounded A-side equalities."""
-    scan = _get_scan(entry, budget)
-    ni = bounded_NI_check(entry.presentation, *budget.caps(), scan=scan)
-    a_ni = _tv_A_NI(ni)
-    rigid = _tv_sigma_rigid_N(entry)
-    sigma_ideal = _tv_sigma_ideal_N(entry)
-    n_ideal = _tv_N_is_ideal(entry)
-    agr = _tv_agreement(coefficient_agreement(scan))
-    s1 = tv_and([a_ni, rigid], "(i) A NI and N(R) Sigma-rigid")
-    s2 = tv_and([sigma_ideal, agr], "(ii) N(R) Sigma-ideal and N(A) = N(R)<x>")
-    s3 = tv_and([rigid, n_ideal, agr], "(iii) N(R) Sigma-rigid ideal and N*(A) = N*(R)<x>")
-    verdict = _worst([_compare(s1, s2), _compare(s1, s3), _compare(s2, s3)])
-    return TheoremReport(
-        "T4", entry.name, verdict,
-        conclusions=[
-            _cond("(i) A NI and N(R) Sigma-rigid", s1),
-            _cond("(ii) N(R) Sigma-ideal and N(A)=N(R)<x>", s2),
-            _cond("(iii) N(R) Sigma-rigid ideal and N*(A)=N*(R)<x>", s3),
-        ],
-        notes=["(iii) A-side uses the bounded N-agreement; the radicals collapse under the equivalence"],
-    )
-
-
-def _check_T5(entry: CorpusEntry, budget: SearchBudget, force: bool = False) -> TheoremReport:
-    """If A is NI, the d_ij are units (and A is Dedekind-finite in the large)."""
-    scan = _get_scan(entry, budget)
-    ni = bounded_NI_check(entry.presentation, *budget.caps(), scan=scan)
-    a_ni = _tv_A_NI(ni)
-    pre = [_cond("A NI (bounded)", a_ni)]
-    units = entry.ring.units_mask
-    bad = [(pair, dv) for pair, dv in entry.presentation.d.items() if not units[dv.index]]
-    concl = TV(not bad, True, _wstr(bad[0]) if bad else None, "every d_ij is a unit")
-    conclusions = [_cond("every d_ij has a two-sided inverse", concl)]
-    if a_ni is not None and not a_ni.value:
-        return TheoremReport(
-            "T5", entry.name, PRECONDITION_FAILED, preconditions=pre,
-            conclusions=conclusions if force else [],
-        )
-    if a_ni is None:
-        return TheoremReport("T5", entry.name, INCONCLUSIVE, preconditions=pre)
-    verdict = _implication(concl, a_ni.exact)
-    return TheoremReport(
-        "T5", entry.name, verdict, preconditions=pre, conclusions=conclusions,
-    )
-
-
-def _check_T6(entry: CorpusEntry, budget: SearchBudget, force: bool = False) -> TheoremReport:
-    """Graded A: NJ iff NI and J(A) cap R_0 nil; computable faces only."""
-    profile = is_graded_extension(entry.presentation, entry.grading)
-    scan = _get_scan(entry, budget)
-    qr = _tv_qr_face(scan, grading=entry.grading)
-    conclusions = [_cond("homogeneous bounded nilpotents are quasi-regular", qr)]
-    notes = []
-    if profile.connected:
-        clause = TV(True, True, label="connected: R_0 is a field, so J(A) n R_0 = 0 is nil")
-        conclusions.append(_cond("J(A) n R_0 nil (via connectedness)", clause))
-    else:
-        notes.append("J(A) n R_0 is not computable for a non-connected base; clause reported unchecked")
-    verdict = _implication(qr, True)
-    return TheoremReport("T6", entry.name, verdict, conclusions=conclusions, notes=notes)
-
-
-def _check_T7(entry: CorpusEntry, budget: SearchBudget, force: bool = False) -> TheoremReport:
-    """Quasi-commutative bijective over weakly 2-primal weak Sigma-compatible R: A NJ."""
-    w2p = _tv_ring_flag(entry, "weakly_two_primal")
-    ws = _tv_compat(is_weak_sigma_compatible(entry.ring, entry.system))
-    pre = [_cond("weakly 2-primal", w2p), _cond("weak Sigma-compatible", ws)]
-    gated = not w2p.value or not ws.value
-    if gated and not force:
-        return TheoremReport("T7", entry.name, PRECONDITION_FAILED, preconditions=pre)
-    scan = _get_scan(entry, budget)
-    ni = bounded_NI_check(entry.presentation, *budget.caps(), scan=scan)
-    a_ni = _tv_A_NI(ni)
-    qr = _tv_qr_face(scan)
-    nj_face = tv_and([a_ni, qr], "A NJ (bounded face)")
-    verdict = PRECONDITION_FAILED if gated else _implication(nj_face, w2p.exact and ws.exact)
-    report = TheoremReport(
-        "T7", entry.name, verdict, preconditions=pre,
-        conclusions=[_cond("A NI (bounded)", a_ni), _cond("bounded nilpotents quasi-regular", qr)],
-    )
-    if ni.witness:
-        report.violation_witness = ni.witness
-    return report
-
-
-def _check_T8(entry: CorpusEntry, budget: SearchBudget, force: bool = False) -> TheoremReport:
-    """Derivation type: A NI iff A NJ, with the radical chain faces."""
-    scan = _get_scan(entry, budget)
-    ni = bounded_NI_check(entry.presentation, *budget.caps(), scan=scan)
-    a_ni = _tv_A_NI(ni)
-    qr = _tv_qr_face(scan)
-    agr = _tv_agreement(coefficient_agreement(scan))
-    r_ni = _tv_ring_flag(entry, "NI")
-    s_nj = tv_and([a_ni, qr], "A NJ (bounded face)")
-    s_chain = tv_and([r_ni, agr], "R NI and N(A) = N(R)<x>")
-    verdict = _worst([_compare(a_ni, s_nj), _compare(a_ni, s_chain), _compare(s_nj, s_chain)])
-    report = TheoremReport(
-        "T8", entry.name, verdict,
-        conclusions=[
-            _cond("A NI (bounded)", a_ni),
-            _cond("A NJ (bounded face)", s_nj),
-            _cond("R NI and N(A)=N(R)<x> (bounded)", s_chain),
-        ],
-    )
-    if ni.witness:
-        report.violation_witness = ni.witness
-        report.notes.append("bounded NI violation witness recorded")
-    return report
-
-
-def _check_T9(entry: CorpusEntry, budget: SearchBudget, force: bool = False) -> TheoremReport:
-    """Quasi-commutative four-way equivalence."""
-    scan = _get_scan(entry, budget)
-    ni = bounded_NI_check(entry.presentation, *budget.caps(), scan=scan)
-    a_ni = _tv_A_NI(ni)
-    qr = _tv_qr_face(scan)
-    agr = _tv_agreement(coefficient_agreement(scan))
-    rigid = _tv_sigma_rigid_N(entry)
-    sigma_ideal = _tv_sigma_ideal_N(entry)
-    n_ideal = _tv_N_is_ideal(entry)
-    s1 = tv_and([a_ni, qr, agr], "(i) A NJ and N(A) = N(R)<x>")
-    s2 = tv_and([sigma_ideal, agr], "(ii) N(R) Sigma-ideal and N(A) = N(R)<x>")
-    s3 = tv_and([a_ni, rigid], "(iii) A NI and N(R) Sigma-rigid")
-    s4 = tv_and([rigid, n_ideal, agr], "(iv) N(R) Sigma-rigid ideal and N*(A) = N*(R)<x>")
-    pairs = [(s1, s2), (s1, s3), (s1, s4), (s2, s3), (s2, s4), (s3, s4)]
-    verdict = _worst([_compare(a, b) for a, b in pairs])
-    return TheoremReport(
-        "T9", entry.name, verdict,
-        conclusions=[
-            _cond("(i) A NJ and N(A)=N(R)<x>", s1),
-            _cond("(ii) N(R) Sigma-ideal and N(A)=N(R)<x>", s2),
-            _cond("(iii) A NI and N(R) Sigma-rigid", s3),
-            _cond("(iv) N(R) Sigma-rigid ideal and N*(A)=N*(R)<x>", s4),
-        ],
-    )
-
-
-def _check_T10(entry: CorpusEntry, budget: SearchBudget, force: bool = False) -> TheoremReport:
-    """Derivation-type four-way equivalence (NJ, NI, coefficient faces)."""
-    scan = _get_scan(entry, budget)
-    ni = bounded_NI_check(entry.presentation, *budget.caps(), scan=scan)
-    a_ni = _tv_A_NI(ni)
-    qr = _tv_qr_face(scan)
-    agr = _tv_agreement(coefficient_agreement(scan))
-    r_ni = _tv_ring_flag(entry, "NI")
-    nstar = _tv_nstar_eq_N(entry)
-    s1 = tv_and([a_ni, qr], "(i) A NJ (bounded face)")
-    s2 = a_ni
-    s3 = tv_and([r_ni, agr], "(iii) R NI and N(A) = N(R)<x>")
-    s4 = tv_and([r_ni, nstar, agr], "(iv) R NI and N*(A) = N*(R)<x>")
-    pairs = [(s1, s2), (s1, s3), (s1, s4), (s2, s3), (s2, s4), (s3, s4)]
-    verdict = _worst([_compare(a, b) for a, b in pairs])
-    return TheoremReport(
-        "T10", entry.name, verdict,
-        conclusions=[
-            _cond("(i) A NJ (bounded face)", s1),
-            _cond("(ii) A NI (bounded)", s2),
-            _cond("(iii) R NI and N(A)=N(R)<x>", s3),
-            _cond("(iv) R NI and N*(A)=N*(R)<x>", s4),
-        ],
-    )
-
-
-_RUNNERS: dict[str, Callable[[CorpusEntry, SearchBudget], TheoremReport]] = {
-    "T1": _check_T1,
-    "T2": _check_T2,
-    "T3": _check_T3,
-    "T4": _check_T4,
-    "T5": _check_T5,
-    "T6": _check_T6,
-    "T7": _check_T7,
-    "T8": _check_T8,
-    "T9": _check_T9,
-    "T10": _check_T10,
-}
 
 
 def run_all(entry: CorpusEntry, budget: Optional[SearchBudget] = None) -> list[TheoremReport]:
@@ -642,51 +510,19 @@ class SearchOutcome:
         return not self.found
 
 
-def _prop_not_NI(entry: CorpusEntry, budget: SearchBudget):
-    ni = bounded_NI_check(entry.presentation, *budget.caps(), scan=_get_scan(entry, budget))
-    return _wstr(ni.witness) if ni.status == NICheckResult.VIOLATION else None
+def _failure(tv: Optional[TV]) -> Optional[str]:
+    return tv.witness if tv is not None and not tv.value else None
 
 
-def _prop_not_weak_compatible(entry: CorpusEntry, budget: SearchBudget):
-    ws = is_weak_sigma_compatible(entry.ring, entry.system)
-    if not ws.holds:
-        return _wstr(ws.witness)
-    wd = is_weak_delta_compatible(entry.ring, entry.system)
-    return _wstr(wd.witness) if not wd.holds else None
-
-
-def _prop_not_sigma_compatible(entry: CorpusEntry, budget: SearchBudget):
-    res = is_sigma_compatible(entry.ring, entry.system)
-    return _wstr(res.witness) if not res.holds else None
-
-
-def _prop_not_sigma_rigid(entry: CorpusEntry, budget: SearchBudget):
-    from .maps import is_sigma_rigid
-
-    res = is_sigma_rigid(entry.ring, entry.system)
-    return _wstr(res.witness) if not res.holds else None
-
-
-def _prop_reduced_base_not_NI(entry: CorpusEntry, budget: SearchBudget):
-    if not classify_ring(entry.ring).reduced:
-        return None
-    return _prop_not_NI(entry, budget)
-
-
-def _prop_not_delta_invariant(entry: CorpusEntry, budget: SearchBudget):
-    tv = _tv_delta_invariant_ideal_N(entry)
-    if tv.value:
-        return None
-    return tv.witness or "nilpotent set not Delta-invariant"
-
-
-PROPERTIES: dict[str, Callable] = {
-    "not-NI": _prop_not_NI,
-    "not-weak-compatible": _prop_not_weak_compatible,
-    "not-sigma-compatible": _prop_not_sigma_compatible,
-    "not-sigma-rigid": _prop_not_sigma_rigid,
-    "reduced-base-not-NI": _prop_reduced_base_not_NI,
-    "not-delta-invariant-nilradical": _prop_not_delta_invariant,
+# property name -> the witness of an instance that has it, or None
+PROPERTIES: dict[str, Callable[[Evidence], Optional[str]]] = {
+    "not-NI": lambda ev: _failure(ev.A_NI),
+    "not-weak-compatible": lambda ev: _failure(ev.weak_sigma_compatible) or _failure(ev.weak_delta_compatible),
+    "not-sigma-compatible": lambda ev: _failure(ev.sigma_compatible),
+    "not-sigma-rigid": lambda ev: _failure(_tv_compat(is_sigma_rigid(ev.ring, ev.system))),
+    "reduced-base-not-NI": lambda ev: _failure(ev.A_NI) if ev.profile.reduced else None,
+    "not-delta-invariant-nilradical": lambda ev: None if ev.N_delta_invariant.value
+    else ev.N_delta_invariant.witness or "nilpotent set not Delta-invariant",
 }
 
 
@@ -716,11 +552,8 @@ def counterexample_search(
     else:
         entries = list(family)
     prop = PROPERTIES[property_name]
-    tried = 0
-    for entry in entries:
-        tried += 1
-        b = budget or (SearchBudget(**entry.budget) if entry.budget else SearchBudget())
-        witness = prop(entry, b)
+    for tried, entry in enumerate(entries, 1):
+        witness = prop(Evidence.of(entry, budget))
         if witness is not None:
             return SearchOutcome(True, entry.name, witness, tried)
-    return SearchOutcome(False, tried=tried)
+    return SearchOutcome(False, tried=len(entries))

@@ -389,23 +389,6 @@ def make_ring(
     return FiniteRing(additive_orders, structure_constants, one, name=name)
 
 
-def arith(op: str, a: RingElement, b: Optional[RingElement] = None) -> RingElement:
-    """Tagged arithmetic dispatch; mostly useful for the CLI and tests."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "pow":
-        if not isinstance(b, int):
-            raise BadShape("pow expects an integer exponent")
-        return a ** b
-    raise BadShape(f"unknown op tag {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # ideals
 # ---------------------------------------------------------------------------

@@ -266,9 +266,12 @@ def test_search_unknown_property_and_family():
 # ---------------------------------------------------------------------------
 
 
-def test_qr_face_propagates_programming_errors(euler2, clifford2, monkeypatch):
-    from skewpbw import harness
+def test_qr_face_propagates_programming_errors(euler2, monkeypatch):
+    from skewpbw import corpus, harness
     from skewpbw.probes import BoundedScan
+
+    # a fresh entry: a shared one may already hold a memoized qr face
+    clifford2 = corpus.clifford_trunc(2)
 
     scan = BoundedScan(euler2.presentation, 2, 3, 8)
     assert scan.proved_nilpotent
@@ -297,3 +300,37 @@ def test_qr_face_reports_failed_witness_as_exact_false(euler2, monkeypatch):
     tv = harness._tv_qr_face(scan)
     assert tv.value is False and tv.exact
     assert "witness verification failed" in tv.witness
+
+
+@pytest.mark.parametrize("build", ["euler_like_2", "clifford_trunc_2"])
+def test_run_all_gathers_each_fact_once(build, monkeypatch):
+    from skewpbw import corpus, harness
+
+    entry = corpus.BUILDERS[build]()
+    calls = {}
+
+    def spy(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    predicates = [
+        "is_sigma_compatible",
+        "is_delta_compatible",
+        "is_weak_sigma_compatible",
+        "is_weak_delta_compatible",
+    ]
+    for name in ["quasi_regularity_witness", *predicates]:
+        spy(name)
+    budget = SearchBudget(**entry.budget)
+    first = [r.to_dict() for r in run_all(entry, budget)]
+    scan = entry.evidence[budget.caps()].scan
+    assert calls.get("quasi_regularity_witness", 0) <= len(scan.proved_nilpotent)
+    assert all(calls.get(name, 0) <= 1 for name in predicates), calls
+    calls.clear()
+    assert [r.to_dict() for r in run_all(entry, budget)] == first
+    assert calls == {}
