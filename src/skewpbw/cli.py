@@ -91,6 +91,15 @@ def _load(path: str):
         raise DefinitionError(f"no such file: {path}")
 
 
+def _load_presentation(path: str):
+    """A definition with a verified extension block."""
+    parsed = _load(path)
+    if parsed.presentation is None:
+        raise DefinitionError("file has no extension block")
+    verify_presentation(parsed.presentation)
+    return parsed
+
+
 def _budget_from_args(args) -> SearchBudget:
     return SearchBudget(
         degree_cap=args.degree,
@@ -213,10 +222,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_mul(args) -> int:
-    parsed = _load(args.file)
-    if parsed.presentation is None:
-        raise DefinitionError("file has no extension block")
-    verify_presentation(parsed.presentation)
+    parsed = _load_presentation(args.file)
     f = parse_poly(parsed.presentation, args.lhs)
     g = parse_poly(parsed.presentation, args.rhs)
     product = f * g
@@ -233,10 +239,7 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_nilpotent(args) -> int:
-    parsed = _load(args.file)
-    if parsed.presentation is None:
-        raise DefinitionError("file has no extension block")
-    verify_presentation(parsed.presentation)
+    parsed = _load_presentation(args.file)
     f = parse_poly(parsed.presentation, args.poly)
     probe = nilpotency_probe(f, args.cap)
     report = {
@@ -253,10 +256,7 @@ def _cmd_nilpotent(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    parsed = _load(args.file)
-    if parsed.presentation is None:
-        raise DefinitionError("file has no extension block")
-    verify_presentation(parsed.presentation)
+    parsed = _load_presentation(args.file)
     entry = parsed.as_entry()
     budget = _budget_from_args(args)
     ids = args.theorem or [tid for tid in THEOREM_IDS if shape_compatible(tid, entry)]

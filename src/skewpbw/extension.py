@@ -398,11 +398,6 @@ class ExtensionPresentation:
                         out[eps] = add[prev][coeff] if prev else coeff
         return {g2: c for g2, c in out.items() if c}
 
-    def relation_poly(self, i: int, j: int) -> SkewPolynomial:
-        """Right-hand side of x_j x_i = d_ij x_i x_j + tail, as a polynomial."""
-        self._check_pair(i, j)
-        return SkewPolynomial(self, dict(self._rel[(i - 1, j - 1)]))
-
     def structurally_equal(self, other: "ExtensionPresentation") -> bool:
         if not self.base.structurally_equal(other.base) or self.n != other.n:
             return False

@@ -42,9 +42,6 @@ class Grading:
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.labels)
 
-    def degrees_present(self) -> list[int]:
-        return sorted(set(self.labels))
-
     def component_generators(self, p: int) -> list[int]:
         return [t for t, lab in enumerate(self.labels) if lab == p]
 

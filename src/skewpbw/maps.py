@@ -10,6 +10,10 @@ compatibility and rigidity over all alpha are decided exactly by closing the
 generating set under composition.  Composite delta-words do not close up in
 general, so every delta-quantified predicate is bounded by a word-length cap
 and says so in its result.
+
+The weak predicates are the exact ones with N(R) in place of 0: each exact/weak
+pair (Sigma-compatibility, Delta-compatibility, rigidity of a subset S) is one
+kernel over a boolean element mask, called with {0} or with N(R).
 """
 
 from __future__ import annotations
@@ -236,7 +240,7 @@ class SigmaSystem:
         """Composites delta^beta = delta_1^b1 o ... o delta_n^bn, 1 <= |beta| <= cap."""
         if cap not in self._delta_words:
             out = []
-            for beta in _multi_indices(self.n, 1, cap):
+            for beta in multi_indices(self.n, 1, cap):
                 arr = np.arange(self.ring.size, dtype=np.int64)
                 for i in range(self.n - 1, -1, -1):
                     for _ in range(beta[i]):
@@ -246,7 +250,7 @@ class SigmaSystem:
         return self._delta_words[cap]
 
 
-def _multi_indices(n: int, lo: int, hi: int):
+def multi_indices(n: int, lo: int, hi: int) -> list:
     """All beta in N^n with lo <= |beta| <= hi, graded lexicographic."""
     def rec(prefix, remaining, slots):
         if slots == 1:
@@ -255,8 +259,7 @@ def _multi_indices(n: int, lo: int, hi: int):
         for v in range(remaining + 1):
             yield from rec(prefix + (v,), remaining - v, slots - 1)
 
-    for total in range(lo, hi + 1):
-        yield from rec((), total, n)
+    return [beta for total in range(lo, hi + 1) for beta in rec((), total, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,81 +279,73 @@ class CompatResult:
 
 def is_sigma_compatible(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
     """a*sigma^alpha(b) = 0  iff  a*b = 0, for all a, b and all alpha."""
-    mul = ring.mul_table
-    base_zero = mul == 0
-    for word, arr in system.sigma_closure():
-        tz = mul[:, arr] == 0  # [a, b] -> a * tau(b) == 0
-        if (tz != base_zero).any():
-            a, b = map(int, np.argwhere(tz != base_zero)[0])
-            return CompatResult(False, (ring.element_from_index(a), ring.element_from_index(b), _word_name("sigma", word)))
-    return CompatResult(True)
+    return _compatible(ring, system, _zero_mask(ring))
 
 
 def is_delta_compatible(
     ring: FiniteRing, system: SigmaSystem, word_cap: int = DEFAULT_DELTA_WORD_CAP
 ) -> CompatResult:
     """a*b = 0 implies a*delta^beta(b) = 0, for |beta| up to the word cap."""
-    mul = ring.mul_table
-    base_zero = mul == 0
-    bounded = word_cap if system.has_nontrivial_delta else None
-    for beta, arr in system.delta_words(word_cap):
-        bad = base_zero & (mul[:, arr] != 0)
-        if bad.any():
-            a, b = map(int, np.argwhere(bad)[0])
-            return CompatResult(False, (ring.element_from_index(a), ring.element_from_index(b), f"delta^{beta}"), bounded)
-    return CompatResult(True, bounded=bounded)
+    return _delta_compatible(ring, system, _zero_mask(ring), word_cap)
 
 
 def is_weak_sigma_compatible(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
     """a*sigma^alpha(b) in N(R)  iff  a*b in N(R)."""
-    mul = ring.mul_table
-    nil = ring.nilpotent_mask
-    base_nil = nil[mul]
-    for word, arr in system.sigma_closure():
-        tn = nil[mul[:, arr]]
-        if (tn != base_nil).any():
-            a, b = map(int, np.argwhere(tn != base_nil)[0])
-            return CompatResult(False, (ring.element_from_index(a), ring.element_from_index(b), _word_name("sigma", word)))
-    return CompatResult(True)
+    return _compatible(ring, system, ring.nilpotent_mask)
 
 
 def is_weak_delta_compatible(
     ring: FiniteRing, system: SigmaSystem, word_cap: int = DEFAULT_DELTA_WORD_CAP
 ) -> CompatResult:
     """a*b in N(R) implies a*delta^beta(b) in N(R), bounded by the word cap."""
+    return _delta_compatible(ring, system, ring.nilpotent_mask, word_cap)
+
+
+def is_sigma_rigid(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
+    """r*sigma^alpha(r) = 0 implies r = 0."""
+    return _rigid(ring, system, _zero_mask(ring))
+
+
+def is_sigma_rigid_subset(ring: FiniteRing, system: SigmaSystem, subset) -> CompatResult:
+    """r*sigma^alpha(r) in S implies r in S."""
+    return _rigid(ring, system, _as_mask(ring, subset))
+
+
+def _zero_mask(ring: FiniteRing) -> np.ndarray:
+    return np.arange(ring.size) == 0  # the zero element has index 0
+
+
+def _compatible(ring: FiniteRing, system: SigmaSystem, Z: np.ndarray) -> CompatResult:
+    """a*sigma^alpha(b) in Z  iff  a*b in Z; the first failure in closure order, then (a, b)."""
     mul = ring.mul_table
-    nil = ring.nilpotent_mask
-    base_nil = nil[mul]
+    base = Z[mul]
+    for word, arr in system.sigma_closure():
+        differ = Z[mul[:, arr]] != base  # [a, b] -> a * tau(b) in Z, against a * b in Z
+        if differ.any():
+            a, b = map(int, np.argwhere(differ)[0])
+            return CompatResult(False, (ring.element_from_index(a), ring.element_from_index(b), _word_name("sigma", word)))
+    return CompatResult(True)
+
+
+def _delta_compatible(ring: FiniteRing, system: SigmaSystem, Z: np.ndarray, word_cap: int) -> CompatResult:
+    """a*b in Z implies a*delta^beta(b) in Z, for |beta| up to the word cap."""
+    mul = ring.mul_table
+    base = Z[mul]
     bounded = word_cap if system.has_nontrivial_delta else None
     for beta, arr in system.delta_words(word_cap):
-        bad = base_nil & ~nil[mul[:, arr]]
+        bad = base & ~Z[mul[:, arr]]
         if bad.any():
             a, b = map(int, np.argwhere(bad)[0])
             return CompatResult(False, (ring.element_from_index(a), ring.element_from_index(b), f"delta^{beta}"), bounded)
     return CompatResult(True, bounded=bounded)
 
 
-def is_sigma_rigid(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
-    """r*sigma^alpha(r) = 0 implies r = 0."""
-    mul = ring.mul_table
-    idx = np.arange(ring.size)
-    for word, arr in system.sigma_closure():
-        diag = mul[idx, arr]  # r * tau(r)
-        bad = (diag == 0) & (idx != 0)
-        if bad.any():
-            r = int(np.nonzero(bad)[0][0])
-            return CompatResult(False, (ring.element_from_index(r), None, _word_name("sigma", word)))
-    return CompatResult(True)
-
-
-def is_sigma_rigid_subset(ring: FiniteRing, system: SigmaSystem, subset) -> CompatResult:
+def _rigid(ring: FiniteRing, system: SigmaSystem, S: np.ndarray) -> CompatResult:
     """r*sigma^alpha(r) in S implies r in S."""
-    mask = _as_mask(ring, subset)
     mul = ring.mul_table
     idx = np.arange(ring.size)
     for word, arr in system.sigma_closure():
-        diag = mul[idx, arr]
-        bad = mask[diag] & ~mask
+        bad = S[mul[idx, arr]] & ~S  # r * tau(r) in S with r outside S
         if bad.any():
             r = int(np.nonzero(bad)[0][0])
             return CompatResult(False, (ring.element_from_index(r), None, _word_name("sigma", word)))

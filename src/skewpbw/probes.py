@@ -15,8 +15,13 @@ three-valued verdict instead of a boolean:
                          unit leading coefficient whose chain never vanishes;
   * unknown(cap)      -- the budget ran out.
 
+A proved nilpotent f is quasi-regular: quasi_regularity_witness sums the
+series 1 - f + f^2 - ... until its term vanishes, within the exponent cap, and
+checks the inverse of 1 + f by multiplication.
+
 Enumeration order for all bounded searches is graded lexicographic on
-(degree, support size, coefficient vectors), so witnesses are reproducible.
+(degree, support size, coefficient vectors), so witnesses are reproducible;
+the monomials come from maps.multi_indices.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent
 from .extension import DenseProducts, ExtensionPresentation, SkewPolynomial
-from .maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance
+from .maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance, multi_indices
 from .rings import Ideal, ideal_power_index, jacobson_radical
 
 DEFAULT_EXPONENT_CAP = 16
@@ -98,19 +103,22 @@ def nilpotency_probe(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPONENT_CAP
 def quasi_regularity_witness(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> SkewPolynomial:
     """For proved-nilpotent f, the finite geometric inverse of 1 + f.
 
-    Returns g = sum_{j<k} (-f)^j and checks (1+f)g = g(1+f) = 1 by
-    multiplication; raises NotProvedNilpotent otherwise.
+    Sums g = sum_{j<k} (-f)^j, building each term as (-f) times the last,
+    until the term (-f)^k vanishes with k <= exponent_cap; the terms are the
+    only power chain of f computed.  Checks (1+f)g = g(1+f) = 1 by
+    multiplication; raises NotProvedNilpotent when no term vanishes.
     """
-    probe = nilpotency_probe(f, exponent_cap)
-    if not probe.proved_nilpotent:
-        raise NotProvedNilpotent(f"{f} was not proved nilpotent within cap {exponent_cap}")
     A = f.ext
     g = A.zero_poly()
     term = A.one_poly()
     minus_f = -f
-    for _ in range(probe.index):
+    for _ in range(exponent_cap):
         g = g + term
-        term = minus_f * term
+        term = minus_f * term  # (-f)^k = 0 exactly when f^k = 0
+        if term.is_zero:
+            break
+    else:
+        raise NotProvedNilpotent(f"{f} was not proved nilpotent within cap {exponent_cap}")
     one_plus_f = A.one_poly() + f
     if one_plus_f * g != A.one_poly() or g * one_plus_f != A.one_poly():
         raise NotProvedNilpotent("witness verification failed")  # engine bug if ever hit
@@ -128,15 +136,6 @@ def coefficient_criterion_member(f: SkewPolynomial) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _monomials_up_to(n: int, degree_cap: int) -> list[tuple]:
-    out = []
-    for total in range(degree_cap + 1):
-        for alpha in itertools.product(range(total + 1), repeat=n):
-            if sum(alpha) == total:
-                out.append(alpha)
-    return out
-
-
 def _count_over_monomials(A: ExtensionPresentation, n_monos: int, support_cap: int) -> int:
     """How many nonzero polynomials have at most support_cap of n_monos monomials."""
     nz = A.base.size - 1
@@ -144,7 +143,7 @@ def _count_over_monomials(A: ExtensionPresentation, n_monos: int, support_cap: i
 
 
 def count_bounded_polys(A: ExtensionPresentation, degree_cap: int, support_cap: int) -> int:
-    return _count_over_monomials(A, len(_monomials_up_to(A.n, degree_cap)), support_cap)
+    return _count_over_monomials(A, len(multi_indices(A.n, 0, degree_cap)), support_cap)
 
 
 def enumerate_bounded_polys(
@@ -158,7 +157,7 @@ def enumerate_bounded_polys(
     total = count_bounded_polys(A, degree_cap, support_cap)
     if total > budget:
         raise BudgetExceeded(total, budget, "bounded polynomial enumeration")
-    return _polys_over_monomials(A, _monomials_up_to(A.n, degree_cap), support_cap)
+    return _polys_over_monomials(A, multi_indices(A.n, 0, degree_cap), support_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +194,6 @@ class BoundedScan:
         self.proved_nilpotent = [f for f in self.polys if self.status[f].proved_nilpotent]
         self.scan_unknown = sum(1 for r in self.status.values() if r.status == UNKNOWN)
         self.ni_result: Optional["NICheckResult"] = None
-        self.agreement: Optional["AgreementResult"] = None
 
     def probe(self, f: SkewPolynomial) -> ProbeResult:
         """The probe of f at the scan's exponent cap, computed once.
@@ -274,7 +272,7 @@ def bounded_NI_check(
         # one map per face from row bytes to probe result, across every f and block
         seen_products: dict = {}
         seen_sums: dict = {}
-        dense = DenseProducts(scan.A, _monomials_up_to(scan.A.n, scan.degree_cap))
+        dense = DenseProducts(scan.A, multi_indices(scan.A.n, 0, scan.degree_cap))
         K = dense.keys(scan.polys)
         X_pn = dense.coords(dense.keys(pn))
         # products first: the canonical witnesses (x*y on the Weyl-like fixture)
@@ -404,25 +402,17 @@ def coefficient_agreement(scan: BoundedScan) -> AgreementResult:
     disproves the reverse inclusion.  Unknown probes on N(R)-coefficient
     polynomials leave the agreement undecided at this budget.
     """
-    if scan.agreement is not None:
-        return scan.agreement
     unknown = 0
-    result = None
     for f in scan.polys:
         member = coefficient_criterion_member(f)
         r = scan.status[f]
         if r.proved_nilpotent and not member:
-            result = AgreementResult(False, exact_failure=True, witness={"direction": "probe->criterion", "f": f})
-            break
+            return AgreementResult(False, exact_failure=True, witness={"direction": "probe->criterion", "f": f})
         if member and r.proved_not_nilpotent:
-            result = AgreementResult(False, exact_failure=True, witness={"direction": "criterion->probe", "f": f})
-            break
+            return AgreementResult(False, exact_failure=True, witness={"direction": "criterion->probe", "f": f})
         if member and r.status == UNKNOWN:
             unknown += 1
-    if result is None:
-        result = AgreementResult(True, unknown=unknown)
-    scan.agreement = result
-    return scan.agreement
+    return AgreementResult(True, unknown=unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +446,7 @@ def extended_ideal_closure_report(
     if ideal.ring is not A.base:
         raise NotAnIdeal("ideal does not live in the base ring")
     A._require_verified()
-    monos = _monomials_up_to(A.n, degree_cap)
+    monos = multi_indices(A.n, 0, degree_cap)
     members = [
         A.monomial(alpha, coeff=r)
         for alpha in monos
@@ -511,7 +501,8 @@ def bounded_skew_armendariz(
     """fg = 0 must force every cross-product a_i sigma^{alpha_i}(b_j) = 0.
 
     The weak variant restricts both factors to the shape a_0 + a_1 x_1 + ... +
-    a_n x_n and uses sigma_i in place of sigma^{alpha_i}.
+    a_n x_n, on which sigma^{alpha_i} is sigma_i for the x_i term and the
+    identity for a_0.
     """
     A._require_verified()
     # both budgets are checked on the counts, before anything is enumerated
@@ -520,7 +511,7 @@ def bounded_skew_armendariz(
             tuple(1 if t == i else 0 for t in range(A.n)) for i in range(A.n)
         ]
     else:
-        monos = _monomials_up_to(A.n, degree_cap)
+        monos = multi_indices(A.n, 0, degree_cap)
     total = _count_over_monomials(A, len(monos), support_cap)
     if not weak and total > pair_budget:
         raise BudgetExceeded(total, pair_budget, "bounded polynomial enumeration")
@@ -549,13 +540,7 @@ def bounded_skew_armendariz(
                 g = polys[lo + j]
                 for alpha, a in f.terms.items():
                     for beta, b in g.terms.items():
-                        if weak:
-                            # sigma_i for the x_i term, identity for the constant
-                            nz = [t for t in range(A.n) if alpha[t]]
-                            img = A.system.sigmas[nz[0]].index_list[b] if nz else b
-                        else:
-                            img = sp(alpha)[b]
-                        if mul[a][img]:
+                        if mul[a][sp(alpha)[b]]:
                             return ArmendarizResult(
                                 False,
                                 witness={"f": f, "g": g, "alpha": alpha, "beta": beta},

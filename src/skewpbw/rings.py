@@ -13,7 +13,7 @@ coincide, which the test suite uses as a cross-validation oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -401,7 +401,6 @@ class Ideal:
         self,
         ring: FiniteRing,
         carrier: Iterable[RingElement],
-        generators: Optional[list[RingElement]] = None,
         _trusted_mask: Optional[np.ndarray] = None,
     ):
         self.ring = ring
@@ -410,7 +409,6 @@ class Ideal:
         else:
             self.mask = ring.mask_of(carrier)
             self._verify()
-        self.generators = generators
 
     @cached_property
     def carrier(self) -> frozenset:
@@ -689,25 +687,8 @@ class RingProfile:
     jacobson_radical: Ideal = field(repr=False)
 
     def flags(self) -> dict:
-        return {
-            k: getattr(self, k)
-            for k in (
-                "NI",
-                "NJ",
-                "two_primal",
-                "weakly_two_primal",
-                "reduced",
-                "domain",
-                "symmetric",
-                "reversible",
-                "semicommutative",
-                "right_duo",
-                "left_duo",
-                "abelian",
-                "dedekind_finite",
-                "locally_finite",
-            )
-        }
+        """The boolean predicates: the fields shown in the repr."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 def _symmetric(ring: FiniteRing) -> bool:

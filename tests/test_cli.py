@@ -92,6 +92,16 @@ def test_nilpotent_probe_verb(files, capsys):
     assert report["status"] == "nilpotent" and report["index"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["mul", "--lhs", "1", "--rhs", "1"],
+    ["nilpotent", "--poly", "1"],
+    ["check"],
+])
+def test_ring_only_file_has_no_extension_block(files, capsys, argv):
+    assert main(argv[:1] + [files["z4"]] + argv[1:]) == 2
+    assert "file has no extension block" in capsys.readouterr().err
+
+
 def test_check_t1_swap_exit_0(files, capsys):
     code, report = run_json(capsys, ["check", files["swap"], "--theorem", "T1"])
     assert code == 0

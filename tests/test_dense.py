@@ -20,12 +20,12 @@ import pytest
 
 from skewpbw import cli, corpus, defio, probes
 from skewpbw.extension import DenseProducts, SkewPolynomial
+from skewpbw.maps import multi_indices
 from skewpbw.harness import SearchBudget
 from skewpbw.probes import (
     UNKNOWN,
     BoundedScan,
     NICheckResult,
-    _monomials_up_to,
     _polys_over_monomials,
     _scan_stats,
     bounded_NI_check,
@@ -91,7 +91,7 @@ def oracle_NI_check(scan: BoundedScan) -> NICheckResult:
 
 def oracle_armendariz(A, degree_cap, support_cap, weak=False):
     """(holds, witness) of the scalar f-major, g-minor Armendariz scan."""
-    monos = _weak_monos(A) if weak else _monomials_up_to(A.n, degree_cap)
+    monos = _weak_monos(A) if weak else multi_indices(A.n, 0, degree_cap)
     polys = _polys_over_monomials(A, monos, support_cap)
     mul, _, _ = A.base.index_rows()
     sigma_pow: dict = {}
@@ -153,7 +153,7 @@ def test_dense_products_match_engine(name):
     A = entry.presentation
     degree_cap, support_cap, _ = _budget(entry)
     rng = random.Random(name)
-    monos = _monomials_up_to(A.n, degree_cap)
+    monos = multi_indices(A.n, 0, degree_cap)
     assert _check_kernel(A, monos, _polys_over_monomials(A, monos, support_cap), rng)
     weak = _weak_monos(A)
     assert _check_kernel(A, weak, _polys_over_monomials(A, weak, min(support_cap, 2)), rng)
@@ -161,7 +161,7 @@ def test_dense_products_match_engine(name):
 
 def test_dense_sums_and_keys_round_trip(euler3):
     A = euler3.presentation
-    monos = _monomials_up_to(A.n, 2)
+    monos = multi_indices(A.n, 0, 2)
     dense = DenseProducts(A, monos)
     rng = random.Random(3)
     polys = [_random_full_poly(rng, A, monos) for _ in range(30)]
@@ -186,7 +186,7 @@ def test_dense_kernel_builds_from_the_engine_only(weyl2, monkeypatch):
         return real(self, f, g)
 
     monkeypatch.setattr(type(A), "_mul_terms", counting)
-    monos = _monomials_up_to(A.n, 2)
+    monos = multi_indices(A.n, 0, 2)
     DenseProducts(A, monos)
     assert len(calls) == (len(monos) * A.base.m) ** 2
     assert all(len(f) == 1 and len(g) == 1 for f, g in calls)

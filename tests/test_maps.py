@@ -1,5 +1,7 @@
 """Endomorphisms, sigma-derivations, closures, compatibility predicates."""
 
+import itertools
+
 import pytest
 
 from skewpbw import (
@@ -290,3 +292,125 @@ def test_injectivity_equivalences(corpus_entries):
         for s in entry.system.sigmas:
             image_count = len(np.unique(s.index_array))
             assert s.injective == (image_count == entry.ring.size), entry.name
+
+
+# ---------------------------------------------------------------------------
+# definitional oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_systems(corpus_entries):
+    """(name, ring, system): the standard corpus and the fixtures of this file."""
+    out = [(e.name, e.ring, e.system) for e in corpus_entries]
+    z4, z2z2, f4, dual = zn(4), product_ring(zn(2), zn(2)), field4(), trunc_poly(2, 2)
+    ident = identity_map(dual)
+    out += [
+        ("Z4 identity", z4, SigmaSystem([identity_map(z4)])),
+        ("Z2xZ2 swap", z2z2, SigmaSystem([make_endomorphism(z2z2, [[0, 1], [1, 0]])])),
+        ("Z2xZ2 diagonal", z2z2, SigmaSystem([make_endomorphism(z2z2, [[1, 0], [1, 0]])])),
+        ("F4 Frobenius", f4, SigmaSystem([make_endomorphism(f4, [[1, 1], [0, 1]])])),
+        ("dual numbers, zero delta", dual, SigmaSystem([ident])),
+        ("dual numbers, d/dy", dual, SigmaSystem([ident], [ddy(dual, ident)])),
+        ("dual numbers, y d/dy", dual, SigmaSystem([ident], [yddy(dual, ident)])),
+    ]
+    return out
+
+
+def _composite(maps, word, el):
+    """maps[w_1] o ... o maps[w_k] at el, for a 1-based word; the rightmost map applies first."""
+    for i in reversed(word):
+        el = maps[i - 1](el)
+    return el
+
+
+def _oracle_predicates(ring, system, word_cap=4):
+    """The six predicates as loops over their definitions: name -> (holds, witness, bounded).
+
+    A witness is (a, b, word) with elements as indices, b None for rigidity;
+    it is the first failure over the words (closure order, or graded
+    lexicographic betas), then a, then b.
+    """
+    els = ring.elements()
+    mul = ring.mul_table.tolist()
+    zero = {0}
+    nil = set()
+    for r in range(ring.size):
+        x = r
+        for _ in range(ring.size):
+            if x == 0:
+                nil.add(r)
+                break
+            x = mul[x][r]
+    n = system.n
+    sigma_words = []
+    for word, _ in system.sigma_closure():
+        name = "*".join(f"sigma{i}" for i in word) or "id"
+        sigma_words.append((name, [_composite(system.sigmas, word, e).index for e in els]))
+    betas = sorted(
+        (b for b in itertools.product(range(word_cap + 1), repeat=n) if 1 <= sum(b) <= word_cap),
+        key=lambda b: (sum(b), b),
+    )
+    delta_words = []
+    for beta in betas:
+        word = tuple(i + 1 for i in range(n) for _ in range(beta[i]))
+        delta_words.append((f"delta^{beta}", [_composite(system.deltas, word, e).index for e in els]))
+    nontrivial = any(not e.is_zero for d in system.deltas for e in map(d, els))
+    bounded = word_cap if nontrivial else None
+
+    def compatible(Z):
+        for name, img in sigma_words:
+            for a in range(ring.size):
+                for b in range(ring.size):
+                    if (mul[a][img[b]] in Z) != (mul[a][b] in Z):
+                        return False, (a, b, name), None
+        return True, None, None
+
+    def delta_compatible(Z):
+        for name, img in delta_words:
+            for a in range(ring.size):
+                for b in range(ring.size):
+                    if mul[a][b] in Z and mul[a][img[b]] not in Z:
+                        return False, (a, b, name), bounded
+        return True, None, bounded
+
+    def rigid(S):
+        for name, img in sigma_words:
+            for r in range(ring.size):
+                if mul[r][img[r]] in S and r not in S:
+                    return False, (r, None, name), None
+        return True, None, None
+
+    return {
+        "is_sigma_compatible": compatible(zero),
+        "is_weak_sigma_compatible": compatible(nil),
+        "is_delta_compatible": delta_compatible(zero),
+        "is_weak_delta_compatible": delta_compatible(nil),
+        "is_sigma_rigid": rigid(zero),
+        "is_sigma_rigid_subset": rigid(nil),
+    }
+
+
+def _observed(res):
+    w = res.witness
+    if w is not None:
+        w = (w[0].index, None if w[1] is None else w[1].index, w[2])
+    return res.holds, w, res.bounded
+
+
+def test_predicates_match_definitional_oracle(corpus_entries):
+    failing = set()
+    for name, ring, system in _oracle_systems(corpus_entries):
+        expected = _oracle_predicates(ring, system)
+        observed = {
+            "is_sigma_compatible": is_sigma_compatible(ring, system),
+            "is_weak_sigma_compatible": is_weak_sigma_compatible(ring, system),
+            "is_delta_compatible": is_delta_compatible(ring, system),
+            "is_weak_delta_compatible": is_weak_delta_compatible(ring, system),
+            "is_sigma_rigid": is_sigma_rigid(ring, system),
+            "is_sigma_rigid_subset": is_sigma_rigid_subset(ring, system, nilpotent_set(ring)),
+        }
+        for pred, res in observed.items():
+            assert _observed(res) == expected[pred], (name, pred)
+            if not res.holds:
+                failing.add(pred)
+    assert len(failing) == 6  # every predicate fails somewhere, so witnesses are compared

@@ -1,5 +1,7 @@
 """Nilpotency probes, bounded NI checks, ideal faces, Armendariz bounds."""
 
+import itertools
+
 import pytest
 
 from skewpbw import (
@@ -16,8 +18,8 @@ from skewpbw import (
     quasi_regularity_witness,
 )
 from skewpbw.errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent
-from skewpbw.extension import make_extension, verify_presentation
-from skewpbw.maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance
+from skewpbw.extension import SkewPolynomial, make_extension, verify_presentation
+from skewpbw.maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance, multi_indices
 from skewpbw.probes import (
     IDEAL_POWER,
     NILPOTENT,
@@ -29,7 +31,6 @@ from skewpbw.probes import (
     UNIT_LEADING_CHAIN,
     BoundedScan,
     _leading_coefficient_is_unit,
-    _monomials_up_to,
     coefficient_agreement,
     replay_violation,
 )
@@ -127,7 +128,7 @@ def test_power_chain_keeps_push_cache_small():
         degree = entry.budget["degree_cap"]
         for f in enumerate_bounded_polys(A, degree, entry.budget["support_cap"]):
             nilpotency_probe(f, 32)
-        bound = len(_monomials_up_to(A.n, degree)) * A.base.size
+        bound = len(multi_indices(A.n, 0, degree)) * A.base.size
         assert len(A._push_cache) <= bound, (name, len(A._push_cache), bound)
 
 
@@ -225,6 +226,37 @@ def test_quasi_regularity_swap(swap_entry):
 def test_quasi_regularity_requires_proof(weyl2):
     with pytest.raises(NotProvedNilpotent):
         quasi_regularity_witness(weyl2.presentation.variable(1), 4)
+
+
+def test_quasi_regularity_builds_one_power_chain(euler2, clifford2, monkeypatch):
+    # the witness sums the series term by term, (-f)^j = (-f) * (-f)^(j-1):
+    # k products up to (-f)^k = 0, then the two verification products
+    cases = []
+    for entry in (euler2, clifford2):
+        b = entry.budget
+        for f in enumerate_bounded_polys(entry.presentation, b["degree_cap"], b["support_cap"]):
+            probe = nilpotency_probe(f, b["exponent_cap"])
+            if probe.proved_nilpotent:
+                cases.append((f, probe.index, b["exponent_cap"]))
+    assert cases
+    products = []
+    mul = SkewPolynomial.__mul__
+    monkeypatch.setattr(SkewPolynomial, "__mul__", lambda f, g: products.append(1) or mul(f, g))
+    for f, k, cap in cases:
+        products.clear()
+        quasi_regularity_witness(f, cap)
+        assert len(products) == k + 2, (f.to_expr(), k)
+        with pytest.raises(NotProvedNilpotent, match="was not proved nilpotent within cap"):
+            quasi_regularity_witness(f, k - 1)
+
+
+def test_multi_indices_match_definition():
+    for n in range(1, 5):
+        for lo in range(6):
+            for hi in range(lo, 6):
+                betas = itertools.product(range(hi + 1), repeat=n)
+                expected = sorted((b for b in betas if lo <= sum(b) <= hi), key=lambda b: (sum(b), b))
+                assert multi_indices(n, lo, hi) == expected, (n, lo, hi)
 
 
 # ---------------------------------------------------------------------------
