@@ -340,7 +340,6 @@ class Statement:
     pre: tuple = ()
     sides: tuple = ()  # what an equivalence compares, when not the conclusions
     notes: tuple = ()
-    forced_note: bool = False  # say so when conclusions are forced past failed hypotheses
     witness_note: bool = False  # say so when the NI check found a violation witness
 
 
@@ -348,7 +347,7 @@ STATEMENTS = {
     # weak-compatibility NI transfer: R NI iff A NI.  The A side is evaluated
     # first, so that a budget it exceeds is met before R is classified.
     "T1": Statement(_compare, (("R NI", "R_NI"), ("A NI (bounded)", "A_NI")), sides=("A_NI", "R_NI"),
-                    pre=("weak_sigma_compatible & weak_delta_compatible",), forced_note=True),
+                    pre=("weak_sigma_compatible & weak_delta_compatible",)),
     # 2-primal + compatible, or locally finite + compatible + skew Armendariz => A NI
     "T2": Statement(_implication, (("A NI (bounded)", "A_NI"),), pre=(
         "two_primal & sigma_compatible & delta_compatible",
@@ -436,8 +435,7 @@ def _evaluate(st: Statement, ev: Evidence, force: bool, report: TheoremReport) -
         report.verdict = _implication(tv_and(parts), exact)
     if gated:
         report.verdict = PRECONDITION_FAILED
-        if st.forced_note:
-            report.notes.append("conclusions evaluated despite failed hypotheses (forced)")
+        report.notes.append("conclusions evaluated despite failed hypotheses (forced)")
     if st.witness_note and ev.ni.witness:
         report.notes.append("bounded NI violation witness recorded")
 

@@ -48,6 +48,19 @@ def test_t1_forced_conclusions_show_hypothesis_tightness(swap_entry):
     assert sides["A NI (bounded)"] is False
 
 
+def test_every_forced_conclusion_is_noted(corpus_entries):
+    forced = []
+    for entry in corpus_entries:
+        for tid in THEOREM_IDS:
+            if not shape_compatible(tid, entry):
+                continue
+            report = run_check(TheoremCheck(tid, entry, None, force_conclusions=True))
+            if report.verdict == PRECONDITION_FAILED and report.conclusions:
+                forced.append(f"{entry.name} {tid}")
+                assert "conclusions evaluated despite failed hypotheses (forced)" in report.notes, forced[-1]
+    assert len(forced) >= 8, forced
+
+
 def test_t1_matrix_poly_contrapositive(matrix_poly2):
     # base not NI, weak compatibility automatic: both sides of the iff false
     report = check("T1", matrix_poly2)
