@@ -20,8 +20,7 @@ series 1 - f + f^2 - ... until its term vanishes, within the exponent cap, and
 checks the inverse of 1 + f by multiplication.
 
 Enumeration order for all bounded searches is graded lexicographic on
-(degree, support size, coefficient vectors), so witnesses are reproducible;
-the monomials come from maps.multi_indices.
+(degree, support size, coefficient vectors), so witnesses are reproducible.
 """
 
 from __future__ import annotations
