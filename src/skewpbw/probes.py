@@ -9,10 +9,12 @@ three-valued verdict instead of a boolean:
                          with t <= cap, so f^t = 0 without power iteration
                          (reason ideal_power, the bound t in `cap`; see
                          BoundedScan.probe);
-  * not_nilpotent     -- a sound certificate was found, either a stabilized
-                         power f^m = f^{2m} != 0 (then f^{cm} = f^m for all c)
-                         or, in quasi-commutative bijective presentations, a
-                         unit leading coefficient whose chain never vanishes;
+  * not_nilpotent     -- a sound certificate was found: in a bijective
+                         presentation, a leading-coefficient chain that never
+                         vanishes, so lc(f^k) != 0 for every k (reason
+                         leading_chain; proof at _leading_chain_holds); or a
+                         stabilized power f^m = f^{2m} != 0, so f^{cm} = f^m
+                         for all c (reason stabilized_power);
   * unknown(cap)      -- the budget ran out.
 
 A proved nilpotent f is quasi-regular: quasi_regularity_witness sums the
@@ -46,7 +48,7 @@ NOT_NILPOTENT = "not_nilpotent"
 UNKNOWN = "unknown"
 
 STABILIZED_POWER = "stabilized_power"
-UNIT_LEADING_CHAIN = "unit_leading_chain"
+LEADING_CHAIN = "leading_chain"
 IDEAL_POWER = "ideal_power"
 
 
@@ -54,7 +56,7 @@ IDEAL_POWER = "ideal_power"
 class ProbeResult:
     status: str
     index: Optional[int] = None   # nilpotency index, when power iteration proved nilpotent
-    reason: Optional[str] = None  # certificate: not_nilpotent, or nilpotent by ideal_power
+    reason: Optional[str] = None  # certificate: leading_chain or stabilized_power, or ideal_power
     cap: Optional[int] = None     # exponent cap when unknown; the bound t with f^t = 0 for ideal_power
 
     @property
@@ -66,9 +68,35 @@ class ProbeResult:
         return self.status == NOT_NILPOTENT
 
 
-def _leading_coefficient_is_unit(f: SkewPolynomial) -> bool:
+def _leading_chain_holds(f: SkewPolynomial) -> bool:
+    """Whether the orbit of c under b -> c sigma^alpha(b) never reaches 0.
+
+    Here c x^alpha is the deglex-leading term of nonzero f.  In a bijective
+    presentation a zero-free orbit proves f^k != 0 for every k.  Proof: the
+    lower terms of x^alpha r and of x^alpha x^beta have smaller total degree,
+    and deglex is a monomial order, so the x^(k alpha)-coefficient of
+    f^k = f f^(k-1) is a_k = c sigma^alpha(a_(k-1)) c_(alpha,(k-1)alpha),
+    with c_(alpha,beta) the leading coefficient of x^alpha x^beta.  Each
+    c_(alpha,beta) is a product of sigma-images of the d_ij, all units when
+    the presentation is bijective, and sigma(1) = 1 maps units to units.  By
+    induction a_k = b_k u_k with b_k the orbit and u_k a unit, so a_k = 0
+    exactly when b_k = 0; R need not be commutative.  The orbit is
+    eventually periodic, so a repeat before any 0 settles every k.  A unit c
+    has a unit orbit and needs no walk.  The guard matters: in Z_4[x1, x2]
+    with x2 x1 = 2 x1 x2, the orbit of x1 x2 is 1, 1, ... yet (x1 x2)^3 = 0.
+    """
+    A = f.ext
     alpha = max(f.terms, key=lambda a: (sum(a), a))
-    return bool(f.ext.base.units_mask[f.terms[alpha]])
+    c = f.terms[alpha]
+    if A.base.units_mask[c]:
+        return True
+    sigma = A.system.sigma_power(alpha).tolist()
+    times_c = A._mul[c]
+    b, seen = c, set()
+    while b and b not in seen:
+        seen.add(b)
+        b = times_c[sigma[b]]
+    return b != 0
 
 
 def nilpotency_probe(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> ProbeResult:
@@ -84,9 +112,8 @@ def nilpotency_probe(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPONENT_CAP
     A._require_verified()
     if f.is_zero:
         return ProbeResult(NILPOTENT, index=1)
-    if A.quasi_commutative and A.bijective and _leading_coefficient_is_unit(f):
-        # the leading monomial of f^k carries a product of units: never zero
-        return ProbeResult(NOT_NILPOTENT, reason=UNIT_LEADING_CHAIN)
+    if A.bijective and _leading_chain_holds(f):
+        return ProbeResult(NOT_NILPOTENT, reason=LEADING_CHAIN)
     powers = {1: f}
     current = f
     for k in range(2, exponent_cap + 1):
