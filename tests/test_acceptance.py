@@ -39,6 +39,7 @@ from skewpbw.probes import (
     NICheckResult,
     bounded_NI_check,
     enumerate_bounded_polys,
+    nilpotency_probe,
     replay_violation,
 )
 
@@ -207,9 +208,13 @@ def test_acceptance_08_hypothesis_not_vacuous(corpus):
     ring = entry.ring
     f1 = A.scalar(ring.el([1, 0])) * A.variable(1)
     f2 = A.scalar(ring.el([0, 1])) * A.variable(1)
-    assert w["kind"] == "sum" and {w["f"], w["g"]} == {f1, f2}
-    assert w["result"] == A.variable(1)
+    # the first failing check: [1,0]x * [0,1]x = [1,0]x^2, not nilpotent
+    assert w["kind"] == "left_product" and (w["f"], w["g"]) == (f2, f1)
+    assert w["result"] == f1 * f2 == A.scalar(ring.el([1, 0])) * A.variable(1) ** 2
     assert replay_violation(w)
+    # the sum face fails too: both summands are nilpotent, their sum x is not
+    assert nilpotency_probe(f1, 8).proved_nilpotent and nilpotency_probe(f2, 8).proved_nilpotent
+    assert f1 + f2 == A.variable(1) and nilpotency_probe(A.variable(1), 8).proved_not_nilpotent
     report = run_check(TheoremCheck("T1", entry, SearchBudget(2, 2, 8)))
     assert report.verdict == PRECONDITION_FAILED  # base reduced yet A not NI
     ok(8, "swap_extension: reduced base, not weak compatible, NI closure Violation")

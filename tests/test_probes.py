@@ -27,10 +27,10 @@ from skewpbw.probes import (
     UNKNOWN,
     NICheckResult,
     ProbeResult,
+    LEADING_CHAIN,
     STABILIZED_POWER,
-    UNIT_LEADING_CHAIN,
     BoundedScan,
-    _leading_coefficient_is_unit,
+    _leading_chain_holds,
     coefficient_agreement,
     replay_violation,
 )
@@ -50,7 +50,7 @@ def test_probe_swap_nilpotent(swap_entry):
 
 def test_probe_unit_leading_chain(swap_entry):
     res = nilpotency_probe(swap_entry.presentation.variable(1), 8)
-    assert res.proved_not_nilpotent and res.reason == UNIT_LEADING_CHAIN
+    assert res.proved_not_nilpotent and res.reason == LEADING_CHAIN
 
 
 def test_probe_stabilized_power(weyl2):
@@ -63,8 +63,11 @@ def test_probe_stabilized_power(weyl2):
 def test_probe_zero_and_unknown(weyl2):
     A = weyl2.presentation
     assert nilpotency_probe(A.zero_poly(), 4).index == 1
-    # x in a derivation-type extension: powers keep growing, no certificate
-    res = nilpotency_probe(A.variable(1), 6)
+    # y x^3: the leading chain y, y^2 = 0 reaches 0, and the powers keep
+    # growing (x^3 y = y x^3 + x^2 gives (y x^3)^2 = y x^5), so no certificate
+    f = A.scalar(weyl2.ring.el([0, 1])) * A.variable(1) ** 3
+    assert not _leading_chain_holds(f)
+    res = nilpotency_probe(f, 6)
     assert res.status == "unknown" and res.cap == 6
 
 
@@ -78,8 +81,8 @@ def right_associated_probe(f, exponent_cap):
     A = f.ext
     if f.is_zero:
         return ProbeResult(NILPOTENT, index=1)
-    if A.quasi_commutative and A.bijective and _leading_coefficient_is_unit(f):
-        return ProbeResult(NOT_NILPOTENT, reason=UNIT_LEADING_CHAIN)
+    if A.bijective and _leading_chain_holds(f):
+        return ProbeResult(NOT_NILPOTENT, reason=LEADING_CHAIN)
     powers = {1: f}
     current = f
     for k in range(2, exponent_cap + 1):
@@ -341,16 +344,18 @@ def test_bounded_ni_swap_violation(swap_entry):
     res = bounded_NI_check(swap_entry.presentation, 2, 2, 8)
     assert res.status == NICheckResult.VIOLATION
     w = res.witness
-    assert w["kind"] == "sum"
     A = swap_entry.presentation
     ring = swap_entry.ring
-    pair = {w["f"], w["g"]}
-    assert pair == {
-        A.scalar(ring.el([1, 0])) * A.variable(1),
-        A.scalar(ring.el([0, 1])) * A.variable(1),
-    }
-    assert w["result"] == A.variable(1)
+    f1 = A.scalar(ring.el([1, 0])) * A.variable(1)
+    f2 = A.scalar(ring.el([0, 1])) * A.variable(1)
+    # the first failing check: [1,0]x * [0,1]x = [1,0]x^2, not nilpotent
+    assert w["kind"] == "left_product" and w["f"] == f2 and w["g"] == f1
+    assert w["result"] == f1 * f2 == A.scalar(ring.el([1, 0])) * A.variable(1) ** 2
+    assert w["probe"].reason == LEADING_CHAIN
     assert replay_violation(w)
+    # the sum face fails too: both summands are nilpotent, their sum x is not
+    assert nilpotency_probe(f1, 8).proved_nilpotent and nilpotency_probe(f2, 8).proved_nilpotent
+    assert f1 + f2 == A.variable(1) and nilpotency_probe(A.variable(1), 8).proved_not_nilpotent
 
 
 def test_bounded_ni_budget_exceeded(euler3):
