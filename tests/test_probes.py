@@ -2,9 +2,11 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from skewpbw import (
+    corpus,
     Ideal,
     bounded_NI_check,
     bounded_skew_armendariz,
@@ -19,7 +21,15 @@ from skewpbw import (
 )
 from skewpbw.errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent
 from skewpbw.extension import SkewPolynomial, make_extension, verify_presentation
-from skewpbw.maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance, multi_indices
+from skewpbw.maps import (
+    DELTA_INVARIANT,
+    SIGMA_INVARIANT,
+    SigmaSystem,
+    identity_map,
+    invariance,
+    make_endomorphism,
+    multi_indices,
+)
 from skewpbw.probes import (
     IDEAL_POWER,
     NILPOTENT,
@@ -122,8 +132,6 @@ def test_probe_matches_right_associated_chain(corpus_entries):
 def test_power_chain_keeps_push_cache_small():
     # With f on the left, every _push key (x^alpha, r) has deg alpha <= deg f;
     # the right-associated chain pushed the growing power instead.
-    from skewpbw import corpus
-
     for name in ("euler_like_3", "heisenberg_2"):
         entry = corpus.BUILDERS[name]()
         P = entry.presentation
@@ -133,6 +141,117 @@ def test_power_chain_keeps_push_cache_small():
             nilpotency_probe(f, 32)
         bound = len(multi_indices(A.n, 0, degree)) * A.base.size
         assert len(A._push_cache) <= bound, (name, len(A._push_cache), bound)
+
+
+# ---------------------------------------------------------------------------
+# the leading-chain certificate against the engine
+# ---------------------------------------------------------------------------
+
+
+def _deglex_lead(f):
+    return max(f.terms, key=lambda a: (sum(a), a))
+
+
+@pytest.fixture(scope="module")
+def z4_scaled_plane():
+    """Z4[x1, x2], sigma = id, x2 x1 = 2 x1 x2: verified, not bijective."""
+    ring = corpus.zn(4)
+    ident = identity_map(ring)
+    return verify_presentation(
+        make_extension(ring, SigmaSystem([ident, ident]), d={(1, 2): ring.el([2])})
+    )
+
+
+def _conjugation(ring, u, u_inv):
+    """X -> u X u^-1 on M2(Z2), over the coordinates e11, e12, e21, e22."""
+
+    def image(t):
+        e = np.zeros((2, 2), dtype=np.int64)
+        e.flat[t] = 1
+        return (u @ e @ u_inv % 2).ravel()
+
+    return make_endomorphism(ring, np.column_stack([image(t) for t in range(4)]).tolist())
+
+
+@pytest.fixture(scope="module")
+def m2_conjugation_plane():
+    """M2(Z2) with sigma_1, sigma_2 conjugation by a, b and d_12 = b a b^-1 a^-1."""
+    ring = corpus.matrix_full(2)
+    a = np.array([[1, 1], [0, 1]])  # a^-1 = a and b^-1 = b over Z2
+    b = np.array([[1, 0], [1, 1]])
+    d12 = ring.el((b @ a @ b @ a % 2).ravel().tolist())
+    system = SigmaSystem([_conjugation(ring, a, a), _conjugation(ring, b, b)])
+    return verify_presentation(make_extension(ring, system, d={(1, 2): d12}))
+
+
+def _confirm_leading_chain(f, lead_powers=6, cap=16):
+    """f^k != 0 for k <= cap, and lm(f^k) = x^(k alpha) for k <= lead_powers.
+
+    For n = 1 the coefficient is also the predicted a_k = c sigma^alpha(a_(k-1)),
+    computed with the ring's own product and the sigma matrix.
+    """
+    A = f.ext
+    alpha = _deglex_lead(f)
+    c = A.base.element_from_index(f.terms[alpha])
+    predicted, power = c, f
+    for k in range(2, cap + 1):
+        power = f * power
+        assert not power.is_zero, (f.to_expr(), k)
+        if k > lead_powers:
+            continue
+        assert _deglex_lead(power) == tuple(k * e for e in alpha), (f.to_expr(), k)
+        if A.n == 1:
+            image = predicted
+            for _ in range(alpha[0]):
+                image = A.system.sigmas[0](image)
+            predicted = c * image
+            assert power.coefficient((k * alpha[0],)) == predicted, (f.to_expr(), k)
+
+
+def test_leading_chain_certificate_against_power_iteration(corpus_entries, m2_conjugation_plane):
+    cases = [(e.presentation, e.budget) for e in corpus_entries]
+    cases.append((m2_conjugation_plane, {"degree_cap": 2, "support_cap": 2, "exponent_cap": 16}))
+    certified = {}
+    for A, b in cases:
+        assert A.bijective, A.name
+        for f in enumerate_bounded_polys(A, b["degree_cap"], b["support_cap"]):
+            if nilpotency_probe(f, b["exponent_cap"]).reason == LEADING_CHAIN:
+                certified[A.name] = certified.get(A.name, 0) + 1
+                _confirm_leading_chain(f)
+    assert len(certified) == len(cases) and certified[m2_conjugation_plane.name] > 0
+
+
+def test_leading_chain_needs_a_bijective_presentation(z4_scaled_plane):
+    A = z4_scaled_plane
+    assert A.verified and not A.bijective  # d_12 = 2 is not a unit of Z4
+    f = A.variable(1) * A.variable(2)
+    assert _leading_chain_holds(f)  # unit leading coefficient 1, yet:
+    assert (f * f * f).is_zero
+    res = nilpotency_probe(f, 8)
+    assert res.proved_nilpotent and res.index == 3
+
+
+def test_leading_chain_over_a_noncommutative_base(m2_conjugation_plane):
+    A = m2_conjugation_plane
+    ring = A.base
+    d12 = A.d[(1, 2)]
+    assert A.bijective and A.quasi_commutative
+    assert ring.units_mask[d12.index] and any(d12 * r != r * d12 for r in ring.elements())
+    # a non-unit leading coefficient whose chain closes without reaching 0
+    e11 = ring.el([1, 0, 0, 0])
+    f = A.scalar(e11) * A.variable(1)
+    assert not ring.units_mask[e11.index] and _leading_chain_holds(f)
+    res = nilpotency_probe(f, 8)
+    assert res.proved_not_nilpotent and res.reason == LEADING_CHAIN
+    _confirm_leading_chain(f)
+
+
+def test_leading_chain_reaching_zero_keeps_the_power_chain(weyl2):
+    A = weyl2.presentation
+    f = A.variable(1) * A.scalar(weyl2.ring.el([0, 1]))  # yx + 1: chain y, y^2 = 0
+    assert A.bijective and not _leading_chain_holds(f)
+    res = nilpotency_probe(f, 8)
+    assert res.proved_not_nilpotent and res.reason == STABILIZED_POWER
 
 
 # ---------------------------------------------------------------------------
