@@ -35,6 +35,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .corpus import CorpusEntry
 from .errors import DefinitionError
 from .extension import ExtensionPresentation, SkewPolynomial, make_extension
@@ -81,6 +83,14 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _converted(convert, value, path: str, shape: str):
+    """convert(value), or a DefinitionError that names the JSON path."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise DefinitionError(f"{path} must be {shape}")
+
+
 def _build(doc: dict) -> ParsedDefinition:
     if not isinstance(doc, dict):
         raise DefinitionError("top level must be an object")
@@ -88,7 +98,12 @@ def _build(doc: dict) -> ParsedDefinition:
     name = doc.get("name", "unnamed")
     ring = make_ring(
         _require(rblock, "orders", "ring block"),
-        _require(rblock, "constants", "ring block"),
+        _converted(
+            lambda c: np.array(c, dtype=np.int64),
+            _require(rblock, "constants", "ring block"),
+            "ring.constants",
+            "an m x m x m array of integers",
+        ),
         _require(rblock, "one", "ring block"),
         name=name,
     )
@@ -115,7 +130,7 @@ def _build(doc: dict) -> ParsedDefinition:
     presentation = None
     eblock = doc.get("extension")
     if eblock is not None:
-        nvars = int(_require(eblock, "variables", "extension block"))
+        nvars = _converted(int, _require(eblock, "variables", "extension block"), "extension.variables", "an integer")
         signames = _require(eblock, "sigmas", "extension block")
         if len(signames) != nvars:
             raise DefinitionError("need one sigma name per variable")

@@ -139,6 +139,24 @@ def test_bad_json_exit_2(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("extension.variables", "one"),
+        ("ring.constants", [[[1, 0], [0, 1]], [[0, 1]]]),  # ragged
+    ],
+)
+def test_malformed_field_exit_2_with_json_path(files, tmp_path, capsys, path, value):
+    with open(files["weyl"]) as fh:
+        doc = json.load(fh)
+    block, key = path.split(".")
+    doc[block][key] = value
+    mutated = tmp_path / "mutated.json"
+    mutated.write_text(json.dumps(doc))
+    assert main(["verify", str(mutated)]) == 2
+    assert path in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["verify", "/nonexistent/def.json"]) == 2
 
