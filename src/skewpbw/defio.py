@@ -83,27 +83,19 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _converted(convert, value, path: str, shape: str):
-    """convert(value), or a DefinitionError that names the JSON path."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise DefinitionError(f"{path} must be {shape}")
-
-
 def _build(doc: dict) -> ParsedDefinition:
     if not isinstance(doc, dict):
         raise DefinitionError("top level must be an object")
     rblock = _require(doc, "ring", "document")
     name = doc.get("name", "unnamed")
+    constants = _require(rblock, "constants", "ring block")
+    try:
+        constants = np.array(constants, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise DefinitionError("ring.constants must be an m x m x m array of integers")
     ring = make_ring(
         _require(rblock, "orders", "ring block"),
-        _converted(
-            lambda c: np.array(c, dtype=np.int64),
-            _require(rblock, "constants", "ring block"),
-            "ring.constants",
-            "an m x m x m array of integers",
-        ),
+        constants,
         _require(rblock, "one", "ring block"),
         name=name,
     )
@@ -130,7 +122,11 @@ def _build(doc: dict) -> ParsedDefinition:
     presentation = None
     eblock = doc.get("extension")
     if eblock is not None:
-        nvars = _converted(int, _require(eblock, "variables", "extension block"), "extension.variables", "an integer")
+        nvars = _require(eblock, "variables", "extension block")
+        try:
+            nvars = int(nvars)
+        except (TypeError, ValueError):
+            raise DefinitionError("extension.variables must be an integer")
         signames = _require(eblock, "sigmas", "extension block")
         if len(signames) != nvars:
             raise DefinitionError("need one sigma name per variable")

@@ -71,27 +71,24 @@ class ProbeResult:
 def _leading_chain_holds(f: SkewPolynomial) -> bool:
     """Whether the orbit of c under b -> c sigma^alpha(b) never reaches 0.
 
-    Here c x^alpha is the deglex-leading term of nonzero f.  In a bijective
-    presentation a zero-free orbit proves f^k != 0 for every k.  Proof: the
-    lower terms of x^alpha r and of x^alpha x^beta have smaller total degree,
-    and deglex is a monomial order, so the x^(k alpha)-coefficient of
-    f^k = f f^(k-1) is a_k = c sigma^alpha(a_(k-1)) c_(alpha,(k-1)alpha),
-    with c_(alpha,beta) the leading coefficient of x^alpha x^beta.  Each
-    c_(alpha,beta) is a product of sigma-images of the d_ij, all units when
-    the presentation is bijective, and sigma(1) = 1 maps units to units.  By
-    induction a_k = b_k u_k with b_k the orbit and u_k a unit, so a_k = 0
-    exactly when b_k = 0; R need not be commutative.  The orbit is
-    eventually periodic, so a repeat before any 0 settles every k.  A unit c
-    has a unit orbit and needs no walk.  The guard matters: in Z_4[x1, x2]
-    with x2 x1 = 2 x1 x2, the orbit of x1 x2 is 1, 1, ... yet (x1 x2)^3 = 0.
+    Here c x^alpha is the deglex-leading term of f.  In a bijective A this
+    proves f^k != 0 for every k.  The lower terms of x^alpha r and x^alpha
+    x^beta have smaller total degree and deglex is a monomial order, so the
+    x^(k alpha)-coefficient of f f^(k-1) is
+    a_k = c sigma^alpha(a_(k-1)) c_(alpha,(k-1)alpha), where c_(alpha,beta),
+    the leading coefficient of x^alpha x^beta, is a product of sigma-images
+    of the d_ij: a unit when A is bijective.  As sigma(1) = 1,
+    induction gives a_k = b_k u_k with b_k the orbit and u_k a unit, so
+    a_k = 0 iff b_k = 0, R commutative or not.  The orbit is eventually
+    periodic, and a unit c has a unit orbit.  Bijectivity is needed: in
+    Z_4[x1, x2] with x2 x1 = 2 x1 x2, lc = 1 yet (x1 x2)^3 = 0.
     """
     A = f.ext
     alpha = max(f.terms, key=lambda a: (sum(a), a))
     c = f.terms[alpha]
     if A.base.units_mask[c]:
         return True
-    sigma = A.system.sigma_power(alpha).tolist()
-    times_c = A._mul[c]
+    sigma, times_c = A.system.sigma_power(alpha).tolist(), A._mul[c]
     b, seen = c, set()
     while b and b not in seen:
         seen.add(b)
