@@ -66,6 +66,8 @@ def test_probe_unit_leading_chain(swap_entry):
 def test_probe_stabilized_power(weyl2):
     A = weyl2.presentation
     f = A.variable(1) * A.scalar(weyl2.ring.el([0, 1]))  # yx + 1
+    # its leading chain y, y^2 = 0 reaches 0: the power chain decides
+    assert A.bijective and not _leading_chain_holds(f)
     res = nilpotency_probe(f, 8)
     assert res.proved_not_nilpotent and res.reason == STABILIZED_POWER
 
@@ -152,16 +154,6 @@ def _deglex_lead(f):
     return max(f.terms, key=lambda a: (sum(a), a))
 
 
-@pytest.fixture(scope="module")
-def z4_scaled_plane():
-    """Z4[x1, x2], sigma = id, x2 x1 = 2 x1 x2: verified, not bijective."""
-    ring = corpus.zn(4)
-    ident = identity_map(ring)
-    return verify_presentation(
-        make_extension(ring, SigmaSystem([ident, ident]), d={(1, 2): ring.el([2])})
-    )
-
-
 def _conjugation(ring, u, u_inv):
     """X -> u X u^-1 on M2(Z2), over the coordinates e11, e12, e21, e22."""
 
@@ -173,7 +165,6 @@ def _conjugation(ring, u, u_inv):
     return make_endomorphism(ring, np.column_stack([image(t) for t in range(4)]).tolist())
 
 
-@pytest.fixture(scope="module")
 def m2_conjugation_plane():
     """M2(Z2) with sigma_1, sigma_2 conjugation by a, b and d_12 = b a b^-1 a^-1."""
     ring = corpus.matrix_full(2)
@@ -208,9 +199,12 @@ def _confirm_leading_chain(f, lead_powers=6, cap=16):
             assert power.coefficient((k * alpha[0],)) == predicted, (f.to_expr(), k)
 
 
-def test_leading_chain_certificate_against_power_iteration(corpus_entries, m2_conjugation_plane):
+def test_leading_chain_certificate_against_power_iteration(corpus_entries):
+    m2 = m2_conjugation_plane()
+    ring, d12 = m2.base, m2.d[(1, 2)]
+    assert ring.units_mask[d12.index] and any(d12 * r != r * d12 for r in ring.elements())
     cases = [(e.presentation, e.budget) for e in corpus_entries]
-    cases.append((m2_conjugation_plane, {"degree_cap": 2, "support_cap": 2, "exponent_cap": 16}))
+    cases.append((m2, {"degree_cap": 2, "support_cap": 2, "exponent_cap": 16}))
     certified = {}
     for A, b in cases:
         assert A.bijective, A.name
@@ -218,40 +212,20 @@ def test_leading_chain_certificate_against_power_iteration(corpus_entries, m2_co
             if nilpotency_probe(f, b["exponent_cap"]).reason == LEADING_CHAIN:
                 certified[A.name] = certified.get(A.name, 0) + 1
                 _confirm_leading_chain(f)
-    assert len(certified) == len(cases) and certified[m2_conjugation_plane.name] > 0
+    assert len(certified) == len(cases) and certified[m2.name] > 0
 
 
-def test_leading_chain_needs_a_bijective_presentation(z4_scaled_plane):
-    A = z4_scaled_plane
-    assert A.verified and not A.bijective  # d_12 = 2 is not a unit of Z4
+def test_leading_chain_needs_a_bijective_presentation():
+    # Z4[x1, x2], sigma = id, x2 x1 = 2 x1 x2: it verifies, but d_12 = 2 is no unit
+    ring = corpus.zn(4)
+    ident = identity_map(ring)
+    A = verify_presentation(make_extension(ring, SigmaSystem([ident, ident]), d={(1, 2): ring.el([2])}))
+    assert not A.bijective
     f = A.variable(1) * A.variable(2)
     assert _leading_chain_holds(f)  # unit leading coefficient 1, yet:
     assert (f * f * f).is_zero
     res = nilpotency_probe(f, 8)
     assert res.proved_nilpotent and res.index == 3
-
-
-def test_leading_chain_over_a_noncommutative_base(m2_conjugation_plane):
-    A = m2_conjugation_plane
-    ring = A.base
-    d12 = A.d[(1, 2)]
-    assert A.bijective and A.quasi_commutative
-    assert ring.units_mask[d12.index] and any(d12 * r != r * d12 for r in ring.elements())
-    # a non-unit leading coefficient whose chain closes without reaching 0
-    e11 = ring.el([1, 0, 0, 0])
-    f = A.scalar(e11) * A.variable(1)
-    assert not ring.units_mask[e11.index] and _leading_chain_holds(f)
-    res = nilpotency_probe(f, 8)
-    assert res.proved_not_nilpotent and res.reason == LEADING_CHAIN
-    _confirm_leading_chain(f)
-
-
-def test_leading_chain_reaching_zero_keeps_the_power_chain(weyl2):
-    A = weyl2.presentation
-    f = A.variable(1) * A.scalar(weyl2.ring.el([0, 1]))  # yx + 1: chain y, y^2 = 0
-    assert A.bijective and not _leading_chain_holds(f)
-    res = nilpotency_probe(f, 8)
-    assert res.proved_not_nilpotent and res.reason == STABILIZED_POWER
 
 
 # ---------------------------------------------------------------------------
