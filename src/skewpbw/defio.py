@@ -83,10 +83,17 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _expect(value, kind: type, path: str):
+    """value, if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise DefinitionError(f"{path} must be {'an object' if kind is dict else 'a list'}")
+    return value
+
+
 def _build(doc: dict) -> ParsedDefinition:
     if not isinstance(doc, dict):
         raise DefinitionError("top level must be an object")
-    rblock = _require(doc, "ring", "document")
+    rblock = _expect(_require(doc, "ring", "document"), dict, "ring")
     name = doc.get("name", "unnamed")
     constants = _require(rblock, "constants", "ring block")
     try:
@@ -104,7 +111,8 @@ def _build(doc: dict) -> ParsedDefinition:
         grading = attach_grading(ring, rblock["degrees"])
 
     maps: dict[str, RingMap] = {}
-    for mb in doc.get("maps", []):
+    for i, mb in enumerate(_expect(doc.get("maps", []), list, "maps")):
+        mb = _expect(mb, dict, f"maps[{i}]")
         mname = _require(mb, "name", "map block")
         kind = _require(mb, "kind", "map block")
         matrix = _require(mb, "matrix", "map block")
@@ -122,12 +130,13 @@ def _build(doc: dict) -> ParsedDefinition:
     presentation = None
     eblock = doc.get("extension")
     if eblock is not None:
+        _expect(eblock, dict, "extension")
         nvars = _require(eblock, "variables", "extension block")
         try:
             nvars = int(nvars)
         except (TypeError, ValueError):
             raise DefinitionError("extension.variables must be an integer")
-        signames = _require(eblock, "sigmas", "extension block")
+        signames = _expect(_require(eblock, "sigmas", "extension block"), list, "extension.sigmas")
         if len(signames) != nvars:
             raise DefinitionError("need one sigma name per variable")
         sigmas = []

@@ -211,6 +211,8 @@ class BoundedScan:
         if invariance(J, A.system, SIGMA_INVARIANT).holds and invariance(J, A.system, DELTA_INVARIANT).holds:
             t = ideal_power_index(J)
         self.certificate: Optional[tuple[Ideal, int]] = (J, t) if t is not None and t <= exponent_cap else None
+        # every polynomial probed: the scan's own, and NI closure rows outside
+        # the certificate's J<x> (`_probe_rows` decides those inside in bulk)
         self.status: dict[SkewPolynomial, ProbeResult] = {}
         for f in self.polys:
             self.probe(f)
@@ -334,23 +336,33 @@ def _probe_rows(
 ) -> tuple:
     """Closure checks on element-index rows, in row order: (checks, unknown, hit).
 
-    Zero rows are skipped, as the scalar scan skipped zero results.  Each
-    distinct nonzero row is looked up in `seen` (row bytes -> probe result,
-    shared by all blocks of one face) in order of first occurrence; only a
-    row not seen before becomes a polynomial and goes through `scan.probe`.
-    The walk stops at the first row proved not nilpotent; `hit` is (row,
+    Zero rows are skipped, as the scalar scan skipped zero results.  When
+    `scan.certificate` is (J, t), a nonzero row whose coefficients all lie in
+    J is a polynomial of J<x>, which `BoundedScan.probe` proves nilpotent
+    (f^t = 0, see its docstring) from membership alone.  Such rows are
+    decided in bulk by one mask test: each counts as a nilpotent check, and
+    none becomes a polynomial or enters `scan.status`.  Each distinct
+    remaining row is looked up in `seen` (row bytes -> probe result, shared
+    by all blocks of one face) in order of first occurrence; only a row not
+    seen before becomes a polynomial and goes through `scan.probe`.  The
+    walk stops at the first row proved not nilpotent; `hit` is (row,
     polynomial, probe) for that row, whose first occurrence is then the first
     failing check.  Counts cover the rows up to and including it.
     """
     nonzero = rows.any(axis=1)
-    view = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    open_rows = nonzero
+    if scan.certificate is not None:
+        open_rows = nonzero & ~scan.certificate[0].mask[rows].all(axis=1)
+    todo = np.flatnonzero(open_rows)
+    if not len(todo):
+        return int(np.count_nonzero(nonzero)), 0, None
+    sub = np.ascontiguousarray(rows[todo])
+    view = sub.view(np.dtype((np.void, sub.dtype.itemsize * sub.shape[1])))
     _, first, inverse = np.unique(view.ravel(), return_index=True, return_inverse=True)
     unknown = np.zeros(len(first), dtype=bool)
     hit = None
     for u in np.argsort(first):
-        row = int(first[u])
-        if not nonzero[row]:
-            continue
+        row = int(todo[first[u]])
         key = rows[row].tobytes()
         r = seen.get(key)
         if r is None:
@@ -362,7 +374,7 @@ def _probe_rows(
     end = len(rows) if hit is None else hit[0] + 1
     return (
         int(np.count_nonzero(nonzero[:end])),
-        int(np.count_nonzero(unknown[inverse.ravel()[:end]])),
+        int(np.count_nonzero(unknown[inverse.ravel()[: np.searchsorted(todo, end)]])),
         hit,
     )
 

@@ -131,12 +131,13 @@ class FiniteRing:
         self._constants_list = self.constants.tolist()
 
         self._verify_well_defined()
-        self.one = RingElement(self, one)
-        self.zero = RingElement(self, [0] * self.m)
+        self._one = RingElement(self, one).coords
         self._verify_identity()
         self._verify_associative()
 
-        # lazy caches
+        # lazy caches.  None of them holds a RingElement or an Ideal: those
+        # point back at the ring, and the cycle would keep it alive until a
+        # full collection.
         self._elements_arr: Optional[np.ndarray] = None
         self._mul_table: Optional[np.ndarray] = None
         self._add_table: Optional[np.ndarray] = None
@@ -148,8 +149,8 @@ class FiniteRing:
         self._units_mask: Optional[np.ndarray] = None
         self._orbit_reps: dict = {}
         self._all_ideal_masks: Optional[list] = None
-        self._radical_cache: dict = {}
-        self._profile: Optional["RingProfile"] = None
+        self._radical_cache: dict = {}  # radical name -> carrier mask
+        self._profile: Optional[dict] = None  # classify_ring's flags
 
     # -- construction checks ---------------------------------------------------
 
@@ -246,8 +247,16 @@ class FiniteRing:
         return [self.element_from_index(i) for i in range(self.size)]
 
     @property
+    def one(self) -> RingElement:
+        return RingElement(self, self._one)
+
+    @property
+    def zero(self) -> RingElement:
+        return RingElement(self, (0,) * self.m)
+
+    @property
     def one_index(self) -> int:
-        return self.one.index
+        return self.index_of(self._one)
 
     # -- vectorized views ---------------------------------------------------------
 
@@ -597,7 +606,7 @@ def nilpotent_set(ring: FiniteRing) -> frozenset:
 def jacobson_radical(ring: FiniteRing) -> Ideal:
     """{ r : 1 - s*r is a unit for every s }, units found by exhaustive search."""
     if "J" in ring._radical_cache:
-        return ring._radical_cache["J"]
+        return Ideal.from_mask(ring, ring._radical_cache["J"])
     mul = ring.mul_table
     units = ring.units_mask
     one = ring.one_index
@@ -607,28 +616,28 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     ok = units[one_minus[mul]]  # ok[s, r] = (1 - s*r) is a unit
     mask = ok.all(axis=0)
     ideal = Ideal.from_mask(ring, mask, verify=True)
-    ring._radical_cache["J"] = ideal
+    ring._radical_cache["J"] = ideal.mask
     return ideal
 
 
 def prime_radical(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> Ideal:
     """Intersection of all prime ideals, by exhaustive ideal enumeration."""
     if "Nstar_lower" in ring._radical_cache:
-        return ring._radical_cache["Nstar_lower"]
+        return Ideal.from_mask(ring, ring._radical_cache["Nstar_lower"])
     masks = _all_ideal_masks(ring, cap)
     primes = [m for m in masks if _is_prime_mask(ring, m)]
     inter = np.ones(ring.size, dtype=bool)
     for m in primes:
         inter &= m
     ideal = Ideal.from_mask(ring, inter, verify=True)
-    ring._radical_cache["Nstar_lower"] = ideal
+    ring._radical_cache["Nstar_lower"] = ideal.mask
     return ideal
 
 
 def upper_nilradical(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> Ideal:
     """Sum of all nil ideals, from the full ideal lattice."""
     if "Nstar_upper" in ring._radical_cache:
-        return ring._radical_cache["Nstar_upper"]
+        return Ideal.from_mask(ring, ring._radical_cache["Nstar_upper"])
     masks = _all_ideal_masks(ring, cap)
     nil = ring.nilpotent_mask
     union = np.zeros(ring.size, dtype=bool)
@@ -637,7 +646,7 @@ def upper_nilradical(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> Ideal:
             union |= m
     total = _additive_closure(ring, union)  # sum of ideals = additive span of union
     ideal = Ideal.from_mask(ring, total, verify=True)
-    ring._radical_cache["Nstar_upper"] = ideal
+    ring._radical_cache["Nstar_upper"] = ideal.mask
     return ideal
 
 
@@ -649,11 +658,11 @@ def levitzki_radical(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> Ideal:
     ideal is verified explicitly by powering it down to zero.
     """
     if "L" in ring._radical_cache:
-        return ring._radical_cache["L"]
+        return Ideal.from_mask(ring, ring._radical_cache["L"])
     ideal = upper_nilradical(ring, cap)
     if ideal_power_index(ideal) is None:
         raise NotAnIdeal("upper nilradical failed the nilpotence verification")
-    ring._radical_cache["L"] = ideal
+    ring._radical_cache["L"] = ideal.mask
     return ideal
 
 
@@ -756,40 +765,40 @@ def _dedekind_finite(ring: FiniteRing) -> bool:
 
 
 def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile:
-    """Fill every predicate flag by exhaustive quantifier checks."""
-    if ring._profile is not None:
-        return ring._profile
+    """Fill every predicate flag by exhaustive quantifier checks.
+
+    The ring caches the flags, and the radicals as masks; the profile's
+    ideals and nilpotent set are rebuilt from them on every call.
+    """
     nil = ring.nilpotent_mask
     J = jacobson_radical(ring)
     Nlower = prime_radical(ring, cap)
     Nupper = upper_nilradical(ring, cap)
     L = levitzki_radical(ring, cap)
-    mul = ring.mul_table
-
-    reduced = bool(nil.sum() == 1)
-    zero_count = int((mul == 0).sum())
-    domain = zero_count == 2 * ring.size - 1 and ring.size > 1
-    reversible = bool((((mul == 0) == (mul.T == 0))).all())
-    profile = RingProfile(
-        NI=_ideal_defect(ring, nil) is None,
-        NJ=bool((nil == J.mask).all()),
-        two_primal=bool((nil == Nlower.mask).all()),
-        weakly_two_primal=bool((nil == L.mask).all()),
-        reduced=reduced,
-        domain=domain,
-        symmetric=_symmetric(ring),
-        reversible=reversible,
-        semicommutative=_semicommutative(ring),
-        right_duo=_duo(ring, right=True),
-        left_duo=_duo(ring, right=False),
-        abelian=_abelian(ring),
-        dedekind_finite=_dedekind_finite(ring),
-        locally_finite=True,  # recorded, not computed: finite carrier
+    if ring._profile is None:
+        mul = ring.mul_table
+        zero_count = int((mul == 0).sum())
+        ring._profile = dict(
+            NI=_ideal_defect(ring, nil) is None,
+            NJ=bool((nil == J.mask).all()),
+            two_primal=bool((nil == Nlower.mask).all()),
+            weakly_two_primal=bool((nil == L.mask).all()),
+            reduced=bool(nil.sum() == 1),
+            domain=zero_count == 2 * ring.size - 1 and ring.size > 1,
+            symmetric=_symmetric(ring),
+            reversible=bool((((mul == 0) == (mul.T == 0))).all()),
+            semicommutative=_semicommutative(ring),
+            right_duo=_duo(ring, right=True),
+            left_duo=_duo(ring, right=False),
+            abelian=_abelian(ring),
+            dedekind_finite=_dedekind_finite(ring),
+            locally_finite=True,  # recorded, not computed: finite carrier
+        )
+    return RingProfile(
+        **ring._profile,
         nilpotents=ring.set_of(nil),
         prime_radical=Nlower,
         levitzki_radical=L,
         upper_nilradical=Nupper,
         jacobson_radical=J,
     )
-    ring._profile = profile
-    return profile

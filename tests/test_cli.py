@@ -1,6 +1,7 @@
 """CLI verbs, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -144,17 +145,26 @@ def test_bad_json_exit_2(tmp_path, capsys):
     [
         ("extension.variables", "one"),
         ("ring.constants", [[[1, 0], [0, 1]], [[0, 1]]]),  # ragged
+        ("ring", 5),
+        ("extension", 5),
+        ("extension.sigmas", 3),
+        ("maps", {"sigma1": {"kind": "endomorphism"}}),
+        ("maps[0]", "sigma1"),
     ],
 )
 def test_malformed_field_exit_2_with_json_path(files, tmp_path, capsys, path, value):
     with open(files["weyl"]) as fh:
         doc = json.load(fh)
-    block, key = path.split(".")
-    doc[block][key] = value
+    *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
     mutated = tmp_path / "mutated.json"
     mutated.write_text(json.dumps(doc))
     assert main(["verify", str(mutated)]) == 2
-    assert path in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path} must be" in err and "Traceback" not in err
 
 
 def test_missing_file_exit_2(capsys):

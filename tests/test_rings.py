@@ -1,14 +1,19 @@
 """Ring core: construction, arithmetic, radicals, classification."""
 
+import contextlib
+import gc
+import io
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import skewpbw
+from skewpbw import cli, corpus, defio
 from skewpbw import (
     Ideal,
     classify_ring,
@@ -670,3 +675,42 @@ def test_orbit_shortcuts_on_corpus_rings(ring_entries, corpus_entries):
 )
 def test_orbit_shortcuts_on_product_rings(build):
     _assert_orbit_shortcuts_exact(build())
+
+
+# ---------------------------------------------------------------------------
+# lifetime
+# ---------------------------------------------------------------------------
+
+
+def test_rings_are_freed_by_reference_counting(tmp_path, monkeypatch):
+    # no cache of a ring points back at it, so dropping the last reference
+    # frees it without the cycle collector
+    path = tmp_path / "swap.json"
+    path.write_text(defio.definition_to_text(defio.entry_to_definition(corpus.swap_extension())))
+    parsed = []
+    build = defio._build
+
+    def recording(doc):
+        result = build(doc)
+        parsed.append(weakref.ref(result.ring))
+        return result
+
+    monkeypatch.setattr(defio, "_build", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        ring = zn(4)
+        bare = weakref.ref(ring)
+        del ring
+        ring = zn(4)
+        classify_ring(ring)
+        jacobson_radical(ring)
+        classified = weakref.ref(ring)
+        del ring
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["check", str(path), "--json"]) == 0
+        assert bare() is None
+        assert classified() is None
+        assert len(parsed) == 1 and parsed[0]() is None
+    finally:
+        gc.enable()
