@@ -242,7 +242,7 @@ def test_ni_check_matches_scalar_scan(name):
         for key in ("kind", "f", "g", "result"):
             assert got.witness[key] == ref.witness[key], key
         assert got.witness["probe"] == ref.witness["probe"]
-    # every product and sum was probed exactly as the scalar scan probed it
+    # every product and sum outside J<x> was probed as the scalar scan probed it
     _assert_status_matches(scan, ref_scan)
 
 

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import skewpbw
-from skewpbw import cli, corpus, defio
 from skewpbw import (
     Ideal,
     classify_ring,
+    cli,
+    corpus,
+    defio,
     ideal_generated_by,
     ideal_power_index,
     jacobson_radical,
