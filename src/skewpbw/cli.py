@@ -109,11 +109,22 @@ def _budget_from_args(args) -> SearchBudget:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the caps and budgets: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
+
+
 def _add_budget_flags(p: argparse.ArgumentParser, degree=2, support=2, exponent=8) -> None:
-    p.add_argument("--degree", type=int, default=degree, help="degree cap for bounded searches")
-    p.add_argument("--support", type=int, default=support, help="support (term count) cap")
-    p.add_argument("--exponent", type=int, default=exponent, help="nilpotency exponent cap")
-    p.add_argument("--pairs", type=int, default=10**6, help="pair/operation budget")
+    p.add_argument("--degree", type=_positive_int, default=degree, help="degree cap for bounded searches")
+    p.add_argument("--support", type=_positive_int, default=support, help="support (term count) cap")
+    p.add_argument("--exponent", type=_positive_int, default=exponent, help="nilpotency exponent cap")
+    p.add_argument("--pairs", type=_positive_int, default=10**6, help="pair/operation budget")
 
 
 def _sorted_coords(elements) -> list:
@@ -369,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nilpotent", help="nilpotency probe with exponent cap")
     common(p)
     p.add_argument("--poly", required=True)
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=_positive_int, default=16)
     p.set_defaults(func=_cmd_nilpotent)
 
     p = sub.add_parser("check", help="run theorem checks T1..T10")

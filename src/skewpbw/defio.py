@@ -84,42 +84,62 @@ def _require(doc: dict, key: str, where: str):
 
 
 def _expect(value, kind: type, path: str):
-    """value, if it is a JSON object (kind dict) or array (kind list)."""
+    """value, if it is a JSON object (kind dict), array (list) or string (str)."""
     if not isinstance(value, kind):
-        raise DefinitionError(f"{path} must be {'an object' if kind is dict else 'a list'}")
+        article = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise DefinitionError(f"{path} must be {article}")
     return value
+
+
+_INTEGER_SHAPES = ("an integer", "a list of integers", "a matrix of integers", "an m x m x m array of integers")
+
+
+def _integers(value, path: str, depth: int = 1):
+    """value, if it is a 64-bit integer (depth 0) or arrays of them nested depth deep; no coercion."""
+    def ok(v, d: int) -> bool:
+        if d:
+            return isinstance(v, list) and all(ok(x, d - 1) for x in v)
+        return type(v) is int and abs(v) < 2**63  # bool is not int; int64 holds it
+
+    if not ok(value, depth):
+        raise DefinitionError(f"{path} must be {_INTEGER_SHAPES[depth]}")
+    return value
+
+
+def _objects(value, path: str) -> list:
+    """(path[i], entry) for each entry of a JSON array of objects."""
+    return [(f"{path}[{i}]", _expect(v, dict, f"{path}[{i}]")) for i, v in enumerate(_expect(value, list, path))]
 
 
 def _build(doc: dict) -> ParsedDefinition:
     if not isinstance(doc, dict):
         raise DefinitionError("top level must be an object")
     rblock = _expect(_require(doc, "ring", "document"), dict, "ring")
-    name = doc.get("name", "unnamed")
-    constants = _require(rblock, "constants", "ring block")
+    name = _expect(doc.get("name", "unnamed"), str, "name")
+    constants = _integers(_require(rblock, "constants", "ring block"), "ring.constants", 3)
     try:
         constants = np.array(constants, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise DefinitionError("ring.constants must be an m x m x m array of integers")
+    except ValueError:  # ragged
+        raise DefinitionError(f"ring.constants must be {_INTEGER_SHAPES[3]}")
     ring = make_ring(
-        _require(rblock, "orders", "ring block"),
+        _integers(_require(rblock, "orders", "ring block"), "ring.orders"),
         constants,
-        _require(rblock, "one", "ring block"),
+        _integers(_require(rblock, "one", "ring block"), "ring.one"),
         name=name,
     )
     grading = None
     if rblock.get("degrees") is not None:
-        grading = attach_grading(ring, rblock["degrees"])
+        grading = attach_grading(ring, _integers(rblock["degrees"], "ring.degrees"))
 
     maps: dict[str, RingMap] = {}
-    for i, mb in enumerate(_expect(doc.get("maps", []), list, "maps")):
-        mb = _expect(mb, dict, f"maps[{i}]")
-        mname = _require(mb, "name", "map block")
+    for at, mb in _objects(doc.get("maps", []), "maps"):
+        mname = _expect(_require(mb, "name", "map block"), str, f"{at}.name")
         kind = _require(mb, "kind", "map block")
-        matrix = _require(mb, "matrix", "map block")
+        matrix = _integers(_require(mb, "matrix", "map block"), f"{at}.matrix", 2)
         if kind == "endomorphism":
             maps[mname] = make_endomorphism(ring, matrix, name=mname)
         elif kind == "sigma_derivation":
-            partner = _require(mb, "partner", "map block")
+            partner = _expect(_require(mb, "partner", "map block"), str, f"{at}.partner")
             if partner not in maps:
                 raise DefinitionError(f"derivation {mname!r} references unknown partner {partner!r}")
             maps[mname] = make_sigma_derivation(ring, maps[partner], matrix, name=mname)
@@ -131,35 +151,30 @@ def _build(doc: dict) -> ParsedDefinition:
     eblock = doc.get("extension")
     if eblock is not None:
         _expect(eblock, dict, "extension")
-        nvars = _require(eblock, "variables", "extension block")
-        try:
-            nvars = int(nvars)
-        except (TypeError, ValueError):
-            raise DefinitionError("extension.variables must be an integer")
+        nvars = _integers(_require(eblock, "variables", "extension block"), "extension.variables", 0)
         signames = _expect(_require(eblock, "sigmas", "extension block"), list, "extension.sigmas")
         if len(signames) != nvars:
             raise DefinitionError("need one sigma name per variable")
-        sigmas = []
-        for sn in signames:
-            if sn not in maps:
-                raise DefinitionError(f"extension references unknown map {sn!r}")
-            sigmas.append(maps[sn])
-        deltas = []
-        for dn in eblock.get("deltas", [None] * nvars):
-            if dn is None:
-                deltas.append(None)
-            elif dn not in maps:
-                raise DefinitionError(f"extension references unknown map {dn!r}")
-            else:
-                deltas.append(maps[dn])
+
+        def lookup(mname, path: str) -> RingMap:
+            if _expect(mname, str, path) not in maps:
+                raise DefinitionError(f"extension references unknown map {mname!r}")
+            return maps[mname]
+
+        sigmas = [lookup(sn, f"extension.sigmas[{i}]") for i, sn in enumerate(signames)]
+        deltanames = _expect(eblock.get("deltas", [None] * nvars), list, "extension.deltas")
+        deltas = [None if dn is None else lookup(dn, f"extension.deltas[{i}]") for i, dn in enumerate(deltanames)]
         system = SigmaSystem(sigmas, deltas)
         d = {}
-        for db in eblock.get("d", []):
-            d[(int(db["i"]), int(db["j"]))] = ring.el(db["value"])
+        for at, db in _objects(eblock.get("d", []), "extension.d"):
+            pair = tuple(_integers(_require(db, k, at), f"{at}.{k}", 0) for k in "ij")
+            d[pair] = ring.el(_integers(_require(db, "value", at), f"{at}.value"))
         tails = {}
-        for tb in eblock.get("tails", []):
-            linear = tuple(ring.el(v) for v in tb.get("linear", [[0] * ring.m] * nvars))
-            tails[(int(tb["i"]), int(tb["j"]))] = (ring.el(tb.get("constant", [0] * ring.m)), linear)
+        for at, tb in _objects(eblock.get("tails", []), "extension.tails"):
+            pair = tuple(_integers(_require(tb, k, at), f"{at}.{k}", 0) for k in "ij")
+            constant = _integers(tb.get("constant", [0] * ring.m), f"{at}.constant")
+            linear = _integers(tb.get("linear", [[0] * ring.m] * nvars), f"{at}.linear", 2)
+            tails[pair] = (ring.el(constant), tuple(ring.el(v) for v in linear))
         presentation = make_extension(ring, system, d=d, tails=tails, name=name)
     return ParsedDefinition(name, ring, maps, system, presentation, grading)
 

@@ -4,11 +4,6 @@ Nilpotency in A is only semi-decidable by power iteration, so probes return a
 three-valued verdict instead of a boolean:
 
   * nilpotent(k)      -- f^k = 0 was computed, k minimal within the cap;
-  * nilpotent(<= t)   -- inside a BoundedScan only: every coefficient of f lies
-                         in J(R), J(R) is Sigma-Delta-invariant and J(R)^t = 0
-                         with t <= cap, so f^t = 0 without power iteration
-                         (reason ideal_power, the bound t in `cap`; see
-                         BoundedScan.probe);
   * not_nilpotent     -- a sound certificate was found: in a bijective
                          presentation, a leading-coefficient chain that never
                          vanishes, so lc(f^k) != 0 for every k (reason
@@ -49,15 +44,14 @@ UNKNOWN = "unknown"
 
 STABILIZED_POWER = "stabilized_power"
 LEADING_CHAIN = "leading_chain"
-IDEAL_POWER = "ideal_power"
 
 
 @dataclass(slots=True)
 class ProbeResult:
     status: str
-    index: Optional[int] = None   # nilpotency index, when power iteration proved nilpotent
-    reason: Optional[str] = None  # certificate: leading_chain or stabilized_power, or ideal_power
-    cap: Optional[int] = None     # exponent cap when unknown; the bound t with f^t = 0 for ideal_power
+    index: Optional[int] = None   # nilpotency index, set exactly when nilpotent
+    reason: Optional[str] = None  # certificate when not nilpotent: leading_chain or stabilized_power
+    cap: Optional[int] = None     # exponent cap, set exactly when unknown
 
     @property
     def proved_nilpotent(self) -> bool:
@@ -205,14 +199,14 @@ class BoundedScan:
         self.exponent_cap = exponent_cap
         self.pair_budget = pair_budget
         self.polys = enumerate_bounded_polys(A, degree_cap, support_cap, pair_budget)
-        # the ideal-power certificate of `probe`: (J(R), t) when it applies
+        # J(R), when it is Sigma-Delta-invariant with J(R)^t = 0, t <= exponent_cap:
+        # then `_probe_rows` decides the NI closure rows in J(R)<x> in bulk
         J = jacobson_radical(A.base)
-        t = None
-        if invariance(J, A.system, SIGMA_INVARIANT).holds and invariance(J, A.system, DELTA_INVARIANT).holds:
-            t = ideal_power_index(J)
-        self.certificate: Optional[tuple[Ideal, int]] = (J, t) if t is not None and t <= exponent_cap else None
+        invariant = all(invariance(J, A.system, kind).holds for kind in (SIGMA_INVARIANT, DELTA_INVARIANT))
+        t = ideal_power_index(J) if invariant else None
+        self.certificate: Optional[Ideal] = J if t is not None and t <= exponent_cap else None
         # every polynomial probed: the scan's own, and NI closure rows outside
-        # the certificate's J<x> (`_probe_rows` decides those inside in bulk)
+        # the certificate's J<x>
         self.status: dict[SkewPolynomial, ProbeResult] = {}
         for f in self.polys:
             self.probe(f)
@@ -221,33 +215,10 @@ class BoundedScan:
         self.ni_result: Optional["NICheckResult"] = None
 
     def probe(self, f: SkewPolynomial) -> ProbeResult:
-        """The probe of f at the scan's exponent cap, computed once.
-
-        When `certificate` is (I, t), every f in I<x> is recorded as
-        nilpotent with reason ideal_power and bound t, without power
-        iteration.  Proof that f^t = 0: I is an ideal with sigma_i(I) <= I,
-        delta_i(I) <= I for every i, and I^t = 0.  Every I^k is again
-        Sigma-Delta-invariant, by sigma(ab) = sigma(a)sigma(b) and
-        delta(ab) = sigma(a)delta(b) + delta(a)b.  The rewriting keeps the
-        left coefficient c of c x^a on the left, and every coefficient of
-        x^a * d x^b is a sum of terms w(d) s, with w a word in the sigmas
-        and deltas and s in R.  So for c in I and d in I^(k-1) the
-        coefficients of c x^a * d x^b lie in I I^(k-1) R = I^k, that is
-        I<x> * I^(k-1)<x> <= I^k<x>.  By induction f^k = f * f^(k-1) lies in
-        I^k<x>, and f^t = 0.
-
-        Since t <= cap, power iteration would also reach 0 within the cap: it
-        never stabilizes on a nilpotent, and a coefficient in J(R) is never a
-        unit.  So the set of proved nilpotents is the one power iteration
-        gives; only `index` is left None, as t bounds it from above.
-        """
+        """nilpotency_probe of f at the scan's exponent cap, computed once."""
         r = self.status.get(f)
         if r is None:
-            if self.certificate is not None and extended_ideal_membership(self.certificate[0], f):
-                r = ProbeResult(NILPOTENT, reason=IDEAL_POWER, cap=self.certificate[1])
-            else:
-                r = nilpotency_probe(f, self.exponent_cap)
-            self.status[f] = r
+            r = self.status[f] = nilpotency_probe(f, self.exponent_cap)
         return r
 
 
@@ -337,22 +308,30 @@ def _probe_rows(
     """Closure checks on element-index rows, in row order: (checks, unknown, hit).
 
     Zero rows are skipped, as the scalar scan skipped zero results.  When
-    `scan.certificate` is (J, t), a nonzero row whose coefficients all lie in
-    J is a polynomial of J<x>, which `BoundedScan.probe` proves nilpotent
-    (f^t = 0, see its docstring) from membership alone.  Such rows are
-    decided in bulk by one mask test: each counts as a nilpotent check, and
-    none becomes a polynomial or enters `scan.status`.  Each distinct
-    remaining row is looked up in `seen` (row bytes -> probe result, shared
-    by all blocks of one face) in order of first occurrence; only a row not
-    seen before becomes a polynomial and goes through `scan.probe`.  The
-    walk stops at the first row proved not nilpotent; `hit` is (row,
-    polynomial, probe) for that row, whose first occurrence is then the first
-    failing check.  Counts cover the rows up to and including it.
+    `scan.certificate` is an ideal J, a nonzero row with every coefficient
+    in J is an f in J<x> with f^t = 0, t = ideal_power_index(J) <= cap.
+    Proof: sigma_i(J) <= J and delta_i(J) <= J, so every J^k is invariant
+    too, by sigma(ab) = sigma(a)sigma(b) and delta(ab) = sigma(a)delta(b) +
+    delta(a)b.  The rewriting keeps the left coefficient c of c x^a on the
+    left, and every coefficient of x^a * d x^b is a sum of terms w(d) s,
+    with w a word in the sigmas and deltas and s in R.  For c in J and d in
+    J^(k-1) they lie in J J^(k-1) R = J^k: J<x> * J^(k-1)<x> <= J^k<x>, so
+    by induction f^k = f * f^(k-1) lies in J^k<x>, and f^t = 0.  As the
+    not-nilpotent certificates of `nilpotency_probe` are sound, `scan.probe`
+    would return nilpotent(k) with k <= t <= cap.  So one mask test counts
+    such rows as nilpotent checks; none becomes a polynomial or enters
+    `scan.status`.  Each distinct remaining row is looked up in `seen` (row
+    bytes -> probe result, shared by all blocks of one face) in order of
+    first occurrence; only a row not seen before becomes a polynomial and
+    goes through `scan.probe`.  The walk stops at the first row proved not
+    nilpotent; `hit` is (row, polynomial, probe) for that row, whose first
+    occurrence is then the first failing check.  Counts cover the rows up
+    to and including it.
     """
     nonzero = rows.any(axis=1)
     open_rows = nonzero
     if scan.certificate is not None:
-        open_rows = nonzero & ~scan.certificate[0].mask[rows].all(axis=1)
+        open_rows = nonzero & ~scan.certificate.mask[rows].all(axis=1)
     todo = np.flatnonzero(open_rows)
     if not len(todo):
         return int(np.count_nonzero(nonzero)), 0, None
@@ -490,19 +469,17 @@ def extended_ideal_closure_report(
     ]
     multipliers = [A.variable(i) for i in range(1, A.n + 1)]
     multipliers += [A.scalar(r) for r in A.base.elements() if not r.is_zero]
-    holds = True
-    witness = None
-    for f in members:
-        for h in multipliers:
-            for kind, p in (("left", h * f), ("right", f * h)):
-                if not extended_ideal_membership(ideal, p):
-                    holds = False
-                    witness = {"kind": kind, "member": f, "multiplier": h, "product": p}
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(
+        (
+            {"kind": kind, "member": f, "multiplier": h, "product": p}
+            for f in members
+            for h in multipliers
+            for kind, p in (("left", h * f), ("right", f * h))
+            if not extended_ideal_membership(ideal, p)
+        ),
+        None,
+    )
+    holds = witness is None
     inv = invariance(ideal, A.system, DELTA_INVARIANT)
     return IdealClosureReport(
         holds=holds,
@@ -553,15 +530,8 @@ def bounded_skew_armendariz(
     if total**2 > pair_budget:
         raise BudgetExceeded(total**2, pair_budget, "Armendariz pair enumeration")
     polys = _polys_over_monomials(A, monos, support_cap)
-    base = A.base
-    mul, _, _ = base.index_rows()
-    sigma_pow: dict[tuple, list] = {}
-
-    def sp(alpha: tuple) -> list:
-        if alpha not in sigma_pow:
-            sigma_pow[alpha] = A.system.sigma_power(alpha).tolist()
-        return sigma_pow[alpha]
-
+    mul, _, _ = A.base.index_rows()
+    sigma_pow = {alpha: A.system.sigma_power(alpha).tolist() for alpha in monos}
     dense = DenseProducts(A, monos)
     block = max(1, BLOCK_ENTRIES // dense.width)
     # one matmul per f against every g; the cross products are tested only
@@ -575,7 +545,7 @@ def bounded_skew_armendariz(
                 g = polys[lo + j]
                 for alpha, a in f.terms.items():
                     for beta, b in g.terms.items():
-                        if mul[a][sp(alpha)[b]]:
+                        if mul[a][sigma_pow[alpha][b]]:
                             return ArmendarizResult(
                                 False,
                                 witness={"f": f, "g": g, "alpha": alpha, "beta": beta},

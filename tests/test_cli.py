@@ -6,8 +6,9 @@ import re
 import pytest
 
 from skewpbw.cli import main
-from skewpbw.corpus import CorpusEntry, weyl_like_corrupted
-from skewpbw.defio import definition_to_text, entry_to_definition
+from skewpbw.corpus import CorpusEntry, q8_twist, weyl_like_corrupted
+from skewpbw.defio import definition_to_text, entry_to_definition, parse_poly
+from skewpbw.probes import BoundedScan, ProbeResult, bounded_NI_check, nilpotency_probe
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,22 @@ def test_nilpotent_probe_verb(files, capsys):
     assert report["status"] == "nilpotent" and report["index"] == 2
 
 
+def test_nilpotent_verb_agrees_with_the_scan(tmp_path, capsys):
+    # 1 + i in F2[Q8] lies in J<x>: the verb and the NI check's scan both
+    # prove it nilpotent by power iteration, with its index
+    entry = q8_twist()
+    path = tmp_path / "q8_twist.json"
+    path.write_text(definition_to_text(entry_to_definition(entry)))
+    code, report = run_json(capsys, ["nilpotent", str(path), "--poly", "[1,0,1,0,0,0,0,0]", "--cap", "8"])
+    assert code == 0
+    assert (report["status"], report["index"], report["reason"], report["cap"]) == ("nilpotent", 4, None, None)
+    A = entry.presentation
+    scan = BoundedScan(A, 1, 1, 8)
+    bounded_NI_check(A, 1, 1, 8, scan=scan)
+    f = parse_poly(A, "[1,0,1,0,0,0,0,0]")
+    assert scan.status[f] == nilpotency_probe(f, 8) == ProbeResult("nilpotent", index=4)
+
+
 @pytest.mark.parametrize("argv", [
     ["mul", "--lhs", "1", "--rhs", "1"],
     ["nilpotent", "--poly", "1"],
@@ -150,6 +167,19 @@ def test_bad_json_exit_2(tmp_path, capsys):
         ("extension.sigmas", 3),
         ("maps", {"sigma1": {"kind": "endomorphism"}}),
         ("maps[0]", "sigma1"),
+        ("extension.deltas", 3),
+        ("extension.d[0]", 5),  # d is empty: extension.d becomes [5]
+        ("extension.tails", 5),
+        ("ring.orders", 5),
+        ("ring.one", 5),
+        ("extension.sigmas[0]", ["x"]),
+        ("ring.degrees", 5),
+        ("ring.orders", ["2", "2"]),
+        ("ring.orders", [2.5, 2]),
+        ("extension.variables", 2.7),
+        ("maps[0].name", ["x"]),
+        ("maps[1].partner", ["x"]),
+        ("ring.orders", [10**30, 2]),  # past 64 bits
     ],
 )
 def test_malformed_field_exit_2_with_json_path(files, tmp_path, capsys, path, value):
@@ -159,12 +189,33 @@ def test_malformed_field_exit_2_with_json_path(files, tmp_path, capsys, path, va
     target = doc
     for key in parents:
         target = target[key]
-    target[last] = value
+    if isinstance(last, int):
+        target[last : last + 1] = [value]  # replaces the entry, or appends one
+    else:
+        target[last] = value
     mutated = tmp_path / "mutated.json"
     mutated.write_text(json.dumps(doc))
     assert main(["verify", str(mutated)]) == 2
     err = capsys.readouterr().err
     assert f"{path} must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "weyl", "--degree", "0"],
+    ["check", "weyl", "--support", "0"],
+    ["check", "weyl", "--exponent", "-1"],
+    ["check", "weyl", "--pairs", "0"],
+    ["check", "weyl", "--degree", "abc"],
+    ["search", "--property", "not-NI", "--family", "swap", "--degree", "0"],
+    ["search", "--property", "not-NI", "--family", "swap", "--pairs", "-5"],
+    ["nilpotent", "weyl", "--poly", "x", "--cap", "0"],
+])
+def test_budget_flags_must_be_positive(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be a positive integer" in err and "Traceback" not in err
 
 
 def test_missing_file_exit_2(capsys):

@@ -1,7 +1,8 @@
 """NI closure rows in J(R)<x>: decided by one mask test, never as polynomials.
 
-When the scan's ideal-power certificate (J, t) applies, `_probe_rows` counts
-every nonzero row whose coefficients all lie in J as a nilpotent check and
+When the scan's certificate J applies (J(R) Sigma-Delta-invariant, with
+J(R)^t = 0 for some t within the exponent cap), `_probe_rows` counts every
+nonzero row whose coefficients all lie in J as a nilpotent check and
 sends only the other rows through `scan.probe`.  On the corpus a block holds
 either certified rows only or none, so the property test below builds blocks
 that mix both and compares them with the plain per-row walk.
@@ -34,7 +35,7 @@ def certified(request):
     A = entry.presentation
     caps = _caps(entry)
     scan = BoundedScan(A, *caps)
-    assert scan.certificate is not None and scan.certificate[0].mask[1:].any()
+    assert scan.certificate is not None and scan.certificate.mask[1:].any()
     dense = DenseProducts(A, multi_indices(A.n, 0, caps[0]))
     polys = sorted(scan.polys, key=lambda f: scan.status[f].status != UNKNOWN)
     assert scan.status[polys[0]].status == UNKNOWN
@@ -97,7 +98,7 @@ def _blocks(draw, scanned, n_unknown, mask):
 @given(data=st.data())
 def test_bulk_decision_matches_per_row_walk(certified, data):
     scan, dense, scanned, n_unknown = certified
-    mask = scan.certificate[0].mask
+    mask = scan.certificate.mask
     rows, cut = data.draw(_blocks(scanned, n_unknown, mask))
     seen: dict = {}
     checks = unknown = 0
@@ -122,7 +123,7 @@ def test_counts_stop_at_the_hit(certified):
     # hit is not a check, though it is a row of the same sub-block
     scan, dense, scanned, _ = certified
     J_row = np.zeros(scanned.shape[1], dtype=np.int32)
-    J_row[0] = np.flatnonzero(scan.certificate[0].mask)[1]
+    J_row[0] = np.flatnonzero(scan.certificate.mask)[1]
     statuses = [scan.probe(dense.poly(row, dense.out_monos)) for row in scanned]
     unknown_row = scanned[0]
     hit_row = scanned[next(i for i, r in enumerate(statuses) if r.proved_not_nilpotent)]

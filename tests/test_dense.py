@@ -22,9 +22,9 @@ import pytest
 from skewpbw import cli, corpus, defio, probes
 from skewpbw.extension import DenseProducts, SkewPolynomial
 from skewpbw.maps import multi_indices
+from skewpbw.rings import ideal_power_index
 from skewpbw.harness import SearchBudget
 from skewpbw.probes import (
-    IDEAL_POWER,
     UNKNOWN,
     BoundedScan,
     NICheckResult,
@@ -222,10 +222,12 @@ def _assert_status_matches(scan, ref_scan):
     if scan.certificate is None:
         assert not left_out
         return
-    J = scan.certificate[0]
+    J = scan.certificate
+    t = ideal_power_index(J)
     for f in left_out:
         assert extended_ideal_membership(J, f), f
-        assert ref_scan.status[f].reason == IDEAL_POWER, f
+        r = ref_scan.status[f]
+        assert r.proved_nilpotent and r.index <= t, (f, r)
 
 
 @pytest.mark.parametrize("name", sorted(corpus.BUILDERS))

@@ -1,30 +1,33 @@
-"""The benchmark's tracer hooks still fit the package.
+"""The benchmark's hooks and checks still fit the package.
 
 `perfbench/tracer.py` wraps package functions by (module, attribute) and its
-skip functions read private caches; a rename would otherwise only show at the
-next traced benchmark run.  The tracer module is loaded from its file, not
-edited or installed.
+skip functions read private caches, and `perfbench/checks.py` replays probe
+results by their fields; a rename or a changed contract would otherwise only
+show at the next benchmark run.  Both modules are loaded from their files,
+not edited or installed.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from skewpbw import corpus
-from skewpbw.probes import BoundedScan
+from skewpbw.probes import BoundedScan, enumerate_bounded_polys, nilpotency_probe
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(stem):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", PERFBENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_target_resolves():
-    for modname, attr, *_ in _tracer().TARGETS:
+    for modname, attr, *_ in _load("tracer").TARGETS:
         owner = importlib.import_module(modname)
         if "." in attr:
             cls_name, attr = attr.split(".")
@@ -40,7 +43,7 @@ def test_skip_functions_read_attributes_that_exist():
     entry = corpus.swap_extension()
     scan = BoundedScan(entry.presentation, 1, 1, 4)
     assert scan.ni_result is None
-    for modname, attr, _, _, skip in _tracer().TARGETS:
+    for modname, attr, _, _, skip in _load("tracer").TARGETS:
         if skip is None:
             continue
         if attr == "bounded_NI_check":
@@ -48,3 +51,13 @@ def test_skip_functions_read_attributes_that_exist():
         else:
             assert modname == "skewpbw.rings", (modname, attr)
             skip((ring,), {})  # reads the ring's caches without raising
+
+
+@pytest.mark.parametrize("name, caps", [("q8_twist", (1, 1)), ("poly_z4_2v", (2, 2))])
+def test_probe_checks_accept_nilpotency_probe(name, caps):
+    # check_probes replays a nilpotent result as f^index = 0 != f^(index-1):
+    # every nilpotent probe must carry an integer index
+    A = corpus.BUILDERS[name]().presentation
+    results = [(f, nilpotency_probe(f, 8)) for f in enumerate_bounded_polys(A, *caps)]
+    assert any(r.proved_nilpotent for _, r in results)
+    assert _load("checks").check_probes(name, results, 8) == []

@@ -14,6 +14,7 @@ from skewpbw import (
     enumerate_bounded_polys,
     extended_ideal_closure_report,
     extended_ideal_membership,
+    ideal_power_index,
     jacobson_radical,
     nilpotency_probe,
     nilpotent_set,
@@ -31,7 +32,6 @@ from skewpbw.maps import (
     multi_indices,
 )
 from skewpbw.probes import (
-    IDEAL_POWER,
     NILPOTENT,
     NOT_NILPOTENT,
     UNKNOWN,
@@ -229,6 +229,20 @@ def test_leading_chain_needs_a_bijective_presentation():
     assert res.proved_nilpotent and res.index == 3
 
 
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_scan_probes_are_nilpotency_probes(name):
+    # one ladder: whatever the NI check probed, it probed as nilpotency_probe
+    entry = corpus.BUILDERS[name]()
+    A = entry.presentation
+    b = entry.budget
+    caps = (b["degree_cap"], b["support_cap"], b["exponent_cap"])
+    scan = BoundedScan(A, *caps)
+    bounded_NI_check(A, *caps, scan=scan)
+    for f, r in scan.status.items():
+        assert r == nilpotency_probe(f, scan.exponent_cap), (name, f, r)
+        assert isinstance(r.index, int) == r.proved_nilpotent, (name, f, r)
+
+
 # ---------------------------------------------------------------------------
 # the ideal-power certificate against power iteration
 # ---------------------------------------------------------------------------
@@ -239,23 +253,23 @@ def test_ideal_power_certificate_against_power_iteration():
     certified = 0
     for name in sorted(corpus.BUILDERS):
         # the scalar oracle probes every distinct closure row through
-        # scan.probe; the NI check decides rows in J<x> without recording them
+        # scan.probe; those in J<x> are the rows the NI check's mask test
+        # certifies without a polynomial
         entry, scan, _ = scalar_reference(name)
         A = entry.presentation
-        if scan.certificate is not None:
-            applies.append(entry.name)
-            J, t = scan.certificate
-            assert J == jacobson_radical(entry.ring) and t <= scan.exponent_cap
-            assert extended_ideal_closure_report(J, A).holds, entry.name
+        if scan.certificate is None:
+            continue
+        applies.append(entry.name)
+        J = scan.certificate
+        t = ideal_power_index(J)
+        assert J == jacobson_radical(entry.ring) and t <= scan.exponent_cap
+        assert extended_ideal_closure_report(J, A).holds, entry.name
         for f, r in scan.status.items():
-            if r.reason != IDEAL_POWER:
+            if not extended_ideal_membership(J, f):
                 continue
             certified += 1
-            assert r.proved_nilpotent and r.index is None, (entry.name, f)
-            assert scan.certificate is not None and r.cap == scan.certificate[1]
-            p = nilpotency_probe(f, r.cap)
-            assert p.proved_nilpotent and p.index <= r.cap, (entry.name, f, p)
-            assert nilpotency_probe(f, scan.exponent_cap) == p, (entry.name, f)
+            assert r == nilpotency_probe(f, scan.exponent_cap), (entry.name, f)
+            assert r.proved_nilpotent and r.index <= t, (entry.name, f, r)
     # J(R) is Sigma-Delta-invariant on every corpus entry but weyl_like(2)
     assert len(applies) == 9 and "weyl_like(2)" not in applies
     assert certified > 0
@@ -269,7 +283,6 @@ def test_ideal_power_certificate_needs_delta_invariance(weyl2):
     scan = BoundedScan(A, 2, 2, 8)
     bounded_NI_check(A, 2, 2, 8, scan=scan)
     assert scan.certificate is None
-    assert all(r.reason != IDEAL_POWER for r in scan.status.values())
     # y x lies in J<x>, yet (yx)^2 = y(yx + 1)x = yx: not nilpotent
     f = A.scalar(weyl2.ring.el([0, 1])) * A.variable(1)
     assert extended_ideal_membership(J, f)
