@@ -84,20 +84,13 @@ def _render_human(node, indent: int = 0) -> None:
         print(f"{pad}{node}")
 
 
-def _load(path: str):
-    try:
-        return load_definition(path)
-    except FileNotFoundError:
-        raise DefinitionError(f"no such file: {path}")
-
-
 def _load_presentation(path: str):
     """A definition with a verified extension block."""
-    parsed = _load(path)
-    if parsed.presentation is None:
+    entry = load_definition(path)
+    if entry.presentation is None:
         raise DefinitionError("file has no extension block")
-    verify_presentation(parsed.presentation)
-    return parsed
+    verify_presentation(entry.presentation)
+    return entry
 
 
 def _budget_from_args(args) -> SearchBudget:
@@ -127,6 +120,11 @@ def _add_budget_flags(p: argparse.ArgumentParser, degree=2, support=2, exponent=
     p.add_argument("--pairs", type=_positive_int, default=10**6, help="pair/operation budget")
 
 
+# the rewriting product recurses once per degree a coefficient is pushed past,
+# so x^3000*[0,1] overruns Python's recursion limit
+_TOO_DEEP = "expression too deep for the rewriting engine: a coefficient is pushed past too high a degree"
+
+
 def _sorted_coords(elements) -> list:
     return sorted([list(e.coords) for e in elements])
 
@@ -137,22 +135,22 @@ def _sorted_coords(elements) -> list:
 
 
 def _cmd_verify(args) -> int:
-    parsed = _load(args.file)
+    entry = load_definition(args.file)
     report = {
         "command": "verify",
         "file": args.file,
-        "ring": {"name": parsed.ring.name, "size": parsed.ring.size, "verified": True},
-        "maps": {name: "verified" for name in parsed.maps},
+        "ring": {"name": entry.ring.name, "size": entry.ring.size, "verified": True},
+        "maps": {name: "verified" for name in entry.maps},
     }
     status = EXIT_OK
-    if parsed.grading is not None:
-        report["grading"] = {"labels": list(parsed.grading.labels), "verified": True}
-    if parsed.presentation is not None:
+    if entry.grading is not None:
+        report["grading"] = {"labels": list(entry.grading.labels), "verified": True}
+    if entry.presentation is not None:
         try:
-            verify_presentation(parsed.presentation)
+            verify_presentation(entry.presentation)
             report["presentation"] = {
                 "verified": True,
-                "flags": _flags(parsed.presentation),
+                "flags": _flags(entry.presentation),
             }
         except OverlapFails as exc:
             report["presentation"] = {
@@ -178,8 +176,8 @@ def _flags(A) -> dict:
 
 
 def _cmd_radicals(args) -> int:
-    parsed = _load(args.file)
-    ring = parsed.ring
+    entry = load_definition(args.file)
+    ring = entry.ring
     report = {
         "command": "radicals",
         "ring": ring.name,
@@ -195,21 +193,21 @@ def _cmd_radicals(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    parsed = _load(args.file)
-    profile = classify_ring(parsed.ring)
+    entry = load_definition(args.file)
+    profile = classify_ring(entry.ring)
     report = {
         "command": "classify",
-        "ring": parsed.ring.name,
+        "ring": entry.ring.name,
         "profile": profile.flags(),
         "nilpotents": _sorted_coords(profile.nilpotents),
         "exit": EXIT_OK,
     }
-    if parsed.system is not None:
-        sc = is_sigma_compatible(parsed.ring, parsed.system)
-        dc = is_delta_compatible(parsed.ring, parsed.system)
-        ws = is_weak_sigma_compatible(parsed.ring, parsed.system)
-        wd = is_weak_delta_compatible(parsed.ring, parsed.system)
-        rigid = is_sigma_rigid(parsed.ring, parsed.system)
+    if entry.system is not None:
+        sc = is_sigma_compatible(entry.ring, entry.system)
+        dc = is_delta_compatible(entry.ring, entry.system)
+        ws = is_weak_sigma_compatible(entry.ring, entry.system)
+        wd = is_weak_delta_compatible(entry.ring, entry.system)
+        rigid = is_sigma_rigid(entry.ring, entry.system)
         report["maps"] = {
             "sigma_compatible": sc.holds,
             "delta_compatible": dc.holds,
@@ -218,11 +216,11 @@ def _cmd_classify(args) -> int:
             "weak_delta_compatible": wd.holds,
             "sigma_rigid": rigid.holds,
         }
-    if parsed.presentation is not None:
-        report["presentation"] = _flags(parsed.presentation)
-        if parsed.grading is not None and parsed.presentation.bijective:
-            verify_presentation(parsed.presentation)
-            gp = is_graded_extension(parsed.presentation, parsed.grading)
+    if entry.presentation is not None:
+        report["presentation"] = _flags(entry.presentation)
+        if entry.grading is not None and entry.presentation.bijective:
+            verify_presentation(entry.presentation)
+            gp = is_graded_extension(entry.presentation, entry.grading)
             report["graded"] = {
                 "is_graded_extension": gp.is_graded_extension,
                 "connected": gp.connected,
@@ -233,10 +231,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_mul(args) -> int:
-    parsed = _load_presentation(args.file)
-    f = parse_poly(parsed.presentation, args.lhs)
-    g = parse_poly(parsed.presentation, args.rhs)
-    product = f * g
+    A = _load_presentation(args.file).presentation
+    try:
+        f = parse_poly(A, args.lhs)
+        g = parse_poly(A, args.rhs)
+        product = f * g
+    except RecursionError:
+        raise DefinitionError(_TOO_DEEP)
     report = {
         "command": "mul",
         "lhs": f.to_expr(),
@@ -250,9 +251,12 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_nilpotent(args) -> int:
-    parsed = _load_presentation(args.file)
-    f = parse_poly(parsed.presentation, args.poly)
-    probe = nilpotency_probe(f, args.cap)
+    A = _load_presentation(args.file).presentation
+    try:
+        f = parse_poly(A, args.poly)
+        probe = nilpotency_probe(f, args.cap)
+    except RecursionError:
+        raise DefinitionError(_TOO_DEEP)
     report = {
         "command": "nilpotent",
         "poly": f.to_expr(),
@@ -267,8 +271,7 @@ def _cmd_nilpotent(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    parsed = _load_presentation(args.file)
-    entry = parsed.as_entry()
+    entry = _load_presentation(args.file)
     budget = _budget_from_args(args)
     ids = args.theorem or [tid for tid in THEOREM_IDS if shape_compatible(tid, entry)]
     results = []

@@ -4,7 +4,7 @@ The flagship algebras these imitate (Weyl algebras, enveloping algebras,
 graded Clifford algebras) live over infinite rings; each builder constructs a
 finite truncation that preserves the phenomenon a theorem check exercises --
 Delta-(non)invariance of the nilpotent set, graded structure, connectedness.
-Every entry records its expected profile and re-checks it on load.
+Every entry records its expected profile and re-checks it on construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from .errors import BadShape
 from .extension import ExtensionPresentation, make_extension, verify_presentation
 from .graded import Grading, attach_grading, trivial_grading
-from .maps import SigmaSystem, identity_map, make_endomorphism, make_sigma_derivation
+from .maps import RingMap, SigmaSystem, identity_map, make_endomorphism, make_sigma_derivation
 from .rings import FiniteRing, classify_ring, make_ring
 
 _PRIMES = (2, 3, 5)
@@ -181,11 +181,15 @@ class CorpusEntry:
     expected: dict = field(default_factory=dict)
     budget: Optional[dict] = None  # per-entry bounded-search caps for the sweep
     shadows: str = ""  # which infinite example this truncation stands in for
+    maps: dict[str, RingMap] = field(default_factory=dict)  # a definition file's map blocks, by name
     # the harness's Evidence by budget caps, made on first use.  It is kept
     # here rather than on the presentation, which its scan points back to, and
     # it holds no reference to the entry, so no cycle keeps it alive once the
     # entry is dropped
     evidence: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.selfcheck()
 
     def selfcheck(self) -> None:
         """Recompute the expected ring profile; raises on mismatch."""
@@ -198,22 +202,6 @@ class CorpusEntry:
                     raise BadShape(f"{self.name}: expected {key}={want}, recomputed {got}")
 
 
-def _entry(name, ring, system=None, presentation=None, grading=None, expected=None,
-           budget=None, shadows="") -> CorpusEntry:
-    e = CorpusEntry(
-        name=name,
-        ring=ring,
-        system=system,
-        presentation=presentation,
-        grading=grading,
-        expected=expected or {},
-        budget=budget,
-        shadows=shadows,
-    )
-    e.selfcheck()
-    return e
-
-
 def swap_extension() -> CorpusEntry:
     """Quasi-commutative A over Z_2 x Z_2 with sigma the coordinate swap.
 
@@ -224,7 +212,7 @@ def swap_extension() -> CorpusEntry:
     swap = make_endomorphism(ring, [[0, 1], [1, 0]], name="swap")
     system = SigmaSystem([swap])
     A = verify_presentation(make_extension(ring, system, name="swap_ext"))
-    return _entry(
+    return CorpusEntry(
         "swap_extension",
         ring,
         system,
@@ -269,7 +257,7 @@ def weyl_like(p: int) -> CorpusEntry:
     ddy = make_sigma_derivation(ring, ident, _ddy_matrix(ring), name="d/dy")
     system = SigmaSystem([ident], [ddy])
     A = verify_presentation(make_extension(ring, system, name=f"weyl_like({p})"))
-    return _entry(
+    return CorpusEntry(
         f"weyl_like({p})",
         ring,
         system,
@@ -295,7 +283,7 @@ def euler_like(p: int) -> CorpusEntry:
     # p = 3 has 26 nonzero coefficients; support 1 keeps the closure check
     # inside the default pair budget
     budget = {"degree_cap": 2, "support_cap": 3 if p == 2 else 1, "exponent_cap": 8}
-    return _entry(
+    return CorpusEntry(
         f"euler_like({p})",
         ring,
         system,
@@ -352,7 +340,7 @@ def clifford_trunc(n: int, ms: Optional[list] = None, p: int = 2) -> CorpusEntry
             t0 = ring.el(coords)
             tails[(i, j)] = (t0, tuple([ring.zero] * n))
     A = verify_presentation(make_extension(ring, system, d=d, tails=tails, name=f"clifford_trunc({n})"))
-    return _entry(
+    return CorpusEntry(
         f"clifford_trunc({n})",
         ring,
         system,
@@ -382,7 +370,7 @@ def q8_twist() -> CorpusEntry:
     sigma = make_endomorphism(ring, mat, name="rot")
     system = SigmaSystem([sigma])
     A = verify_presentation(make_extension(ring, system, name="F2[Q8][x;rot]"))
-    return _entry(
+    return CorpusEntry(
         "q8_twist",
         ring,
         system,
@@ -408,7 +396,7 @@ def heisenberg(p: int = 2) -> CorpusEntry:
     minus_one = -ring.one
     tails = {(1, 2): (ring.zero, (ring.zero, ring.zero, minus_one))}
     A = verify_presentation(make_extension(ring, system, tails=tails, name=f"U(h3,Z{p})"))
-    return _entry(
+    return CorpusEntry(
         f"heisenberg({p})",
         ring,
         system,
@@ -439,7 +427,7 @@ def quasi_comm(p: int = 3, n: int = 2, d_value=2) -> CorpusEntry:
         d = {pair: ring.el([d_value]) for pair in pairs}
         label = str(d_value)
     A = verify_presentation(make_extension(ring, system, d=d, name=f"quasi_comm(Z{p},d={label})"))
-    return _entry(
+    return CorpusEntry(
         f"quasi_comm(Z{p},d={label})",
         ring,
         system,
@@ -459,7 +447,7 @@ def commutative_poly(n_modulus: int = 4, nvars: int = 2) -> CorpusEntry:
     ident = identity_map(ring)
     system = SigmaSystem([ident] * nvars)
     A = verify_presentation(make_extension(ring, system, name=f"poly(Z{n_modulus},{nvars})"))
-    return _entry(
+    return CorpusEntry(
         f"poly(Z{n_modulus},{nvars})",
         ring,
         system,
@@ -481,7 +469,7 @@ def matrix_poly(p: int = 2) -> CorpusEntry:
     ident = identity_map(ring)
     system = SigmaSystem([ident])
     A = verify_presentation(make_extension(ring, system, name=f"M2(Z{p})[x]"))
-    return _entry(
+    return CorpusEntry(
         f"matrix_poly({p})",
         ring,
         system,
@@ -500,38 +488,21 @@ def matrix_poly(p: int = 2) -> CorpusEntry:
 
 def standard_rings() -> list[CorpusEntry]:
     """The ring-level corpus used by the radical and classification oracles."""
-    entries = [
-        _entry("Z4", zn(4), expected={"NI": True, "NJ": True, "two_primal": True, "reduced": False}),
-        _entry("Z6", zn(6), expected={"NI": True, "NJ": True, "reduced": True}),
-        _entry("Z2xZ2", product_ring(zn(2), zn(2)), expected={"reduced": True, "NI": True}),
-        _entry("F4", field4(), expected={"reduced": True, "domain": True, "NI": True}),
-        _entry("M2(Z2)", matrix_full(2), expected={"NI": False, "NJ": False, "reduced": False}),
-        _entry("U2(Z2)", matrix_upper(2), expected={"NI": True, "NJ": True, "two_primal": True}),
-        _entry("U2(Z3)", matrix_upper(3), expected={"NI": True, "NJ": True}),
-        _entry("Z2[y]/(y^2)", trunc_poly(2, 2), grading=trunc_poly_grading(trunc_poly(2, 2)),
-               expected={"NI": True, "NJ": True, "reduced": False}),
-        _entry("Z2[y]/(y^3)", trunc_poly(2, 3), expected={"NI": True, "NJ": True}),
-        _entry("Z3[y]/(y^3)", trunc_poly(3, 3), expected={"NI": True, "NJ": True}),
-        _entry("Z2[y]/(y^4)", trunc_poly(2, 4), expected={"NI": True, "NJ": True}),
-        _entry("CliffBase2", clifford_base(2), expected={"NI": True, "NJ": True}),
-        _entry("Z4xZ2y", product_ring(zn(4), trunc_poly(2, 2)), expected={"NI": True, "NJ": True}),
-    ]
-    return entries
-
-
-def standard_corpus() -> list[CorpusEntry]:
-    """Every presentation-level entry, each fully verified at build time."""
     return [
-        swap_extension(),
-        weyl_like(2),
-        euler_like(2),
-        euler_like(3),
-        clifford_trunc(2),
-        heisenberg(2),
-        quasi_comm(3, 2, 2),
-        commutative_poly(4, 2),
-        matrix_poly(2),
-        q8_twist(),
+        CorpusEntry("Z4", zn(4), expected={"NI": True, "NJ": True, "two_primal": True, "reduced": False}),
+        CorpusEntry("Z6", zn(6), expected={"NI": True, "NJ": True, "reduced": True}),
+        CorpusEntry("Z2xZ2", product_ring(zn(2), zn(2)), expected={"reduced": True, "NI": True}),
+        CorpusEntry("F4", field4(), expected={"reduced": True, "domain": True, "NI": True}),
+        CorpusEntry("M2(Z2)", matrix_full(2), expected={"NI": False, "NJ": False, "reduced": False}),
+        CorpusEntry("U2(Z2)", matrix_upper(2), expected={"NI": True, "NJ": True, "two_primal": True}),
+        CorpusEntry("U2(Z3)", matrix_upper(3), expected={"NI": True, "NJ": True}),
+        CorpusEntry("Z2[y]/(y^2)", trunc_poly(2, 2), grading=trunc_poly_grading(trunc_poly(2, 2)),
+                    expected={"NI": True, "NJ": True, "reduced": False}),
+        CorpusEntry("Z2[y]/(y^3)", trunc_poly(2, 3), expected={"NI": True, "NJ": True}),
+        CorpusEntry("Z3[y]/(y^3)", trunc_poly(3, 3), expected={"NI": True, "NJ": True}),
+        CorpusEntry("Z2[y]/(y^4)", trunc_poly(2, 4), expected={"NI": True, "NJ": True}),
+        CorpusEntry("CliffBase2", clifford_base(2), expected={"NI": True, "NJ": True}),
+        CorpusEntry("Z4xZ2y", product_ring(zn(4), trunc_poly(2, 2)), expected={"NI": True, "NJ": True}),
     ]
 
 
@@ -547,3 +518,8 @@ BUILDERS: dict[str, Callable[[], CorpusEntry]] = {
     "matrix_poly_2": lambda: matrix_poly(2),
     "q8_twist": q8_twist,
 }
+
+
+def standard_corpus() -> list[CorpusEntry]:
+    """Every presentation-level entry, each fully verified at build time, in BUILDERS order."""
+    return [build() for build in BUILDERS.values()]

@@ -32,39 +32,16 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from .corpus import CorpusEntry
 from .errors import DefinitionError
 from .extension import ExtensionPresentation, SkewPolynomial, make_extension
-from .graded import Grading, attach_grading
+from .graded import attach_grading
 from .maps import RingMap, SigmaSystem, make_endomorphism, make_sigma_derivation
-from .rings import FiniteRing, make_ring
+from .rings import make_ring
 
 
-@dataclass
-class ParsedDefinition:
-    name: str
-    ring: FiniteRing
-    maps: dict[str, RingMap]
-    system: Optional[SigmaSystem]
-    presentation: Optional[ExtensionPresentation]
-    grading: Optional[Grading]
-
-    def as_entry(self) -> CorpusEntry:
-        return CorpusEntry(
-            name=self.name,
-            ring=self.ring,
-            system=self.system,
-            presentation=self.presentation,
-            grading=self.grading,
-        )
-
-
-def parse_definition(text: str) -> ParsedDefinition:
+def parse_definition(text: str) -> CorpusEntry:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -72,9 +49,13 @@ def parse_definition(text: str) -> ParsedDefinition:
     return _build(doc)
 
 
-def load_definition(path: str) -> ParsedDefinition:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_definition(fh.read())
+def load_definition(path: str) -> CorpusEntry:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8, ...
+        raise DefinitionError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
+    return parse_definition(text)
 
 
 def _require(doc: dict, key: str, where: str):
@@ -91,18 +72,22 @@ def _expect(value, kind: type, path: str):
     return value
 
 
-_INTEGER_SHAPES = ("an integer", "a list of integers", "a matrix of integers", "an m x m x m array of integers")
+_INTEGER_SHAPES = ("an integer", "a list of integers", "a matrix of integers", "an array of integers")
 
 
-def _integers(value, path: str, depth: int = 1):
-    """value, if it is a 64-bit integer (depth 0) or arrays of them nested depth deep; no coercion."""
-    def ok(v, d: int) -> bool:
-        if d:
-            return isinstance(v, list) and all(ok(x, d - 1) for x in v)
+def _integers(value, path: str, shape: tuple = (None,)):
+    """value, if it is a 64-bit integer (shape ()) or arrays of them nested len(shape) deep; no coercion.
+
+    The arrays at depth k must have length shape[k], where that is not None.
+    """
+    def ok(v, s: tuple) -> bool:
+        if s:
+            return isinstance(v, list) and s[0] in (None, len(v)) and all(ok(x, s[1:]) for x in v)
         return type(v) is int and abs(v) < 2**63  # bool is not int; int64 holds it
 
-    if not ok(value, depth):
-        raise DefinitionError(f"{path} must be {_INTEGER_SHAPES[depth]}")
+    if not ok(value, shape):
+        size = "" if None in shape else " x ".join(map(str, shape))
+        raise DefinitionError(f"{path} must be {_INTEGER_SHAPES[len(shape)]}" + (size and f" of shape {size}"))
     return value
 
 
@@ -111,72 +96,81 @@ def _objects(value, path: str) -> list:
     return [(f"{path}[{i}]", _expect(v, dict, f"{path}[{i}]")) for i, v in enumerate(_expect(value, list, path))]
 
 
-def _build(doc: dict) -> ParsedDefinition:
+def _build(doc: dict) -> CorpusEntry:
     if not isinstance(doc, dict):
         raise DefinitionError("top level must be an object")
-    rblock = _expect(_require(doc, "ring", "document"), dict, "ring")
+    rblock = _expect(_require(doc, "ring", "the document"), dict, "ring")
     name = _expect(doc.get("name", "unnamed"), str, "name")
-    constants = _integers(_require(rblock, "constants", "ring block"), "ring.constants", 3)
-    try:
-        constants = np.array(constants, dtype=np.int64)
-    except ValueError:  # ragged
-        raise DefinitionError(f"ring.constants must be {_INTEGER_SHAPES[3]}")
+    orders = _integers(_require(rblock, "orders", "ring"), "ring.orders")
+    m = len(orders)
     ring = make_ring(
-        _integers(_require(rblock, "orders", "ring block"), "ring.orders"),
-        constants,
-        _integers(_require(rblock, "one", "ring block"), "ring.one"),
+        orders,
+        _integers(_require(rblock, "constants", "ring"), "ring.constants", (m, m, m)),
+        _integers(_require(rblock, "one", "ring"), "ring.one", (m,)),
         name=name,
     )
     grading = None
     if rblock.get("degrees") is not None:
-        grading = attach_grading(ring, _integers(rblock["degrees"], "ring.degrees"))
+        grading = attach_grading(ring, _integers(rblock["degrees"], "ring.degrees", (m,)))
 
     maps: dict[str, RingMap] = {}
     for at, mb in _objects(doc.get("maps", []), "maps"):
-        mname = _expect(_require(mb, "name", "map block"), str, f"{at}.name")
-        kind = _require(mb, "kind", "map block")
-        matrix = _integers(_require(mb, "matrix", "map block"), f"{at}.matrix", 2)
+        mname = _expect(_require(mb, "name", at), str, f"{at}.name")
+        if mname in maps:
+            raise DefinitionError(f"{at}.name must be unique, and {mname!r} is taken")
+        kind = _require(mb, "kind", at)
+        matrix = _integers(_require(mb, "matrix", at), f"{at}.matrix", (m, m))
         if kind == "endomorphism":
             maps[mname] = make_endomorphism(ring, matrix, name=mname)
         elif kind == "sigma_derivation":
-            partner = _expect(_require(mb, "partner", "map block"), str, f"{at}.partner")
+            partner = _expect(_require(mb, "partner", at), str, f"{at}.partner")
             if partner not in maps:
-                raise DefinitionError(f"derivation {mname!r} references unknown partner {partner!r}")
+                raise DefinitionError(f"{at}.partner must be the name of an earlier map, not {partner!r}")
             maps[mname] = make_sigma_derivation(ring, maps[partner], matrix, name=mname)
         else:
-            raise DefinitionError(f"unknown map kind {kind!r}")
+            raise DefinitionError(f"{at}.kind must be 'endomorphism' or 'sigma_derivation'")
 
-    system = None
-    presentation = None
+    system = presentation = None
     eblock = doc.get("extension")
     if eblock is not None:
         _expect(eblock, dict, "extension")
-        nvars = _integers(_require(eblock, "variables", "extension block"), "extension.variables", 0)
-        signames = _expect(_require(eblock, "sigmas", "extension block"), list, "extension.sigmas")
+        nvars = _integers(_require(eblock, "variables", "extension"), "extension.variables", ())
+        if nvars < 1:
+            raise DefinitionError("extension.variables must be a positive integer")
+        signames = _expect(_require(eblock, "sigmas", "extension"), list, "extension.sigmas")
         if len(signames) != nvars:
-            raise DefinitionError("need one sigma name per variable")
+            raise DefinitionError(f"extension.sigmas must be a list of {nvars} map names, one per variable")
+        deltanames = _expect(eblock.get("deltas", [None] * nvars), list, "extension.deltas")
+        if len(deltanames) != nvars:
+            raise DefinitionError(f"extension.deltas must be a list of {nvars} map names or nulls")
 
         def lookup(mname, path: str) -> RingMap:
             if _expect(mname, str, path) not in maps:
-                raise DefinitionError(f"extension references unknown map {mname!r}")
+                raise DefinitionError(f"{path} must be the name of a map, not {mname!r}")
             return maps[mname]
 
+        def pair(block: dict, at: str, seen: dict) -> tuple:
+            i, j = (_integers(_require(block, k, at), f"{at}.{k}", ()) for k in "ij")
+            if not 1 <= i < j <= nvars:
+                raise DefinitionError(f"{at} must be a relation with 1 <= i < j <= {nvars}")
+            if (i, j) in seen:
+                raise DefinitionError(f"{at} must be the only relation with i = {i}, j = {j}")
+            return i, j
+
         sigmas = [lookup(sn, f"extension.sigmas[{i}]") for i, sn in enumerate(signames)]
-        deltanames = _expect(eblock.get("deltas", [None] * nvars), list, "extension.deltas")
         deltas = [None if dn is None else lookup(dn, f"extension.deltas[{i}]") for i, dn in enumerate(deltanames)]
         system = SigmaSystem(sigmas, deltas)
         d = {}
         for at, db in _objects(eblock.get("d", []), "extension.d"):
-            pair = tuple(_integers(_require(db, k, at), f"{at}.{k}", 0) for k in "ij")
-            d[pair] = ring.el(_integers(_require(db, "value", at), f"{at}.value"))
+            d[pair(db, at, d)] = ring.el(_integers(_require(db, "value", at), f"{at}.value", (m,)))
         tails = {}
         for at, tb in _objects(eblock.get("tails", []), "extension.tails"):
-            pair = tuple(_integers(_require(tb, k, at), f"{at}.{k}", 0) for k in "ij")
-            constant = _integers(tb.get("constant", [0] * ring.m), f"{at}.constant")
-            linear = _integers(tb.get("linear", [[0] * ring.m] * nvars), f"{at}.linear", 2)
-            tails[pair] = (ring.el(constant), tuple(ring.el(v) for v in linear))
+            key = pair(tb, at, tails)
+            constant = _integers(tb.get("constant", [0] * m), f"{at}.constant", (m,))
+            linear = _integers(tb.get("linear", [[0] * m] * nvars), f"{at}.linear", (nvars, m))
+            tails[key] = (ring.el(constant), tuple(ring.el(v) for v in linear))
         presentation = make_extension(ring, system, d=d, tails=tails, name=name)
-    return ParsedDefinition(name, ring, maps, system, presentation, grading)
+    return CorpusEntry(name, ring, system, presentation, grading, maps=maps)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ def files(tmp_path_factory):
     """Exported definition files for the fixtures the CLI tests drive."""
     base = tmp_path_factory.mktemp("defs")
     out = {}
-    from skewpbw.corpus import commutative_poly, euler_like, swap_extension, weyl_like, zn
+    from skewpbw.corpus import commutative_poly, euler_like, heisenberg, swap_extension, weyl_like, zn
 
     for name, entry in {
         "weyl": weyl_like(2),
+        "heisenberg": heisenberg(2),
         "euler": euler_like(2),
         "swap": swap_extension(),
         "poly": commutative_poly(4, 2),
@@ -180,10 +181,43 @@ def test_bad_json_exit_2(tmp_path, capsys):
         ("maps[0].name", ["x"]),
         ("maps[1].partner", ["x"]),
         ("ring.orders", [10**30, 2]),  # past 64 bits
+        ("maps[0].matrix", [[1, 0], [0]]),  # ragged
+        ("maps[0].matrix", [[1, 0, 0], [0, 1, 0]]),  # not 2 x 2
+        ("maps[1].kind", "automorphism"),
+        ("maps[1].name", "sigma1"),  # taken by maps[0]
+        ("maps[1].partner", "delta1"),  # not an earlier map
+        ("ring.one", [1, 0, 0]),
+        ("ring.degrees", [0]),
+        ("extension.variables", 0),
+        ("extension.sigmas", ["sigma1", "sigma1"]),
+        ("extension.sigmas[0]", "nope"),
+        ("extension.deltas", ["delta1", None]),
+        ("extension.d[0]", {"i": 1, "j": 2, "value": [1, 0]}),  # one variable: no pair i < j
+        ("extension.tails[0]", {"i": 0, "j": 1}),
     ],
 )
 def test_malformed_field_exit_2_with_json_path(files, tmp_path, capsys, path, value):
-    with open(files["weyl"]) as fh:
+    assert_malformed_exit_2(files["weyl"], tmp_path, capsys, path, value)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        # a file with one variable has no valid pair to reach these fields
+        ("extension.tails[0].linear", [[0], [0]]),  # three variables
+        ("extension.tails[0].constant", [0, 0]),
+        ("extension.d[0].value", [1, 0]),
+        ("extension.d[1]", {"i": 1, "j": 2, "value": [1]}),  # d[0] is the (1, 2) relation
+        ("extension.tails[1]", {"i": 1, "j": 2}),  # so is tails[0]
+    ],
+)
+def test_malformed_relation_exit_2_with_json_path(files, tmp_path, capsys, path, value):
+    assert_malformed_exit_2(files["heisenberg"], tmp_path, capsys, path, value)
+
+
+def assert_malformed_exit_2(source, tmp_path, capsys, path, value):
+    """Set the node at path of the source file to value; verify must exit 2 naming path."""
+    with open(source) as fh:
         doc = json.load(fh)
     *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
     target = doc
@@ -220,6 +254,30 @@ def test_budget_flags_must_be_positive(files, capsys, argv):
 
 def test_missing_file_exit_2(capsys):
     assert main(["verify", "/nonexistent/def.json"]) == 2
+    assert "cannot read /nonexistent/def.json: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{\x00}\x00"], ids=["directory", "utf-16"])
+def test_unreadable_file_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "def.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: cannot read {path}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "--lhs", "x^3000*[0,1]", "--rhs", "1"],
+    ["mul", "--lhs", "x^3000", "--rhs", "[0,1]"],
+    ["nilpotent", "--poly", "[0,1]*x^3000", "--cap", "2"],
+])
+def test_expression_too_deep_exit_2(files, capsys, argv):
+    assert main(argv[:1] + [files["weyl"]] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "too deep for the rewriting engine" in err and "Traceback" not in err
 
 
 def test_search_verb(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from skewpbw.corpus import (
     BUILDERS,
+    CorpusEntry,
     clifford_trunc,
     euler_like,
     matrix_full,
@@ -82,6 +83,8 @@ def test_builders_round_trip():
         doc = entry_to_definition(entry)
         text = definition_to_text(doc)
         parsed = parse_definition(text)
+        assert isinstance(parsed, CorpusEntry), name
+        assert sorted(parsed.maps) == sorted(block["name"] for block in doc.get("maps", [])), name
         assert parsed.ring.structurally_equal(entry.ring), name
         if entry.presentation is not None:
             verify_presentation(parsed.presentation)
@@ -89,8 +92,9 @@ def test_builders_round_trip():
         if entry.grading is not None:
             assert parsed.grading is not None
             assert parsed.grading.labels == entry.grading.labels, name
-        # serialization is deterministic
+        # serialization is deterministic, and the parsed entry exports the same text
         assert definition_to_text(entry_to_definition(builder())) == text, name
+        assert definition_to_text(entry_to_definition(parsed)) == text, name
 
 
 def test_round_trip_preserves_arithmetic():
@@ -109,3 +113,22 @@ def test_standard_corpus_composition():
     assert "euler_like(2)" in names
     assert "clifford_trunc(2)" in names
     assert len(names) == len(set(names))
+    # `search --family standard` reports the first instance it finds
+    assert names == [
+        "swap_extension",
+        "weyl_like(2)",
+        "euler_like(2)",
+        "euler_like(3)",
+        "clifford_trunc(2)",
+        "heisenberg(2)",
+        "quasi_comm(Z3,d=2)",
+        "poly(Z4,2)",
+        "matrix_poly(2)",
+        "q8_twist",
+    ]
+
+
+def test_entry_checks_its_expected_profile_on_construction():
+    assert CorpusEntry("Z4", zn(4), expected={"NI": True}).name == "Z4"
+    with pytest.raises(BadShape, match="expected reduced=True"):
+        CorpusEntry("Z4", zn(4), expected={"reduced": True})
