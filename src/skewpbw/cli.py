@@ -113,16 +113,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_budget_flags(p: argparse.ArgumentParser, degree=2, support=2, exponent=8) -> None:
-    p.add_argument("--degree", type=_positive_int, default=degree, help="degree cap for bounded searches")
-    p.add_argument("--support", type=_positive_int, default=support, help="support (term count) cap")
-    p.add_argument("--exponent", type=_positive_int, default=exponent, help="nilpotency exponent cap")
+def _add_budget_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--degree", type=_positive_int, default=2, help="degree cap for bounded searches")
+    p.add_argument("--support", type=_positive_int, default=2, help="support (term count) cap")
+    p.add_argument("--exponent", type=_positive_int, default=8, help="nilpotency exponent cap")
     p.add_argument("--pairs", type=_positive_int, default=10**6, help="pair/operation budget")
 
 
-# the rewriting product recurses once per degree a coefficient is pushed past,
-# so x^3000*[0,1] overruns Python's recursion limit
-_TOO_DEEP = "expression too deep for the rewriting engine: a coefficient is pushed past too high a degree"
+# the rewriting product reorders variables by a recursion once per degree, so
+# x2^2000 * x1 in several variables overruns Python's recursion limit
+_TOO_DEEP = "expression too deep for the rewriting engine: reordering its variables overruns the recursion limit"
 
 
 def _sorted_coords(elements) -> list:

@@ -38,36 +38,23 @@ def zn(n: int) -> FiniteRing:
     return make_ring([n], [[[1]]], [1], name=f"Z{n}")
 
 
+def _matrix_units(p: int, units: list, name: str) -> FiniteRing:
+    """The Z_p-span of the 2x2 matrix units e_rc, (r, c) in units, which must be closed under products."""
+    _check_prime(p)
+    # e_ab e_cd = e_ad if b == c, else 0
+    constants = [[[int(b[0] == a[1] and (a[0], b[1]) == u) for u in units] for b in units] for a in units]
+    one = [int(r == c) for r, c in units]
+    return make_ring([p] * len(units), constants, one, name=name)
+
+
 def matrix_full(p: int) -> FiniteRing:
     """M_2(Z_p) on the matrix units e11, e12, e21, e22."""
-    _check_prime(p)
-    units = [(0, 0), (0, 1), (1, 0), (1, 1)]  # (row, col) of each generator
-
-    def mult(a, b):
-        out = [0, 0, 0, 0]
-        if units[a][1] == units[b][0]:
-            out[units.index((units[a][0], units[b][1]))] = 1
-        return out
-
-    constants = [[mult(a, b) for b in range(4)] for a in range(4)]
-    return make_ring([p] * 4, constants, [1, 0, 0, 1], name=f"M2(Z{p})")
+    return _matrix_units(p, [(0, 0), (0, 1), (1, 0), (1, 1)], f"M2(Z{p})")
 
 
 def matrix_upper(p: int) -> FiniteRing:
     """U_2(Z_p), upper-triangular 2x2 matrices, on e11, e12, e22."""
-    _check_prime(p)
-    units = [(0, 0), (0, 1), (1, 1)]
-
-    def mult(a, b):
-        out = [0, 0, 0]
-        if units[a][1] == units[b][0]:
-            key = (units[a][0], units[b][1])
-            if key in units:
-                out[units.index(key)] = 1
-        return out
-
-    constants = [[mult(a, b) for b in range(3)] for a in range(3)]
-    return make_ring([p] * 3, constants, [1, 0, 1], name=f"U2(Z{p})")
+    return _matrix_units(p, [(0, 0), (0, 1), (1, 1)], f"U2(Z{p})")
 
 
 def product_ring(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
@@ -112,14 +99,16 @@ def field4() -> FiniteRing:
     return make_ring([2, 2], [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], [1, 0], name="F4")
 
 
+# the elements (sign, unit) of Q_8 and their generator index in F_2[Q_8]
+_Q8 = {g: n for n, g in enumerate((s, b) for b in "1ijk" for s in (1, -1))}
+
+
 def group_ring_q8() -> FiniteRing:
     """F_2[Q_8], the group ring of the quaternion group over Z_2.
 
     The classical example of a reversible ring that is not symmetric; local
     with nilpotent augmentation ideal, so NI, NJ and 2-primal.
     """
-    bases = ["1", "i", "j", "k"]
-
     def bmul(a, b):
         if a == "1":
             return (1, b)
@@ -137,18 +126,14 @@ def group_ring_q8() -> FiniteRing:
         }
         return table[(a, b)]
 
-    elements = [(s, b) for b in bases for s in (1, -1)]
-    index = {g: n for n, g in enumerate(elements)}
-    m = len(elements)
+    m = len(_Q8)
     constants = [[[0] * m for _ in range(m)] for _ in range(m)]
-    for g in elements:
-        for h in elements:
-            sg, bg = g
-            sh, bh = h
+    for (sg, bg), g in _Q8.items():
+        for (sh, bh), h in _Q8.items():
             s, b = bmul(bg, bh)
-            constants[index[g]][index[h]][index[(sg * sh * s, b)]] = 1
+            constants[g][h][_Q8[(sg * sh * s, b)]] = 1
     one = [0] * m
-    one[index[(1, "1")]] = 1
+    one[_Q8[(1, "1")]] = 1
     return make_ring([2] * m, constants, one, name="F2[Q8]")
 
 
@@ -175,12 +160,10 @@ def clifford_base(n: int, p: int = 2) -> FiniteRing:
 class CorpusEntry:
     name: str
     ring: FiniteRing
-    system: Optional[SigmaSystem] = None
     presentation: Optional[ExtensionPresentation] = None
     grading: Optional[Grading] = None
     expected: dict = field(default_factory=dict)
     budget: Optional[dict] = None  # per-entry bounded-search caps for the sweep
-    shadows: str = ""  # which infinite example this truncation stands in for
     maps: dict[str, RingMap] = field(default_factory=dict)  # a definition file's map blocks, by name
     # the harness's Evidence by budget caps, made on first use.  It is kept
     # here rather than on the presentation, which its scan points back to, and
@@ -190,6 +173,11 @@ class CorpusEntry:
 
     def __post_init__(self) -> None:
         self.selfcheck()
+
+    @property
+    def system(self) -> Optional[SigmaSystem]:
+        """The presentation's (Sigma, Delta), or None for a ring-only entry."""
+        return None if self.presentation is None else self.presentation.system
 
     def selfcheck(self) -> None:
         """Recompute the expected ring profile; raises on mismatch."""
@@ -202,25 +190,35 @@ class CorpusEntry:
                     raise BadShape(f"{self.name}: expected {key}={want}, recomputed {got}")
 
 
+_BUDGET = {"degree_cap": 2, "support_cap": 2, "exponent_cap": 8}  # the sweep caps of most entries
+
+
+def _extension(name: str, sigmas: list, deltas=None, d=None, tails=None, budget=_BUDGET, **fields) -> CorpusEntry:
+    """The entry of the verified presentation sigma(R)<x_1..x_n>, named like the entry.
+
+    `budget` is the entry's bounded-search caps for the sweep; `fields` go to
+    the CorpusEntry as they are.
+    """
+    system = SigmaSystem(sigmas, deltas)
+    A = verify_presentation(make_extension(system.ring, system, d=d, tails=tails, name=name))
+    return CorpusEntry(name, system.ring, A, budget=dict(budget), **fields)
+
+
 def swap_extension() -> CorpusEntry:
     """Quasi-commutative A over Z_2 x Z_2 with sigma the coordinate swap.
 
-    The base is reduced (hence NI) but not weak Sigma-compatible, and A is not
-    NI: f = (1,0)x and g = (0,1)x are nilpotent while f + g = x is not.
+    An endomorphism-type skew polynomial ring whose automorphism is not
+    compatible: the base is reduced (hence NI) but not weak Sigma-compatible,
+    and A is not NI: f = (1,0)x and g = (0,1)x are nilpotent while f + g = x
+    is not.
     """
     ring = product_ring(zn(2), zn(2))
     swap = make_endomorphism(ring, [[0, 1], [1, 0]], name="swap")
-    system = SigmaSystem([swap])
-    A = verify_presentation(make_extension(ring, system, name="swap_ext"))
-    return CorpusEntry(
+    return _extension(
         "swap_extension",
-        ring,
-        system,
-        A,
+        [swap],
         grading=trivial_grading(ring),
         expected={"reduced": True, "NI": True, "NJ": True},
-        budget={"degree_cap": 2, "support_cap": 2, "exponent_cap": 8},
-        shadows="endomorphism-type skew polynomial ring with a non-compatible automorphism",
     )
 
 
@@ -244,8 +242,10 @@ def _yddy_matrix(ring: FiniteRing) -> list:
 def weyl_like(p: int) -> CorpusEntry:
     """Derivation-type A over Z_p[y]/(y^p) with delta = d/dy.
 
-    Here delta(N(R)) is not contained in N(R) (delta(y) = 1), so A is not NI:
-    y is nilpotent but x*y = yx + 1 is a non-nilpotent idempotent-like element.
+    It stands for the first Weyl algebra, the ring of differential operators,
+    over a truncated base.  Here delta(N(R)) is not contained in N(R)
+    (delta(y) = 1), so A is not NI: y is nilpotent but x*y = yx + 1 is a
+    non-nilpotent idempotent-like element.
 
     d/dy is a sigma-derivation of the quotient only when char = truncation
     order, so p must be 2 or 3 (m = p stays within the truncation range).
@@ -255,42 +255,29 @@ def weyl_like(p: int) -> CorpusEntry:
     ring = trunc_poly(p, p)
     ident = identity_map(ring)
     ddy = make_sigma_derivation(ring, ident, _ddy_matrix(ring), name="d/dy")
-    system = SigmaSystem([ident], [ddy])
-    A = verify_presentation(make_extension(ring, system, name=f"weyl_like({p})"))
-    return CorpusEntry(
-        f"weyl_like({p})",
-        ring,
-        system,
-        A,
-        expected={"NI": True, "NJ": True, "reduced": False},
-        budget={"degree_cap": 2, "support_cap": 2, "exponent_cap": 8},
-        shadows="first Weyl algebra / differential operator ring over a truncated base",
-    )
+    return _extension(f"weyl_like({p})", [ident], [ddy], expected={"NI": True, "NJ": True, "reduced": False})
 
 
 def euler_like(p: int) -> CorpusEntry:
     """Derivation-type A over Z_p[y]/(y^p) with delta = y*d/dy.
 
-    N(R) = (y) is Delta-invariant, so A stays NI (and NJ, derivation type).
+    It stands for the differential ring of the Euler operator over a
+    truncated base.  N(R) = (y) is Delta-invariant, so A stays NI (and NJ,
+    derivation type).
     """
     if p not in (2, 3):
         raise BadShape("euler_like needs p in {2, 3}")
     ring = trunc_poly(p, p)
     ident = identity_map(ring)
     yddy = make_sigma_derivation(ring, ident, _yddy_matrix(ring), name="y*d/dy")
-    system = SigmaSystem([ident], [yddy])
-    A = verify_presentation(make_extension(ring, system, name=f"euler_like({p})"))
     # p = 3 has 26 nonzero coefficients; support 1 keeps the closure check
     # inside the default pair budget
-    budget = {"degree_cap": 2, "support_cap": 3 if p == 2 else 1, "exponent_cap": 8}
-    return CorpusEntry(
+    return _extension(
         f"euler_like({p})",
-        ring,
-        system,
-        A,
+        [ident],
+        [yddy],
+        budget={"degree_cap": 2, "support_cap": 3 if p == 2 else 1, "exponent_cap": 8},
         expected={"NI": True, "NJ": True, "reduced": False},
-        budget=budget,
-        shadows="Euler-operator differential ring over a truncated base",
     )
 
 
@@ -315,16 +302,15 @@ def clifford_trunc(n: int, ms: Optional[list] = None, p: int = 2) -> CorpusEntry
     """Graded extension x_j x_i = -x_i x_j + sum_k (M_k)_{ij} y_k over the
     truncated base with the y_k in degree 2.
 
-    Only the off-diagonal entries of the symmetric matrices M_k enter the
-    presentation (relations exist for i < j only).
+    It stands for a graded Clifford algebra over a polynomial base.  Only the
+    off-diagonal entries of the symmetric matrices M_k enter the presentation
+    (relations exist for i < j only).
     """
     if not (2 <= n <= 3):
         raise BadShape("n must be 2 or 3")
     ring = clifford_base(n, p)
     labels = [0] + [2] * n
     grading = attach_grading(ring, labels)
-    ident = identity_map(ring)
-    system = SigmaSystem([ident] * n)
     minus_one = -ring.one
     if ms is None:
         # default: one off-diagonal coupling, tail y_1 on the (1,2) relation
@@ -339,46 +325,35 @@ def clifford_trunc(n: int, ms: Optional[list] = None, p: int = 2) -> CorpusEntry
                 coords[1 + k] = (coords[1 + k] + int(ms[k][i - 1][j - 1])) % p
             t0 = ring.el(coords)
             tails[(i, j)] = (t0, tuple([ring.zero] * n))
-    A = verify_presentation(make_extension(ring, system, d=d, tails=tails, name=f"clifford_trunc({n})"))
-    return CorpusEntry(
+    return _extension(
         f"clifford_trunc({n})",
-        ring,
-        system,
-        A,
+        [identity_map(ring)] * n,
+        d=d,
+        tails=tails,
         grading=grading,
         expected={"NI": True, "NJ": True},
-        budget={"degree_cap": 2, "support_cap": 2, "exponent_cap": 8},
-        shadows="graded Clifford algebra over a truncated polynomial base",
     )
 
 
 def q8_twist() -> CorpusEntry:
     """F_2[Q_8][x; rot] with rot the order-3 automorphism i -> j -> k -> i.
 
-    The only entry with a noncommutative base and a twisted variable.  The
-    augmentation ideal is stable under rot, so the base stays weak
-    Sigma-compatible and the NJ transfer applies.
+    A skew polynomial ring twisted by a group automorphism, and the only entry
+    with a noncommutative base and a twisted variable.  The augmentation ideal
+    is stable under rot, so the base stays weak Sigma-compatible and the NJ
+    transfer applies.
     """
     ring = group_ring_q8()
-    bases = ["1", "i", "j", "k"]
     rot = {"1": "1", "i": "j", "j": "k", "k": "i"}
-    elements = [(s, b) for b in bases for s in (1, -1)]
-    index = {g: n for n, g in enumerate(elements)}
     mat = [[0] * ring.m for _ in range(ring.m)]
-    for s, b in elements:
-        mat[index[(s, rot[b])]][index[(s, b)]] = 1
-    sigma = make_endomorphism(ring, mat, name="rot")
-    system = SigmaSystem([sigma])
-    A = verify_presentation(make_extension(ring, system, name="F2[Q8][x;rot]"))
-    return CorpusEntry(
+    for (s, b), g in _Q8.items():
+        mat[_Q8[(s, rot[b])]][g] = 1
+    return _extension(
         "q8_twist",
-        ring,
-        system,
-        A,
+        [make_endomorphism(ring, mat, name="rot")],
+        budget={"degree_cap": 1, "support_cap": 1, "exponent_cap": 8},
         grading=trivial_grading(ring),
         expected={"NI": True, "NJ": True, "reversible": True, "symmetric": False},
-        budget={"degree_cap": 1, "support_cap": 1, "exponent_cap": 8},
-        shadows="skew polynomial ring twisted by a group automorphism",
     )
 
 
@@ -391,34 +366,26 @@ def heisenberg(p: int = 2) -> CorpusEntry:
     """
     _check_prime(p)
     ring = zn(p)
-    ident = identity_map(ring)
-    system = SigmaSystem([ident] * 3)
-    minus_one = -ring.one
-    tails = {(1, 2): (ring.zero, (ring.zero, ring.zero, minus_one))}
-    A = verify_presentation(make_extension(ring, system, tails=tails, name=f"U(h3,Z{p})"))
-    return CorpusEntry(
+    tails = {(1, 2): (ring.zero, (ring.zero, ring.zero, -ring.one))}
+    return _extension(
         f"heisenberg({p})",
-        ring,
-        system,
-        A,
+        [identity_map(ring)] * 3,
+        tails=tails,
         expected={"NI": True, "NJ": True, "reduced": True, "domain": True},
-        budget={"degree_cap": 2, "support_cap": 2, "exponent_cap": 8},
-        shadows="universal enveloping algebra of the Heisenberg Lie algebra",
     )
 
 
 def quasi_comm(p: int = 3, n: int = 2, d_value=2) -> CorpusEntry:
     """Quasi-commutative bijective extension over Z_p with x_j x_i = d_ij x_i x_j.
 
-    d_value is either a single integer used for every pair or a full table
-    {(i, j): integer} over the pairs i < j.
+    It stands for the quantum plane (n = 2) or quantum space over a prime
+    field.  d_value is either a single integer used for every pair or a full
+    table {(i, j): integer} over the pairs i < j.
     """
     _check_prime(p)
     if not (1 <= n <= 3):
         raise BadShape("n must be in 1..3")
     ring = zn(p)
-    ident = identity_map(ring)
-    system = SigmaSystem([ident] * n)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     if isinstance(d_value, dict):
         d = {pair: ring.el([d_value.get(pair, 1)]) for pair in pairs}
@@ -426,16 +393,12 @@ def quasi_comm(p: int = 3, n: int = 2, d_value=2) -> CorpusEntry:
     else:
         d = {pair: ring.el([d_value]) for pair in pairs}
         label = str(d_value)
-    A = verify_presentation(make_extension(ring, system, d=d, name=f"quasi_comm(Z{p},d={label})"))
-    return CorpusEntry(
+    return _extension(
         f"quasi_comm(Z{p},d={label})",
-        ring,
-        system,
-        A,
+        [identity_map(ring)] * n,
+        d=d,
         grading=trivial_grading(ring),
         expected={"NI": True, "NJ": True, "reduced": True},
-        budget={"degree_cap": 2, "support_cap": 2, "exponent_cap": 8},
-        shadows="quantum plane over a prime field",
     )
 
 
@@ -444,18 +407,11 @@ def commutative_poly(n_modulus: int = 4, nvars: int = 2) -> CorpusEntry:
     if not (1 <= nvars <= 3):
         raise BadShape("nvars must be in 1..3")
     ring = zn(n_modulus)
-    ident = identity_map(ring)
-    system = SigmaSystem([ident] * nvars)
-    A = verify_presentation(make_extension(ring, system, name=f"poly(Z{n_modulus},{nvars})"))
-    return CorpusEntry(
+    return _extension(
         f"poly(Z{n_modulus},{nvars})",
-        ring,
-        system,
-        A,
+        [identity_map(ring)] * nvars,
         grading=trivial_grading(ring),
         expected={"NI": True, "NJ": True},
-        budget={"degree_cap": 2, "support_cap": 2, "exponent_cap": 8},
-        shadows="commutative polynomial ring",
     )
 
 
@@ -466,18 +422,12 @@ def matrix_poly(p: int = 2) -> CorpusEntry:
     forces A to fail NI too; the bounded check finds the base-level witness.
     """
     ring = matrix_full(p)
-    ident = identity_map(ring)
-    system = SigmaSystem([ident])
-    A = verify_presentation(make_extension(ring, system, name=f"M2(Z{p})[x]"))
-    return CorpusEntry(
+    return _extension(
         f"matrix_poly({p})",
-        ring,
-        system,
-        A,
+        [identity_map(ring)],
+        budget={"degree_cap": 1, "support_cap": 2, "exponent_cap": 8},
         grading=trivial_grading(ring),
         expected={"NI": False, "NJ": False},
-        budget={"degree_cap": 1, "support_cap": 2, "exponent_cap": 8},
-        shadows="polynomial ring over a full matrix ring",
     )
 
 

@@ -130,7 +130,7 @@ def _build(doc: dict) -> CorpusEntry:
         else:
             raise DefinitionError(f"{at}.kind must be 'endomorphism' or 'sigma_derivation'")
 
-    system = presentation = None
+    presentation = None
     eblock = doc.get("extension")
     if eblock is not None:
         _expect(eblock, dict, "extension")
@@ -170,7 +170,7 @@ def _build(doc: dict) -> CorpusEntry:
             linear = _integers(tb.get("linear", [[0] * m] * nvars), f"{at}.linear", (nvars, m))
             tails[key] = (ring.el(constant), tuple(ring.el(v) for v in linear))
         presentation = make_extension(ring, system, d=d, tails=tails, name=name)
-    return CorpusEntry(name, ring, system, presentation, grading, maps=maps)
+    return CorpusEntry(name, ring, presentation, grading, maps=maps)
 
 
 # ---------------------------------------------------------------------------

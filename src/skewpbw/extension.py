@@ -75,9 +75,6 @@ class SkewPolynomial:
             return -math.inf
         return max(sum(a) for a in self.terms)
 
-    def support(self) -> list[tuple]:
-        return sorted(self.terms, key=lambda a: (sum(a), a))
-
     def coefficient(self, alpha: Sequence[int]) -> RingElement:
         idx = self.terms.get(tuple(alpha), 0)
         return self.ext.base.element_from_index(idx)
@@ -304,7 +301,13 @@ class ExtensionPresentation:
     # -- the rewriting core ----------------------------------------------------------
 
     def _push(self, alpha: tuple, r: int) -> dict:
-        """Normal form of x^alpha * r as {gamma: coefficient index}."""
+        """Normal form of x^alpha * r as {gamma: coefficient index}.
+
+        r is pushed through the factors of x^alpha from the right, with
+        x_i (c x^gamma) = sigma_i(c) x^(gamma + e_i) + delta_i(c) x^gamma.  That
+        is already in normal form, because gamma has no variable before x_i.
+        A loop, not a recursion, so any degree fits.
+        """
         if r == 0:
             return {}
         if alpha == self._zero_exp:
@@ -313,28 +316,25 @@ class ExtensionPresentation:
         hit = self._push_cache.get(key)
         if hit is not None:
             return hit
-        i = max(t for t in range(self.n) if alpha[t] > 0)  # last variable factor
-        shrunk = list(alpha)
-        shrunk[i] -= 1
-        shrunk = tuple(shrunk)
-        out: dict = {}
         add = self._add
-        sig_r = self._sig[i][r]
-        if sig_r:
-            for gamma, c in self._push(shrunk, sig_r).items():
-                g2 = list(gamma)
-                g2[i] += 1
-                g2 = tuple(g2)
-                prev = out.get(g2, 0)
-                out[g2] = add[prev][c] if prev else c
-        del_r = self._del[i][r]
-        if del_r:
-            for gamma, c in self._push(shrunk, del_r).items():
-                prev = out.get(gamma, 0)
-                out[gamma] = add[prev][c] if prev else c
-        out = {g: c for g, c in out.items() if c}
-        _cache_put(self._push_cache, key, out)
-        return out
+        terms = {self._zero_exp: r}
+        for i in range(self.n - 1, -1, -1):
+            sigma_i, delta_i = self._sig[i], self._del[i]
+            for _ in range(alpha[i]):
+                out: dict = {}
+                for gamma, c in terms.items():
+                    sig_c = sigma_i[c]
+                    if sig_c:
+                        g2 = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
+                        prev = out.get(g2, 0)
+                        out[g2] = add[prev][sig_c] if prev else sig_c
+                    del_c = delta_i[c]
+                    if del_c:
+                        prev = out.get(gamma, 0)
+                        out[gamma] = add[prev][del_c] if prev else del_c
+                terms = {g: c for g, c in out.items() if c}
+        _cache_put(self._push_cache, key, terms)
+        return terms
 
     def _mono(self, alpha: tuple, beta: tuple) -> dict:
         """Normal form of x^alpha * x^beta as {gamma: coefficient index}."""
@@ -397,26 +397,6 @@ class ExtensionPresentation:
                         prev = out.get(eps, 0)
                         out[eps] = add[prev][coeff] if prev else coeff
         return {g2: c for g2, c in out.items() if c}
-
-    def structurally_equal(self, other: "ExtensionPresentation") -> bool:
-        if not self.base.structurally_equal(other.base) or self.n != other.n:
-            return False
-        if len(self.system.sigmas) != len(other.system.sigmas):
-            return False
-        for a, b in zip(self.system.sigmas, other.system.sigmas):
-            if not a.structurally_equal(b):
-                return False
-        for a, b in zip(self.system.deltas, other.system.deltas):
-            if not a.structurally_equal(b):
-                return False
-        for pair, dv in self.d.items():
-            if other.d[pair].coords != dv.coords:
-                return False
-        for pair, (t0, lin) in self.tails.items():
-            o0, olin = other.tails[pair]
-            if o0.coords != t0.coords or tuple(x.coords for x in lin) != tuple(x.coords for x in olin):
-                return False
-        return True
 
     def __repr__(self) -> str:
         tags = [

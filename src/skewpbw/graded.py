@@ -62,9 +62,6 @@ class Grading:
             return True
         return next(iter(comps)) == degree
 
-    def structurally_equal(self, other: "Grading") -> bool:
-        return self.ring.structurally_equal(other.ring) and self.labels == other.labels
-
     def __repr__(self) -> str:
         return f"Grading({self.labels})"
 

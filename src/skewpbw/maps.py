@@ -33,7 +33,7 @@ from .errors import (
 )
 from .rings import FiniteRing, Ideal, RingElement
 
-DEFAULT_DELTA_WORD_CAP = 4
+DELTA_WORD_CAP = 4  # the longest delta-word the Delta-quantified predicates try
 
 ENDOMORPHISM = "endomorphism"
 SIGMA_DERIVATION = "sigma_derivation"
@@ -193,7 +193,7 @@ class SigmaSystem:
                 raise BadShape(f"delta_{i + 1} is not a derivation for sigma_{i + 1}")
             self.deltas.append(d)
         self._closure: Optional[list[tuple[tuple, np.ndarray]]] = None
-        self._delta_words: dict[int, list[tuple[tuple, np.ndarray]]] = {}
+        self._delta_words: Optional[list[tuple[tuple, np.ndarray]]] = None
 
     @property
     def has_nontrivial_delta(self) -> bool:
@@ -236,18 +236,18 @@ class SigmaSystem:
                 arr = self.sigmas[i].index_array[arr]
         return arr
 
-    def delta_words(self, cap: int = DEFAULT_DELTA_WORD_CAP) -> list[tuple[tuple, np.ndarray]]:
-        """Composites delta^beta = delta_1^b1 o ... o delta_n^bn, 1 <= |beta| <= cap."""
-        if cap not in self._delta_words:
+    def delta_words(self) -> list[tuple[tuple, np.ndarray]]:
+        """Composites delta^beta = delta_1^b1 o ... o delta_n^bn, 1 <= |beta| <= DELTA_WORD_CAP."""
+        if self._delta_words is None:
             out = []
-            for beta in multi_indices(self.n, 1, cap):
+            for beta in multi_indices(self.n, 1, DELTA_WORD_CAP):
                 arr = np.arange(self.ring.size, dtype=np.int64)
                 for i in range(self.n - 1, -1, -1):
                     for _ in range(beta[i]):
                         arr = self.deltas[i].index_array[arr]
                 out.append((beta, arr))
-            self._delta_words[cap] = out
-        return self._delta_words[cap]
+            self._delta_words = out
+        return self._delta_words
 
 
 def multi_indices(n: int, lo: int, hi: int) -> list:
@@ -282,11 +282,9 @@ def is_sigma_compatible(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
     return _compatible(ring, system, _zero_mask(ring))
 
 
-def is_delta_compatible(
-    ring: FiniteRing, system: SigmaSystem, word_cap: int = DEFAULT_DELTA_WORD_CAP
-) -> CompatResult:
+def is_delta_compatible(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
     """a*b = 0 implies a*delta^beta(b) = 0, for |beta| up to the word cap."""
-    return _delta_compatible(ring, system, _zero_mask(ring), word_cap)
+    return _delta_compatible(ring, system, _zero_mask(ring))
 
 
 def is_weak_sigma_compatible(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
@@ -294,11 +292,9 @@ def is_weak_sigma_compatible(ring: FiniteRing, system: SigmaSystem) -> CompatRes
     return _compatible(ring, system, ring.nilpotent_mask)
 
 
-def is_weak_delta_compatible(
-    ring: FiniteRing, system: SigmaSystem, word_cap: int = DEFAULT_DELTA_WORD_CAP
-) -> CompatResult:
+def is_weak_delta_compatible(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
     """a*b in N(R) implies a*delta^beta(b) in N(R), bounded by the word cap."""
-    return _delta_compatible(ring, system, ring.nilpotent_mask, word_cap)
+    return _delta_compatible(ring, system, ring.nilpotent_mask)
 
 
 def is_sigma_rigid(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
@@ -327,12 +323,12 @@ def _compatible(ring: FiniteRing, system: SigmaSystem, Z: np.ndarray) -> CompatR
     return CompatResult(True)
 
 
-def _delta_compatible(ring: FiniteRing, system: SigmaSystem, Z: np.ndarray, word_cap: int) -> CompatResult:
+def _delta_compatible(ring: FiniteRing, system: SigmaSystem, Z: np.ndarray) -> CompatResult:
     """a*b in Z implies a*delta^beta(b) in Z, for |beta| up to the word cap."""
     mul = ring.mul_table
     base = Z[mul]
-    bounded = word_cap if system.has_nontrivial_delta else None
-    for beta, arr in system.delta_words(word_cap):
+    bounded = DELTA_WORD_CAP if system.has_nontrivial_delta else None
+    for beta, arr in system.delta_words():
         bad = base & ~Z[mul[:, arr]]
         if bad.any():
             a, b = map(int, np.argwhere(bad)[0])

@@ -449,9 +449,10 @@ class IdealClosureReport:
     agrees: Optional[bool] = None  # closure outcome vs the invariance criterion
 
 
-def extended_ideal_closure_report(
-    ideal: Ideal, A: ExtensionPresentation, degree_cap: int = 2
-) -> IdealClosureReport:
+CLOSURE_DEGREE_CAP = 2  # the largest monomial degree of the members the closure report tries
+
+
+def extended_ideal_closure_report(ideal: Ideal, A: ExtensionPresentation) -> IdealClosureReport:
     """Bounded check that I<x> absorbs generator and base-element products.
 
     For a derivation-type A this is the executable face of: I<x_1..x_n> is an
@@ -460,7 +461,7 @@ def extended_ideal_closure_report(
     if ideal.ring is not A.base:
         raise NotAnIdeal("ideal does not live in the base ring")
     A._require_verified()
-    monos = multi_indices(A.n, 0, degree_cap)
+    monos = multi_indices(A.n, 0, CLOSURE_DEGREE_CAP)
     members = [
         A.monomial(alpha, coeff=r)
         for alpha in monos

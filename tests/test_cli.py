@@ -16,11 +16,12 @@ def files(tmp_path_factory):
     """Exported definition files for the fixtures the CLI tests drive."""
     base = tmp_path_factory.mktemp("defs")
     out = {}
-    from skewpbw.corpus import commutative_poly, euler_like, heisenberg, swap_extension, weyl_like, zn
+    from skewpbw.corpus import clifford_trunc, commutative_poly, euler_like, heisenberg, swap_extension, weyl_like, zn
 
     for name, entry in {
         "weyl": weyl_like(2),
         "heisenberg": heisenberg(2),
+        "clifford": clifford_trunc(2),
         "euler": euler_like(2),
         "swap": swap_extension(),
         "poly": commutative_poly(4, 2),
@@ -35,7 +36,6 @@ def files(tmp_path_factory):
     out["z4"] = str(path)
 
     corrupted = CorpusEntry(name="corrupted", ring=weyl_like_corrupted().base)
-    corrupted.system = weyl_like_corrupted().system
     corrupted.presentation = weyl_like_corrupted()
     path = base / "corrupted.json"
     path.write_text(definition_to_text(entry_to_definition(corrupted)))
@@ -269,13 +269,27 @@ def test_unreadable_file_exit_2(tmp_path, capsys, content):
     assert f"input error: cannot read {path}: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["mul", "--lhs", "x^3000*[0,1]", "--rhs", "[1,0]"], {"product": "[0,1]*x^3000"}),
+    (["mul", "--lhs", "x^3000", "--rhs", "[0,1]"], {"product": "[0,1]*x^3000"}),
+    (["mul", "--lhs", "x^3001", "--rhs", "[0,1]"], {"product": "[0,1]*x^3001 + [1,0]*x^3000"}),
+    (["nilpotent", "--poly", "[0,1]*x^3000", "--cap", "2"], {"status": "nilpotent", "index": 2}),
+])
+def test_one_variable_products_of_any_degree(files, capsys, argv, expected):
+    # x^i q = q x^i + i q' x^(i-1) over Z_2[y]/(y^2) with delta = d/dy: the
+    # push is a loop, so no degree overruns the recursion limit
+    code, report = run_json(capsys, argv[:1] + [files["weyl"]] + argv[1:])
+    assert code == 0
+    assert {key: report[key] for key in expected} == expected
+
+
 @pytest.mark.parametrize("argv", [
-    ["mul", "--lhs", "x^3000*[0,1]", "--rhs", "1"],
-    ["mul", "--lhs", "x^3000", "--rhs", "[0,1]"],
-    ["nilpotent", "--poly", "[0,1]*x^3000", "--cap", "2"],
+    ["mul", "heisenberg", "--lhs", "x2^2000", "--rhs", "x1"],
+    ["mul", "clifford", "--lhs", "x2^1500", "--rhs", "x1"],
 ])
 def test_expression_too_deep_exit_2(files, capsys, argv):
-    assert main(argv[:1] + [files["weyl"]] + argv[1:]) == 2
+    # reordering x2^k x1 still recurses once per degree
+    assert main(argv[:1] + [files[argv[1]]] + argv[2:]) == 2
     err = capsys.readouterr().err
     assert "too deep for the rewriting engine" in err and "Traceback" not in err
 

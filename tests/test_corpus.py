@@ -88,7 +88,6 @@ def test_builders_round_trip():
         assert parsed.ring.structurally_equal(entry.ring), name
         if entry.presentation is not None:
             verify_presentation(parsed.presentation)
-            assert parsed.presentation.structurally_equal(entry.presentation), name
         if entry.grading is not None:
             assert parsed.grading is not None
             assert parsed.grading.labels == entry.grading.labels, name

@@ -2,13 +2,15 @@
 
 `perfbench/tracer.py` wraps package functions by (module, attribute) and its
 skip functions read private caches, and `perfbench/checks.py` replays probe
-results by their fields; a rename or a changed contract would otherwise only
-show at the next benchmark run.  Both modules are loaded from their files,
-not edited or installed.
+results by their fields, and `perfbench/workloads.py` reads corpus entries
+and calls the package; a rename or a changed contract would otherwise only
+show at the next benchmark run.  The modules are loaded from their files,
+not edited or installed, and each workload runs one round and its checks.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,9 @@ import pytest
 from skewpbw import corpus
 from skewpbw.probes import BoundedScan, enumerate_bounded_polys, nilpotency_probe
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _load(stem):
@@ -61,3 +65,13 @@ def test_probe_checks_accept_nilpotency_probe(name, caps):
     results = [(f, nilpotency_probe(f, 8)) for f in enumerate_bounded_polys(A, *caps)]
     assert any(r.proved_nilpotent for _, r in results)
     assert _load("checks").check_probes(name, results, 8) == []
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_round_passes_its_checks(name, monkeypatch, tmp_path):
+    # one set-up, one timed round and the checks, as perfbench/run.py runs
+    # them: the workloads read corpus entries and call the package directly
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    inputs = workload.setup(1, tmp_path)
+    assert workload.check(inputs, workload.run(inputs)) == []

@@ -516,11 +516,11 @@ def test_extended_ideal_membership_wrong_ring(euler2, weyl2):
 def test_extended_ideal_closure_biconditional(weyl2, euler2):
     # Weyl: x*y = yx + 1 has coefficient 1 outside (y); invariance agrees
     nil_w = Ideal(weyl2.ring, nilpotent_set(weyl2.ring))
-    rep = extended_ideal_closure_report(nil_w, weyl2.presentation, degree_cap=2)
+    rep = extended_ideal_closure_report(nil_w, weyl2.presentation)
     assert not rep.holds and rep.delta_invariant is False and rep.agrees
 
     nil_e = Ideal(euler2.ring, nilpotent_set(euler2.ring))
-    rep = extended_ideal_closure_report(nil_e, euler2.presentation, degree_cap=2)
+    rep = extended_ideal_closure_report(nil_e, euler2.presentation)
     assert rep.holds and rep.delta_invariant is True and rep.agrees
 
 
