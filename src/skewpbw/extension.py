@@ -42,13 +42,13 @@ from .rings import FiniteRing, RingElement
 CACHE_CAP = 1 << 18  # entries in each of _push_cache and _mono_cache
 
 
-def _cache_put(cache: dict, key, value) -> None:
-    """Insert into a rewriting cache, emptying it first if it is full.
+def _cache_put(cache: dict, key, value, cap: Optional[int] = None) -> None:
+    """Insert into a cache of at most `cap` (default CACHE_CAP) entries, emptying it first if it is full.
 
-    Callers only read the cached dicts, so a dict handed out before the
+    Callers only read the cached values, so a value handed out before the
     clear stays valid; the cache just forgets it.
     """
-    if len(cache) >= CACHE_CAP:
+    if len(cache) >= (CACHE_CAP if cap is None else cap):
         cache.clear()
     cache[key] = value
 
@@ -251,6 +251,7 @@ class ExtensionPresentation:
         self._push_cache: dict = {}
         self._mono_cache: dict = {}
         self._graded_profiles: dict = {}
+        self._modules = None  # modules.FiniteModules, built on first use
 
     def _check_pair(self, i: int, j: int) -> None:
         if not (1 <= i < j <= self.n):
@@ -413,6 +414,19 @@ class ExtensionPresentation:
         return f"ExtensionPresentation({self.name}; {status}; {', '.join(tags) or 'general'})"
 
 
+def coefficient_keys(polys: Sequence[SkewPolynomial], pos: dict) -> np.ndarray:
+    """Coefficient element index per monomial, one row per poly; `pos` maps monomial -> column."""
+    K = np.zeros((len(polys), len(pos)), dtype=np.int32)
+    rows, cols, vals = [], [], []
+    for r, f in enumerate(polys):
+        for alpha, c in f.terms.items():
+            rows.append(r)
+            cols.append(pos[alpha])
+            vals.append(c)
+    K[rows, cols] = vals
+    return K
+
+
 class DenseProducts:
     """Batched products of polynomials supported on `monos`, as matmuls.
 
@@ -472,16 +486,7 @@ class DenseProducts:
 
     def keys(self, polys: Sequence[SkewPolynomial]) -> np.ndarray:
         """Coefficient element index per monomial of `monos`, one row per poly."""
-        K = np.zeros((len(polys), len(self.monos)), dtype=np.int32)
-        rows, cols, vals = [], [], []
-        pos = self._pos
-        for r, f in enumerate(polys):
-            for alpha, c in f.terms.items():
-                rows.append(r)
-                cols.append(pos[alpha])
-                vals.append(c)
-        K[rows, cols] = vals
-        return K
+        return coefficient_keys(polys, self._pos)
 
     def coords(self, keys: np.ndarray) -> np.ndarray:
         """Coordinate rows (float64 integers) of element-index rows."""

@@ -1,0 +1,286 @@
+"""Finite left A-modules: a decision that proves f in A not nilpotent.
+
+The argument.  Let M be a finite abelian group, r -> L_r a ring map from R
+to the additive endomorphisms of M, and X_1..X_n additive operators on M
+with
+
+  (1) X_i L_r = L_{sigma_i(r)} X_i + L_{delta_i(r)}            for r in R,
+  (2) X_j X_i = L_{d_ij} X_i X_j + L_{t0} + sum_k L_{t_k} X_k   for i < j.
+
+Both sides of (1) are additive in r, so (1) holds once it holds on the
+additive generators e_s of R, and (1), (2) are identities between integer
+matrices over the additive generators of M: a finite, exact check.
+`verify_presentation` checked the overlaps of the rewriting system, so by
+the diamond lemma (Gallego and Lezama, Groebner bases for ideals of
+sigma-PBW extensions, Comm. Algebra 2011) A is the ring generated by R and
+x_1..x_n subject to exactly the relations x_i r = sigma_i(r) x_i +
+delta_i(r) and x_j x_i = d_ij x_i x_j + t0 + sum_k t_k x_k, with the
+standard monomials as a left R-basis.  So r -> L_r, x_i -> X_i extends to a
+ring map rho: A -> End(M), which on normal forms reads
+
+  rho(sum_alpha r_alpha x^alpha) = sum_alpha L_{r_alpha} X_1^alpha_1 ... X_n^alpha_n.
+
+rho need not be injective: f^k = 0 gives rho(f)^k = 0, so a rho(f) that is
+not nilpotent proves f^k != 0 for every k.  And that is decidable.  Let
+L = sum_u Omega(k_u) be the length of M as a Z-module, with k_u the order
+of its u-th generator and Omega(k) the number of prime factors of k with
+multiplicity.  The images M >= phi(M) >= phi^2(M) >= ... of an additive
+phi decrease strictly until they repeat, and then stay fixed; a nilpotent
+phi is fixed only at 0.  So phi is nilpotent iff phi^L = 0, iff
+phi^(2^s) = 0 for 2^s >= L.
+
+Matrices.  An additive endomorphism phi of M = sum_u Z_{k_u} g_u is the
+integer matrix whose column v holds the coordinates of phi(g_v), row u taken
+modulo k_u.  Composition is the integer matrix product reduced row by row,
+and any integer representatives of the entries give the same result, by the
+argument of `extension.DenseProducts`: adding k_v to entry (v, w) of the
+right factor adds k_v times column v of the left factor to column w, and
+those are the coordinates of phi(k_v g_v) = 0.  Products run in float64,
+exact on integers below 2^53; `FiniteModules` reduces before any squaring
+whose sums could reach that bound.
+
+The catalogue, tried in this order; a candidate is kept only if it passes
+(1) and (2), and a family is left out when its size passes DIMENSION_CAP:
+
+  (a) M = R, L_r the left multiplication, and X_i(s) = sigma_i(s) c_i +
+      delta_i(s) for c in {0, 1}^n.  (1) holds for every c, by
+      delta(rs) = sigma(r) delta(s) + delta(r) s; (2) decides which c
+      qualify.  For n = 1 this is R as a left R[x; sigma, delta]-module
+      (Goodearl and Warfield, An Introduction to Noncommutative Noetherian
+      Rings, ch. 2).
+  (b) M = sum over alpha in {0, 1}^n of R x^alpha, L_r acting on the
+      coefficients, and X_i(e_t x^alpha) the engine's x_i * e_t x^alpha
+      with every exponent reduced modulo 2 (x_i^2 -> 1).  For n = 1 this
+      is A / A(x^2 - 1).
+
+The store holds arrays only, no reference to the presentation or its ring,
+so a presentation that keeps it is still freed by reference counting.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .extension import ExtensionPresentation, SkewPolynomial, _cache_put
+
+ATOM_CACHE_CAP = 1 << 8  # entries (module, alpha) in a store's cache of rho(x^alpha) atoms
+# at most this many family (a) candidates, and additive generators in the
+# family (b) module: n variables give 2^n of each, times m for (b)
+DIMENSION_CAP = 64
+
+
+def _omega(k: int) -> int:
+    """Prime factors of k, counted with multiplicity."""
+    count, p = 0, 2
+    while p * p <= k:
+        while k % p == 0:
+            k //= p
+            count += 1
+        p += 1
+    return count + (k > 1)
+
+
+@dataclass(slots=True)
+class FiniteModule:
+    """rho on M's additive generators: L_{e_s} and X_i, integer matrices."""
+
+    family: str
+    left: np.ndarray    # (m, D, D): L_{e_s}
+    ops: list           # X_1..X_n, each (D, D)
+    orders: np.ndarray  # (D,): order of each additive generator of M
+
+    @property
+    def length(self) -> int:
+        return sum(_omega(int(k)) for k in self.orders)
+
+    def reduce(self, P: np.ndarray) -> np.ndarray:
+        return P % self.orders[:, None]
+
+    def scalar(self, coords: np.ndarray) -> np.ndarray:
+        """L_r for r with the given coordinates."""
+        return self.reduce(np.tensordot(coords, self.left, axes=1))
+
+    def monomial(self, alpha: tuple) -> np.ndarray:
+        """rho(x^alpha) = X_1^alpha_1 ... X_n^alpha_n, by binary powering."""
+        D = len(self.orders)
+        out = np.eye(D, dtype=np.int64) % self.orders[:, None]
+        for X, e in zip(self.ops, alpha):
+            base = X
+            while e:
+                if e & 1:
+                    out = self.reduce(out @ base)
+                e >>= 1
+                if e:
+                    base = self.reduce(base @ base)
+        return out
+
+
+def regular_module(A: ExtensionPresentation, c: Sequence[int]) -> FiniteModule:
+    """Family (a): M = R with X_i = sigma_i c_i + delta_i, c_i in {0, 1}."""
+    base = A.base
+    C = base.constants
+    orders = np.array(base.orders, dtype=np.int64)
+    ops = [
+        (ci * s.matrix + d.matrix) % orders[:, None]
+        for ci, s, d in zip(c, A.system.sigmas, A.system.deltas)
+    ]
+    # L_{e_s}[u, t] = coordinate u of e_s e_t
+    return FiniteModule("a", C.transpose(0, 2, 1).copy(), ops, orders)
+
+
+def parity_module(A: ExtensionPresentation) -> FiniteModule:
+    """Family (b): M = sum_{alpha in {0,1}^n} R x^alpha, x_i^2 -> 1."""
+    base = A.base
+    m = base.m
+    alphas = list(itertools.product((0, 1), repeat=A.n))
+    pos = {alpha: k for k, alpha in enumerate(alphas)}
+    D = len(alphas) * m
+    orders = np.tile(np.array(base.orders, dtype=np.int64), len(alphas))
+    elems = base.elements_array
+    gens = [base.generator(t).index for t in range(m)]
+    ops = []
+    for i in range(A.n):
+        xi = {tuple(int(t == i) for t in range(A.n)): A._one}
+        X = np.zeros((D, D), dtype=np.int64)
+        for alpha in alphas:
+            for t, et in enumerate(gens):
+                for gamma, c in A._mul_terms(xi, {alpha: et}).items():
+                    row = pos[tuple(g % 2 for g in gamma)] * m
+                    X[row : row + m, pos[alpha] * m + t] += elems[c]
+        ops.append(X % orders[:, None])
+    L = base.constants.transpose(0, 2, 1)
+    left = np.stack([np.kron(np.eye(len(alphas), dtype=np.int64), L[s]) for s in range(m)])
+    return FiniteModule("b", left, ops, orders)
+
+
+def is_module(A: ExtensionPresentation, M: FiniteModule) -> bool:
+    """Relations (1) on the generators e_s and (2) for every i < j, exactly."""
+    elems = A.base.elements_array
+    gens = [A.base.generator(t).index for t in range(A.base.m)]
+    for i, X in enumerate(M.ops):
+        for s, es in enumerate(gens):
+            lhs = M.reduce(X @ M.left[s])
+            rhs = M.reduce(M.scalar(elems[A._sig[i][es]]) @ X + M.scalar(elems[A._del[i][es]]))
+            if not np.array_equal(lhs, rhs):
+                return False
+    for (i, j), rel in A._rel.items():
+        lhs = M.reduce(M.ops[j] @ M.ops[i])
+        rhs = sum(M.scalar(elems[c]) @ M.monomial(gamma) for gamma, c in rel)
+        if not np.array_equal(lhs, M.reduce(rhs)):
+            return False
+    return True
+
+
+class FiniteModules:
+    """The catalogue modules of one presentation, and the decisions made with them.
+
+    `modules` are the candidates of the module docstring that pass
+    `is_module`.  rho is linear in a polynomial's coordinates,
+    rho(f) = sum_{alpha,s} f_{alpha,s} L_{e_s} rho(x^alpha), so a batch of
+    coordinate rows over fixed monomials is decided by one contraction
+    against the atoms L_{e_s} rho(x^alpha) and then ceil(log2 L) batched
+    squarings, module after module, each taking only the rows that the
+    modules before it left open.
+    """
+
+    def __init__(self, A: ExtensionPresentation):
+        A._require_verified()
+        candidates = []
+        if 2**A.n <= DIMENSION_CAP:
+            candidates += [regular_module(A, c) for c in itertools.product((0, 1), repeat=A.n)]
+        if 2**A.n * A.base.m <= DIMENSION_CAP:
+            candidates.append(parity_module(A))
+        self.modules = [M for M in candidates if is_module(A, M)]
+        self._elems = A.base.elements_array.astype(np.float64)
+        self._m = A.base.m
+        self._orders = [M.orders.astype(np.float64)[:, None] for M in self.modules]
+        self._steps = [(M.length - 1).bit_length() for M in self.modules]  # ceil(log2 L)
+        self.width = max((len(M.orders) ** 2 for M in self.modules), default=1)  # matrix entries per row
+        self._atoms: dict = {}    # (module, alpha) -> (m, D * D) float64 L_{e_s} rho(x^alpha)
+        self._answers: dict = {}  # frozenset of terms -> bool, from the latest `record`
+
+    def _atom(self, k: int, alpha: tuple) -> np.ndarray:
+        key = (k, alpha)
+        hit = self._atoms.get(key)
+        if hit is None:
+            M = self.modules[k]
+            hit = M.reduce(M.left @ M.monomial(alpha)).reshape(self._m, -1).astype(np.float64)
+            _cache_put(self._atoms, key, hit, ATOM_CACHE_CAP)
+        return hit
+
+    def images(self, k: int, X: np.ndarray, monos: Sequence[tuple]) -> np.ndarray:
+        """rho_k(f), reduced, for coordinate rows X over `monos`: (B, D, D)."""
+        D = len(self.modules[k].orders)
+        P = np.concatenate([self._atom(k, alpha) for alpha in monos])
+        # fmod is the remainder on these nonnegative integers, and far cheaper than %
+        return np.fmod((X @ P).reshape(len(X), D, D), self._orders[k])
+
+    def _not_nilpotent(self, k: int, X: np.ndarray, monos: Sequence[tuple]) -> np.ndarray:
+        """rho_k(f)^(2^s) != 0 with 2^s >= L, for coordinate rows X over `monos`.
+
+        Rows are reduced only when the next squaring could leave the exact
+        float64 range: any integer representatives of the entries give the
+        same map, so one reduction at the end suffices otherwise.
+        """
+        orders = self._orders[k]
+        D, top = len(orders), float(orders.max() - 1)
+        R, bound = self.images(k, X, monos), top
+        for _ in range(self._steps[k]):
+            if D * bound * bound >= 2**53:
+                np.fmod(R, orders, out=R)
+                bound = top
+            R = np.matmul(R, R)
+            bound = D * bound * bound
+        np.fmod(R, orders, out=R)
+        return R.reshape(len(X), -1).any(axis=1)
+
+    def decide(self, K: np.ndarray, monos: Sequence[tuple]) -> np.ndarray:
+        """For element-index rows K over `monos`: does some module prove the row's f not nilpotent?
+
+        Module after module, each taking only the rows the ones before it left open.
+        """
+        X = self._elems[K].reshape(len(K), K.shape[1] * self._m)
+        out = np.zeros(len(K), dtype=bool)
+        todo = np.arange(len(K))
+        for k in range(len(self.modules)):
+            if not len(todo):
+                break
+            hit = self._not_nilpotent(k, X[todo], monos)
+            out[todo[hit]] = True
+            todo = todo[~hit]
+        return out
+
+    def record(
+        self, polys: Sequence[SkewPolynomial], K: np.ndarray, monos: Sequence[tuple], asked: np.ndarray, nilpotent: np.ndarray
+    ) -> None:
+        """Decide the `asked` rows of K, the polys over `monos`, for `certifies` to read back.
+
+        Rows flagged `nilpotent` are proved nilpotent already, so rho of them
+        is nilpotent and they are recorded as not certified without a
+        decision.  Only the latest call's answers are kept.
+        """
+        answers = np.zeros(len(K), dtype=bool)
+        todo = np.flatnonzero(asked & ~nilpotent)
+        answers[todo] = self.decide(K[todo], monos)
+        self._answers = {}
+        for i in np.flatnonzero(asked).tolist():
+            _cache_put(self._answers, frozenset(polys[i].terms.items()), bool(answers[i]))
+
+    def certifies(self, f: SkewPolynomial) -> bool:
+        """Whether some module proves f not nilpotent; recorded answers first."""
+        hit = self._answers.get(frozenset(f.terms.items()))
+        if hit is not None:
+            return hit
+        monos = list(f.terms)
+        return bool(self.decide(np.array([[f.terms[a] for a in monos]]), monos)[0])
+
+
+def finite_modules(A: ExtensionPresentation) -> FiniteModules:
+    """A's module store, built on first use."""
+    if A._modules is None:
+        A._modules = FiniteModules(A)
+    return A._modules

@@ -8,9 +8,11 @@ three-valued verdict instead of a boolean:
                          presentation, a leading-coefficient chain that never
                          vanishes, so lc(f^k) != 0 for every k (reason
                          leading_chain; proof at _leading_chain_holds); or a
-                         stabilized power f^m = f^{2m} != 0, so f^{cm} = f^m
-                         for all c (reason stabilized_power);
-  * unknown(cap)      -- the budget ran out.
+                         finite left A-module M whose rho(f) is not nilpotent,
+                         decided by rho(f)^L != 0 with L the length of M
+                         (reason finite_module; proof in the modules module);
+  * unknown(cap)      -- neither certificate applies and f^k != 0 for every
+                         k <= cap.
 
 A proved nilpotent f is quasi-regular: quasi_regularity_witness sums the
 series 1 - f + f^2 - ... until its term vanishes, within the exponent cap, and
@@ -30,8 +32,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent
-from .extension import DenseProducts, ExtensionPresentation, SkewPolynomial
+from .extension import DenseProducts, ExtensionPresentation, SkewPolynomial, coefficient_keys
 from .maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance, multi_indices
+from .modules import finite_modules
 from .rings import Ideal, ideal_power_index, jacobson_radical
 
 DEFAULT_EXPONENT_CAP = 16
@@ -42,15 +45,15 @@ NILPOTENT = "nilpotent"
 NOT_NILPOTENT = "not_nilpotent"
 UNKNOWN = "unknown"
 
-STABILIZED_POWER = "stabilized_power"
 LEADING_CHAIN = "leading_chain"
+FINITE_MODULE = "finite_module"
 
 
 @dataclass(slots=True)
 class ProbeResult:
     status: str
     index: Optional[int] = None   # nilpotency index, set exactly when nilpotent
-    reason: Optional[str] = None  # certificate when not nilpotent: leading_chain or stabilized_power
+    reason: Optional[str] = None  # certificate when not nilpotent: leading_chain or finite_module
     cap: Optional[int] = None     # exponent cap, set exactly when unknown
 
     @property
@@ -80,18 +83,38 @@ def _leading_chain_holds(f: SkewPolynomial) -> bool:
     A = f.ext
     alpha = max(f.terms, key=lambda a: (sum(a), a))
     c = f.terms[alpha]
-    if A.base.units_mask[c]:
-        return True
-    sigma, times_c = A.system.sigma_power(alpha).tolist(), A._mul[c]
-    b, seen = c, set()
+    return bool(A.base.units_mask[c]) or _orbit_survives(A, A.system.sigma_power(alpha).tolist(), c)
+
+
+def _orbit_survives(A: ExtensionPresentation, sigma: list, c: int) -> bool:
+    """Whether the orbit of c under b -> c sigma(b) never reaches 0."""
+    b, seen, times_c = c, set(), A._mul[c]
     while b and b not in seen:
         seen.add(b)
         b = times_c[sigma[b]]
     return b != 0
 
 
+def _leading_chain_rows(A: ExtensionPresentation, K: np.ndarray, monos: list) -> np.ndarray:
+    """`_leading_chain_holds` of each element-index row of K over deglex-sorted `monos`.
+
+    The test depends only on the leading term c x^alpha, so one table over
+    (alpha, c) answers every row.
+    """
+    if not A.bijective:
+        return np.zeros(len(K), dtype=bool)
+    units = A.base.units_mask
+    table = np.zeros((len(monos), A.base.size), dtype=bool)
+    for k, alpha in enumerate(monos):
+        sigma = A.system.sigma_power(alpha).tolist()
+        table[k] = [c != 0 and (units[c] or _orbit_survives(A, sigma, c)) for c in range(A.base.size)]
+    lead = K.shape[1] - 1 - np.argmax(K[:, ::-1] != 0, axis=1)
+    return table[lead, K[np.arange(len(K)), lead]]
+
+
 def nilpotency_probe(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> ProbeResult:
-    """Power iteration with stabilization detection, see module docstring.
+    """The certificate ladder, see module docstring: the leading chain, then
+    the finite modules, then power iteration up to the cap.
 
     Powers are built as f^k = f * f^(k-1), with the short fixed factor on the
     left.  By associativity and the uniqueness of the PBW normal form this is
@@ -105,15 +128,13 @@ def nilpotency_probe(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPONENT_CAP
         return ProbeResult(NILPOTENT, index=1)
     if A.bijective and _leading_chain_holds(f):
         return ProbeResult(NOT_NILPOTENT, reason=LEADING_CHAIN)
-    powers = {1: f}
+    if finite_modules(A).certifies(f):
+        return ProbeResult(NOT_NILPOTENT, reason=FINITE_MODULE)
     current = f
     for k in range(2, exponent_cap + 1):
         current = f * current
         if current.is_zero:
             return ProbeResult(NILPOTENT, index=k)
-        powers[k] = current
-        if k % 2 == 0 and powers[k // 2] == current:
-            return ProbeResult(NOT_NILPOTENT, reason=STABILIZED_POWER)
     return ProbeResult(UNKNOWN, cap=exponent_cap)
 
 
@@ -206,10 +227,22 @@ class BoundedScan:
         t = ideal_power_index(J) if invariant else None
         self.certificate: Optional[Ideal] = J if t is not None and t <= exponent_cap else None
         # every polynomial probed: the scan's own, and NI closure rows outside
-        # the certificate's J<x>
+        # the certificate's J<x>.  The finite-module stage of the scan's own
+        # probes is decided in bulk, block by block, for the rows that the
+        # leading chain leaves open; rows in J<x> are nilpotent, so they are
+        # recorded as not certified without a decision
         self.status: dict[SkewPolynomial, ProbeResult] = {}
-        for f in self.polys:
-            self.probe(f)
+        monos = multi_indices(A.n, 0, degree_cap)
+        K = coefficient_keys(self.polys, {alpha: k for k, alpha in enumerate(monos)})
+        asked = ~_leading_chain_rows(A, K, monos)
+        in_J = np.zeros(len(K), dtype=bool) if self.certificate is None else self.certificate.mask[K].all(axis=1)
+        modules = finite_modules(A)
+        block = max(1, BLOCK_ENTRIES // modules.width)
+        for lo in range(0, len(K), block):
+            rows = slice(lo, lo + block)
+            modules.record(self.polys[rows], K[rows], monos, asked[rows], in_J[rows])
+            for f in self.polys[rows]:
+                self.probe(f)
         self.proved_nilpotent = [f for f in self.polys if self.status[f].proved_nilpotent]
         self.scan_unknown = sum(1 for r in self.status.values() if r.status == UNKNOWN)
         self.ni_result: Optional["NICheckResult"] = None

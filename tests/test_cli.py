@@ -95,6 +95,16 @@ def test_nilpotent_probe_verb(files, capsys):
     assert report["status"] == "nilpotent" and report["index"] == 2
 
 
+def test_nilpotent_verb_finite_module(files, capsys):
+    # y x^3: the leading chain y, y^2 = 0 reaches 0, and no power vanishes
+    # by cap 6; R = Z2[y]/(y^2) as a module of A/A(x^2 - 1) decides it
+    code, report = run_json(capsys, ["nilpotent", files["weyl"], "--poly", "[0,1]*x^3", "--cap", "6", "--json"])
+    assert code == 0
+    assert (report["status"], report["index"], report["reason"], report["cap"]) == (
+        "not_nilpotent", None, "finite_module", None
+    )
+
+
 def test_nilpotent_verb_agrees_with_the_scan(tmp_path, capsys):
     # 1 + i in F2[Q8] lies in J<x>: the verb and the NI check's scan both
     # prove it nilpotent by power iteration, with its index

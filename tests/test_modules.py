@@ -1,0 +1,236 @@
+"""The finite-module certificate against the rewriting engine and power iteration."""
+
+import dataclasses
+import functools
+import random
+
+import numpy as np
+import pytest
+
+from skewpbw import corpus
+from skewpbw.extension import make_extension, verify_presentation
+from skewpbw.maps import SigmaSystem, identity_map
+from skewpbw.modules import DIMENSION_CAP, FiniteModules, finite_modules, is_module
+from skewpbw.probes import (
+    FINITE_MODULE,
+    LEADING_CHAIN,
+    UNKNOWN,
+    BoundedScan,
+    enumerate_bounded_polys,
+    nilpotency_probe,
+)
+from test_extension import random_poly
+
+PAIRS = 40  # seeded product pairs per presentation
+# the nil_census round: (entry, degree cap, support cap) at exponent cap 32
+CENSUS = [
+    ("heisenberg_2", 2, 2),
+    ("clifford_trunc_2", 2, 2),
+    ("euler_like_3", 2, 2),
+    ("weyl_like_2", 2, 2),
+    ("swap_extension", 2, 2),
+    ("q8_twist", 1, 1),
+]
+CENSUS_CAP = 32
+
+
+def rho(store, k, f):
+    """rho_k(f) as a reduced integer matrix."""
+    M = store.modules[k]
+    D = len(M.orders)
+    if f.is_zero:
+        return np.zeros((D, D), dtype=np.int64)
+    monos = list(f.terms)
+    X = store._elems[[[f.terms[a] for a in monos]]].reshape(1, -1)
+    return store.images(k, X, monos)[0].astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# rho is a ring map, and the relation check is what makes it one
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_rho_is_multiplicative(name):
+    A = corpus.BUILDERS[name]().presentation
+    store = finite_modules(A)
+    assert store.modules, name
+    rng = random.Random(name)
+    pairs = [(random_poly(rng, A), random_poly(rng, A)) for _ in range(PAIRS)]
+    pairs.append((A.variable(A.n) ** 5, A.variable(1) ** 3))
+    for k, M in enumerate(store.modules):
+        assert np.array_equal(rho(store, k, A.one_poly()), np.eye(len(M.orders), dtype=np.int64))
+        for f, g in pairs:
+            want = M.reduce(rho(store, k, f) @ rho(store, k, g))
+            assert np.array_equal(rho(store, k, f * g), want), (name, M.family, f, g)
+
+
+def rho_direct(A, M, f):
+    """rho(f) = sum_alpha L_{f_alpha} rho(x^alpha), straight from the module's matrices."""
+    elems = A.base.elements_array
+    out = sum((M.scalar(elems[c]) @ M.monomial(alpha) for alpha, c in f.terms.items()), np.zeros_like(M.ops[0]))
+    return M.reduce(out)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_changed_operator_is_rejected(name):
+    # Change one entry of one X_i.  The check must refuse the result unless
+    # it is a module too, which happens where the relations leave X_i free
+    # (Z4[x1, x2] takes any two scalars); then rho must still be
+    # multiplicative on engine products.
+    A = corpus.BUILDERS[name]().presentation
+    rng = random.Random(name)
+    pairs = [(random_poly(rng, A), random_poly(rng, A)) for _ in range(8)]
+    pairs += [(A.variable(j), A.variable(i)) for i in range(1, A.n + 1) for j in range(1, A.n + 1)]
+    products = [(f, g, f * g) for f, g in pairs]
+    rejected = 0
+    for M in finite_modules(A).modules:
+        for i, X in enumerate(M.ops):
+            for u, v in np.ndindex(X.shape):
+                changed = X.copy()
+                changed[u, v] = (changed[u, v] + 1) % M.orders[u]
+                other = dataclasses.replace(M, ops=M.ops[:i] + [changed] + M.ops[i + 1 :])
+                if not is_module(A, other):
+                    rejected += 1
+                    continue
+                for f, g, fg in products:
+                    want = other.reduce(rho_direct(A, other, f) @ rho_direct(A, other, g))
+                    assert np.array_equal(rho_direct(A, other, fg), want), (name, M.family, i, u, v)
+    assert rejected > 0, name
+
+
+def test_catalogue_on_the_corpus():
+    # family (a) gives no module on clifford_trunc_2: x2 x1 = x1 x2 + y1
+    # needs operators that do not commute; family (b) passes everywhere
+    kept = {name: [M.family for M in finite_modules(b().presentation).modules] for name, b in corpus.BUILDERS.items()}
+    assert kept["clifford_trunc_2"] == ["b"]
+    assert all(families[-1] == "b" for families in kept.values())
+    assert kept["heisenberg_2"] == ["a"] * 4 + ["b"]  # c_3 = 0
+
+
+# ---------------------------------------------------------------------------
+# against power iteration
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def census_chains():
+    """(entry, f, reason, k) for every census polynomial the leading chain leaves open.
+
+    k is the least k <= CENSUS_CAP with f^k = 0, computed by the power
+    chain alone, or None.
+    """
+    out = []
+    for name, degree, support in CENSUS:
+        P = corpus.BUILDERS[name]().presentation
+        A = verify_presentation(make_extension(P.base, P.system, d=P.d, tails=P.tails, name=P.name))
+        for f in enumerate_bounded_polys(A, degree, support):
+            r = nilpotency_probe(f, CENSUS_CAP)
+            assert r.status != UNKNOWN, (name, f)
+            if r.reason == LEADING_CHAIN:
+                continue
+            power, k = f, None
+            for j in range(2, CENSUS_CAP + 1):
+                power = f * power
+                if power.is_zero:
+                    k = j
+                    break
+            out.append((name, f, r.reason, k))
+    return out
+
+
+def test_census_finite_module_results_have_no_vanishing_power():
+    certified = [(name, f) for name, f, reason, k in census_chains() if reason == FINITE_MODULE]
+    assert len(certified) == 180 + 432 + 8 + 6
+    bad = [(name, f) for name, f, reason, k in census_chains() if reason == FINITE_MODULE and k is not None]
+    assert not bad
+
+
+def test_power_chain_nilpotents_are_never_certified(corpus_entries):
+    nilpotent = [(name, f) for name, f, _, k in census_chains() if k is not None]
+    assert nilpotent and all(not finite_modules(f.ext).certifies(f) for _, f in nilpotent)
+    # and at the recorded budgets, through the scan's bulk decisions
+    for entry in corpus_entries:
+        b = entry.budget
+        scan = BoundedScan(entry.presentation, b["degree_cap"], b["support_cap"], b["exponent_cap"])
+        for f in scan.polys:
+            power = f
+            for _ in range(b["exponent_cap"]):
+                power = f * power
+                if power.is_zero:
+                    assert scan.status[f].proved_nilpotent, (entry.name, f)
+                    break
+
+
+def test_no_probe_left_unknown_at_the_recorded_budgets(corpus_entries):
+    for entry in corpus_entries:
+        b = entry.budget
+        scan = BoundedScan(entry.presentation, b["degree_cap"], b["support_cap"], b["exponent_cap"])
+        assert scan.scan_unknown == 0, entry.name
+
+
+def test_matrix_poly_witness_is_not_nilpotent(matrix_poly2):
+    # e12 x + e21 has nilpotent coefficients, and its square is x
+    A, ring = matrix_poly2.presentation, matrix_poly2.ring
+    f = A.poly({(1,): ring.el([0, 1, 0, 0]), (0,): ring.el([0, 0, 1, 0])})
+    assert f * f == A.variable(1)
+    r = nilpotency_probe(f, 8)
+    assert r.proved_not_nilpotent and r.reason == FINITE_MODULE
+
+
+# ---------------------------------------------------------------------------
+# the store: bulk answers, caches, lifetime
+# ---------------------------------------------------------------------------
+
+
+def test_scan_records_the_answers_it_decides(clifford2, monkeypatch):
+    # the scan decides its probes' module stage in bulk: no single-row decision
+    A = clifford2.presentation
+    store = finite_modules(A)
+    rows = []
+    real = FiniteModules.decide
+    monkeypatch.setattr(FiniteModules, "decide", lambda self, K, monos: rows.append(len(K)) or real(self, K, monos))
+    scan = BoundedScan(A, 2, 2, 8)
+    assert rows == [180]  # one block: the rows outside J<x> that the leading chain leaves open
+    assert sum(r.reason == FINITE_MODULE for r in scan.status.values()) == 180
+    assert store is finite_modules(A)
+
+
+def test_atom_cache_is_bounded(weyl2, monkeypatch):
+    from skewpbw import modules
+
+    monkeypatch.setattr(modules, "ATOM_CACHE_CAP", 4)
+    A = weyl2.presentation
+    store = FiniteModules(A)
+    y = weyl2.ring.el([0, 1])
+    results = []
+    for d in range(1, 12):
+        f = A.monomial((d,), coeff=y)
+        results.append(store.certifies(f))
+        assert len(store._atoms) <= 4
+    # y x^d is nilpotent for even d, (y x^d)^2 = y^2 x^2d + d y y' x^(2d-1)
+    assert results == [d % 2 == 1 for d in range(1, 12)]
+
+
+def test_catalogue_size_is_capped():
+    # Z2[x1..x7] would give 128 candidates of family (a) and a family (b)
+    # module on 128 generators: both are left out, and probes go on to the
+    # power chain
+    ring = corpus.zn(2)
+    A = verify_presentation(make_extension(ring, SigmaSystem([identity_map(ring)] * 7)))
+    assert 2**A.n > DIMENSION_CAP and FiniteModules(A).modules == []
+    f = A.variable(1) + A.variable(2)
+    assert not finite_modules(A).certifies(f)
+    assert nilpotency_probe(f, 4).reason == LEADING_CHAIN
+    B = verify_presentation(make_extension(ring, SigmaSystem([identity_map(ring)] * 6)))
+    assert [M.family for M in FiniteModules(B).modules] == ["a"] * 64 + ["b"]
+
+
+def test_store_is_built_on_first_use_only():
+    assert all(build().presentation._modules is None for build in corpus.BUILDERS.values())
+    entry = corpus.weyl_like(2)
+    assert entry.presentation._modules is None
+    nilpotency_probe(entry.presentation.variable(1), 8)  # decided by the leading chain
+    assert entry.presentation._modules is None
+    nilpotency_probe(entry.presentation.scalar(entry.ring.el([0, 1])), 8)
+    assert entry.presentation._modules is not None

@@ -22,6 +22,7 @@ from skewpbw import (
 )
 from skewpbw.errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent
 from skewpbw.extension import SkewPolynomial, make_extension, verify_presentation
+from skewpbw.modules import finite_modules
 from skewpbw.maps import (
     DELTA_INVARIANT,
     SIGMA_INVARIANT,
@@ -38,7 +39,7 @@ from skewpbw.probes import (
     NICheckResult,
     ProbeResult,
     LEADING_CHAIN,
-    STABILIZED_POWER,
+    FINITE_MODULE,
     BoundedScan,
     _leading_chain_holds,
     coefficient_agreement,
@@ -64,24 +65,28 @@ def test_probe_unit_leading_chain(swap_entry):
     assert res.proved_not_nilpotent and res.reason == LEADING_CHAIN
 
 
-def test_probe_stabilized_power(weyl2):
+def test_probe_finite_module(weyl2):
     A = weyl2.presentation
     f = A.variable(1) * A.scalar(weyl2.ring.el([0, 1]))  # yx + 1
-    # its leading chain y, y^2 = 0 reaches 0: the power chain decides
+    # its leading chain y, y^2 = 0 reaches 0: a finite module decides
     assert A.bijective and not _leading_chain_holds(f)
     res = nilpotency_probe(f, 8)
-    assert res.proved_not_nilpotent and res.reason == STABILIZED_POWER
+    assert res.proved_not_nilpotent and res.reason == FINITE_MODULE
 
 
-def test_probe_zero_and_unknown(weyl2):
+def test_probe_zero_and_unknown(weyl2, swap_entry):
     A = weyl2.presentation
     assert nilpotency_probe(A.zero_poly(), 4).index == 1
-    # y x^3: the leading chain y, y^2 = 0 reaches 0, and the powers keep
-    # growing (x^3 y = y x^3 + x^2 gives (y x^3)^2 = y x^5), so no certificate
-    f = A.scalar(weyl2.ring.el([0, 1])) * A.variable(1) ** 3
-    assert not _leading_chain_holds(f)
+    # e2 x^3 + x over Z2 x Z2 with sigma the swap: (e2 x^3 + x)^2 = x^4 + x^2
+    # has a unit leading coefficient, so no power vanishes.  Yet the leading
+    # chain e2, e2 e1 = 0 reaches 0, and rho(f) = L_e1 X is nilpotent in
+    # every catalogue module, as L_e1 X L_e1 X = L_e1 L_e2 X^2 = 0
+    A = swap_entry.presentation
+    f = A.poly({(3,): swap_entry.ring.el([0, 1]), (1,): swap_entry.ring.one})
+    assert f * f == A.poly({(4,): swap_entry.ring.one, (2,): swap_entry.ring.one})
+    assert not _leading_chain_holds(f) and not finite_modules(A).certifies(f)
     res = nilpotency_probe(f, 6)
-    assert res.status == "unknown" and res.cap == 6
+    assert res.status == UNKNOWN and res.cap == 6
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +101,13 @@ def right_associated_probe(f, exponent_cap):
         return ProbeResult(NILPOTENT, index=1)
     if A.bijective and _leading_chain_holds(f):
         return ProbeResult(NOT_NILPOTENT, reason=LEADING_CHAIN)
-    powers = {1: f}
+    if finite_modules(A).certifies(f):
+        return ProbeResult(NOT_NILPOTENT, reason=FINITE_MODULE)
     current = f
     for k in range(2, exponent_cap + 1):
         current = current * f
         if current.is_zero:
             return ProbeResult(NILPOTENT, index=k)
-        powers[k] = current
-        if k % 2 == 0 and powers[k // 2] == current:
-            return ProbeResult(NOT_NILPOTENT, reason=STABILIZED_POWER)
     return ProbeResult(UNKNOWN, cap=exponent_cap)
 
 
@@ -287,7 +290,7 @@ def test_ideal_power_certificate_needs_delta_invariance(weyl2):
     f = A.scalar(weyl2.ring.el([0, 1])) * A.variable(1)
     assert extended_ideal_membership(J, f)
     r = scan.probe(f)
-    assert r.proved_not_nilpotent and r.reason == STABILIZED_POWER
+    assert r.proved_not_nilpotent and r.reason == FINITE_MODULE
 
 
 def test_ideal_power_certificate_needs_cap_at_least_t(q8_twisted):
@@ -420,6 +423,15 @@ def test_bounded_ni_weyl_violation_canonical_witness(weyl2):
     assert w["g"] == A.variable(1)        # multiplied by x
     assert w["result"] == A.variable(1) * A.scalar(y)  # = yx + 1, idempotent
     assert replay_violation(w)
+
+
+def test_finite_module_witness_replays(weyl2):
+    # the golden weyl_like_2 witness: y * x = yx + 1 is idempotent, and a
+    # finite module proves it not nilpotent
+    w = bounded_NI_check(weyl2.presentation, 2, 2, 8).witness
+    assert w["probe"] == ProbeResult(NOT_NILPOTENT, reason=FINITE_MODULE)
+    assert replay_violation(w, exponent_cap=8)
+    assert nilpotency_probe(w["result"], 8).reason == FINITE_MODULE
 
 
 def test_replay_violation_uses_the_scan_cap(weyl2):

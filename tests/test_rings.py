@@ -686,18 +686,29 @@ def test_orbit_shortcuts_on_product_rings(build):
 
 def test_rings_are_freed_by_reference_counting(tmp_path, monkeypatch):
     # no cache of a ring points back at it, so dropping the last reference
-    # frees it without the cycle collector
+    # frees it without the cycle collector.  That includes the module store
+    # that the check builds on the presentation (swap_extension's NI scan
+    # asks it), which holds arrays only.
+    from skewpbw import modules
+
     path = tmp_path / "swap.json"
     path.write_text(defio.definition_to_text(defio.entry_to_definition(corpus.swap_extension())))
     parsed = []
+    stores = []
     build = defio._build
+    init = modules.FiniteModules.__init__
 
     def recording(doc):
         result = build(doc)
-        parsed.append(weakref.ref(result.ring))
+        parsed.append((weakref.ref(result.ring), weakref.ref(result.presentation)))
         return result
 
+    def recording_store(self, A):
+        init(self, A)
+        stores.append(weakref.ref(self))
+
     monkeypatch.setattr(defio, "_build", recording)
+    monkeypatch.setattr(modules.FiniteModules, "__init__", recording_store)
     gc.collect()
     gc.disable()
     try:
@@ -713,6 +724,7 @@ def test_rings_are_freed_by_reference_counting(tmp_path, monkeypatch):
             assert cli.main(["check", str(path), "--json"]) == 0
         assert bare() is None
         assert classified() is None
-        assert len(parsed) == 1 and parsed[0]() is None
+        assert len(parsed) == 1 and parsed[0][0]() is None and parsed[0][1]() is None
+        assert len(stores) == 1 and stores[0]() is None
     finally:
         gc.enable()
