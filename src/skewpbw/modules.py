@@ -53,19 +53,25 @@ The catalogue, tried in this order; a candidate is kept only if it passes
       with every exponent reduced modulo 2 (x_i^2 -> 1).  For n = 1 this
       is A / A(x^2 - 1).
 
-The store holds arrays only, no reference to the presentation or its ring,
-so a presentation that keeps it is still freed by reference counting.
+When J(R) is invariant under every sigma_i and delta_i, each f in J(R)<x>
+is nilpotent (proof at probes._probe_rows), so no module certifies it: the
+store keeps that J(R) as a mask with its t, J(R)^t = 0, and `decide`
+answers such rows before it tries any module.  The store holds arrays and
+ints only, no reference to the presentation or its ring, so a presentation
+that keeps it is still freed by reference counting.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .extension import ExtensionPresentation, SkewPolynomial, _cache_put
+from .maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance
+from .rings import ideal_power_index, jacobson_radical
 
 ATOM_CACHE_CAP = 1 << 8  # entries (module, alpha) in a store's cache of rho(x^alpha) atoms
 # at most this many family (a) candidates, and additive generators in the
@@ -200,8 +206,12 @@ class FiniteModules:
         self._orders = [M.orders.astype(np.float64)[:, None] for M in self.modules]
         self._steps = [(M.length - 1).bit_length() for M in self.modules]  # ceil(log2 L)
         self.width = max((len(M.orders) ** 2 for M in self.modules), default=1)  # matrix entries per row
-        self._atoms: dict = {}    # (module, alpha) -> (m, D * D) float64 L_{e_s} rho(x^alpha)
-        self._answers: dict = {}  # frozenset of terms -> bool, from the latest `record`
+        self._atoms: dict = {}  # (module, alpha) -> (m, D * D) float64 L_{e_s} rho(x^alpha)
+        # J(R) and the least t with J(R)^t = 0 when J(R) is Sigma-Delta-invariant, else None
+        J = jacobson_radical(A.base)
+        invariant = all(invariance(J, A.system, kind).holds for kind in (SIGMA_INVARIANT, DELTA_INVARIANT))
+        self.jacobson_mask: Optional[np.ndarray] = J.mask if invariant else None
+        self.nil_index: Optional[int] = ideal_power_index(J) if invariant else None
 
     def _atom(self, k: int, alpha: tuple) -> np.ndarray:
         key = (k, alpha)
@@ -241,11 +251,14 @@ class FiniteModules:
     def decide(self, K: np.ndarray, monos: Sequence[tuple]) -> np.ndarray:
         """For element-index rows K over `monos`: does some module prove the row's f not nilpotent?
 
-        Module after module, each taking only the rows the ones before it left open.
+        Rows in the invariant J(R)<x> are not; the others go module after
+        module, each taking only the rows the ones before it left open.
         """
         X = self._elems[K].reshape(len(K), K.shape[1] * self._m)
         out = np.zeros(len(K), dtype=bool)
         todo = np.arange(len(K))
+        if self.jacobson_mask is not None:
+            todo = np.flatnonzero(~self.jacobson_mask[K].all(axis=1))
         for k in range(len(self.modules)):
             if not len(todo):
                 break
@@ -254,27 +267,8 @@ class FiniteModules:
             todo = todo[~hit]
         return out
 
-    def record(
-        self, polys: Sequence[SkewPolynomial], K: np.ndarray, monos: Sequence[tuple], asked: np.ndarray, nilpotent: np.ndarray
-    ) -> None:
-        """Decide the `asked` rows of K, the polys over `monos`, for `certifies` to read back.
-
-        Rows flagged `nilpotent` are proved nilpotent already, so rho of them
-        is nilpotent and they are recorded as not certified without a
-        decision.  Only the latest call's answers are kept.
-        """
-        answers = np.zeros(len(K), dtype=bool)
-        todo = np.flatnonzero(asked & ~nilpotent)
-        answers[todo] = self.decide(K[todo], monos)
-        self._answers = {}
-        for i in np.flatnonzero(asked).tolist():
-            _cache_put(self._answers, frozenset(polys[i].terms.items()), bool(answers[i]))
-
     def certifies(self, f: SkewPolynomial) -> bool:
-        """Whether some module proves f not nilpotent; recorded answers first."""
-        hit = self._answers.get(frozenset(f.terms.items()))
-        if hit is not None:
-            return hit
+        """Whether some module proves f not nilpotent."""
         monos = list(f.terms)
         return bool(self.decide(np.array([[f.terms[a] for a in monos]]), monos)[0])
 

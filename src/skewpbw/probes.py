@@ -33,9 +33,9 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent
 from .extension import DenseProducts, ExtensionPresentation, SkewPolynomial, coefficient_keys
-from .maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance, multi_indices
+from .maps import DELTA_INVARIANT, invariance, multi_indices
 from .modules import finite_modules
-from .rings import Ideal, ideal_power_index, jacobson_radical
+from .rings import Ideal
 
 DEFAULT_EXPONENT_CAP = 16
 DEFAULT_PAIR_BUDGET = 10**6
@@ -83,45 +83,19 @@ def _leading_chain_holds(f: SkewPolynomial) -> bool:
     A = f.ext
     alpha = max(f.terms, key=lambda a: (sum(a), a))
     c = f.terms[alpha]
-    return bool(A.base.units_mask[c]) or _orbit_survives(A, A.system.sigma_power(alpha).tolist(), c)
-
-
-def _orbit_survives(A: ExtensionPresentation, sigma: list, c: int) -> bool:
-    """Whether the orbit of c under b -> c sigma(b) never reaches 0."""
-    b, seen, times_c = c, set(), A._mul[c]
+    if A.base.units_mask[c]:
+        return True
+    sigma, times_c = A.system.sigma_power(alpha).tolist(), A._mul[c]
+    b, seen = c, set()
     while b and b not in seen:
         seen.add(b)
         b = times_c[sigma[b]]
     return b != 0
 
 
-def _leading_chain_rows(A: ExtensionPresentation, K: np.ndarray, monos: list) -> np.ndarray:
-    """`_leading_chain_holds` of each element-index row of K over deglex-sorted `monos`.
-
-    The test depends only on the leading term c x^alpha, so one table over
-    (alpha, c) answers every row.
-    """
-    if not A.bijective:
-        return np.zeros(len(K), dtype=bool)
-    units = A.base.units_mask
-    table = np.zeros((len(monos), A.base.size), dtype=bool)
-    for k, alpha in enumerate(monos):
-        sigma = A.system.sigma_power(alpha).tolist()
-        table[k] = [c != 0 and (units[c] or _orbit_survives(A, sigma, c)) for c in range(A.base.size)]
-    lead = K.shape[1] - 1 - np.argmax(K[:, ::-1] != 0, axis=1)
-    return table[lead, K[np.arange(len(K)), lead]]
-
-
 def nilpotency_probe(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> ProbeResult:
     """The certificate ladder, see module docstring: the leading chain, then
-    the finite modules, then power iteration up to the cap.
-
-    Powers are built as f^k = f * f^(k-1), with the short fixed factor on the
-    left.  By associativity and the uniqueness of the PBW normal form this is
-    the same element as f^(k-1) * f, but it is far cheaper: the rewriting
-    product pays for the degree of its left factor (see the extension module),
-    so the growing power belongs on the right.
-    """
+    the finite modules, then power iteration up to the cap."""
     A = f.ext
     A._require_verified()
     if f.is_zero:
@@ -130,6 +104,18 @@ def nilpotency_probe(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPONENT_CAP
         return ProbeResult(NOT_NILPOTENT, reason=LEADING_CHAIN)
     if finite_modules(A).certifies(f):
         return ProbeResult(NOT_NILPOTENT, reason=FINITE_MODULE)
+    return _power_chain(f, exponent_cap)
+
+
+def _power_chain(f: SkewPolynomial, exponent_cap: int) -> ProbeResult:
+    """nilpotent(k) for the least k <= exponent_cap with f^k = 0, else unknown.
+
+    Powers are built as f^k = f * f^(k-1), with the short fixed factor on the
+    left.  By associativity and the uniqueness of the PBW normal form this is
+    the same element as f^(k-1) * f, but it is far cheaper: the rewriting
+    product pays for the degree of its left factor (see the extension module),
+    so the growing power belongs on the right.
+    """
     current = f
     for k in range(2, exponent_cap + 1):
         current = f * current
@@ -204,7 +190,14 @@ def enumerate_bounded_polys(
 
 
 class BoundedScan:
-    """Probe results for every bounded polynomial; shared by the harness checks."""
+    """Probe results for every bounded polynomial; shared by the harness checks.
+
+    The scan climbs the ladder of `nilpotency_probe` in bulk: the leading
+    chain per polynomial, one `FiniteModules.decide` per row block for the
+    rows it leaves open, the power chain for the rest.  `status` holds them
+    in enumeration order, then the NI closure rows that `probe` decides.
+    `certificate` is the store's invariant J(R) when its t <= exponent_cap.
+    """
 
     def __init__(
         self,
@@ -220,29 +213,22 @@ class BoundedScan:
         self.exponent_cap = exponent_cap
         self.pair_budget = pair_budget
         self.polys = enumerate_bounded_polys(A, degree_cap, support_cap, pair_budget)
-        # J(R), when it is Sigma-Delta-invariant with J(R)^t = 0, t <= exponent_cap:
-        # then `_probe_rows` decides the NI closure rows in J(R)<x> in bulk
-        J = jacobson_radical(A.base)
-        invariant = all(invariance(J, A.system, kind).holds for kind in (SIGMA_INVARIANT, DELTA_INVARIANT))
-        t = ideal_power_index(J) if invariant else None
-        self.certificate: Optional[Ideal] = J if t is not None and t <= exponent_cap else None
-        # every polynomial probed: the scan's own, and NI closure rows outside
-        # the certificate's J<x>.  The finite-module stage of the scan's own
-        # probes is decided in bulk, block by block, for the rows that the
-        # leading chain leaves open; rows in J<x> are nilpotent, so they are
-        # recorded as not certified without a decision
+        modules = finite_modules(A)
+        self.certificate: Optional[Ideal] = None
+        if modules.nil_index is not None and modules.nil_index <= exponent_cap:
+            self.certificate = Ideal.from_mask(A.base, modules.jacobson_mask)
         self.status: dict[SkewPolynomial, ProbeResult] = {}
         monos = multi_indices(A.n, 0, degree_cap)
         K = coefficient_keys(self.polys, {alpha: k for k, alpha in enumerate(monos)})
-        asked = ~_leading_chain_rows(A, K, monos)
-        in_J = np.zeros(len(K), dtype=bool) if self.certificate is None else self.certificate.mask[K].all(axis=1)
-        modules = finite_modules(A)
         block = max(1, BLOCK_ENTRIES // modules.width)
         for lo in range(0, len(K), block):
-            rows = slice(lo, lo + block)
-            modules.record(self.polys[rows], K[rows], monos, asked[rows], in_J[rows])
-            for f in self.polys[rows]:
-                self.probe(f)
+            polys = self.polys[lo : lo + block]
+            reason = [LEADING_CHAIN if A.bijective and _leading_chain_holds(f) else None for f in polys]
+            todo = np.array([i for i, r in enumerate(reason) if r is None], dtype=int)
+            for i in todo[modules.decide(K[lo + todo], monos)]:
+                reason[i] = FINITE_MODULE
+            for f, r in zip(polys, reason):
+                self.status[f] = _power_chain(f, exponent_cap) if r is None else ProbeResult(NOT_NILPOTENT, reason=r)
         self.proved_nilpotent = [f for f in self.polys if self.status[f].proved_nilpotent]
         self.scan_unknown = sum(1 for r in self.status.values() if r.status == UNKNOWN)
         self.ni_result: Optional["NICheckResult"] = None

@@ -179,21 +179,68 @@ def test_matrix_poly_witness_is_not_nilpotent(matrix_poly2):
 
 
 # ---------------------------------------------------------------------------
-# the store: bulk answers, caches, lifetime
+# the store: bulk decisions, the J(R)<x> skip, caches, lifetime
 # ---------------------------------------------------------------------------
 
 
-def test_scan_records_the_answers_it_decides(clifford2, monkeypatch):
-    # the scan decides its probes' module stage in bulk: no single-row decision
+def test_scan_decides_its_module_stage_in_bulk(clifford2, monkeypatch):
+    # the scan runs the rungs itself: one decide per row block, no single probe
+    from skewpbw import probes
+
     A = clifford2.presentation
     store = finite_modules(A)
-    rows = []
-    real = FiniteModules.decide
-    monkeypatch.setattr(FiniteModules, "decide", lambda self, K, monos: rows.append(len(K)) or real(self, K, monos))
+    rows, evaluated = [], []
+    decide, not_nilpotent = FiniteModules.decide, FiniteModules._not_nilpotent
+    monkeypatch.setattr(FiniteModules, "decide", lambda self, K, monos: rows.append(len(K)) or decide(self, K, monos))
+    monkeypatch.setattr(
+        FiniteModules,
+        "_not_nilpotent",
+        lambda self, k, X, monos: evaluated.append(len(X)) or not_nilpotent(self, k, X, monos),
+    )
+    monkeypatch.setattr(probes, "nilpotency_probe", lambda *a: pytest.fail("the scan called nilpotency_probe"))
     scan = BoundedScan(A, 2, 2, 8)
-    assert rows == [180]  # one block: the rows outside J<x> that the leading chain leaves open
+    assert rows == [333]  # one block: the rows that the leading chain leaves open
+    assert sum(evaluated) == 180  # of them, the rows outside J<x>
     assert sum(r.reason == FINITE_MODULE for r in scan.status.values()) == 180
     assert store is finite_modules(A)
+
+
+@pytest.mark.parametrize(
+    "name, degree, support, count",
+    [("clifford_trunc_2", 2, 2, 153), ("euler_like_3", 2, 2, 216), ("q8_twist", 1, 1, 254)],
+)
+def test_module_stage_skips_the_invariant_radical(name, degree, support, count, monkeypatch):
+    # every f in a Sigma-Delta-invariant J(R)<x> is nilpotent, so the store
+    # answers it before it evaluates any module
+    A = corpus.BUILDERS[name]().presentation
+    store = finite_modules(A)
+    assert store.jacobson_mask is not None and store.nil_index <= CENSUS_CAP
+    evaluated = []
+    not_nilpotent = FiniteModules._not_nilpotent
+    monkeypatch.setattr(
+        FiniteModules,
+        "_not_nilpotent",
+        lambda self, k, X, monos: evaluated.append(len(X)) or not_nilpotent(self, k, X, monos),
+    )
+    in_J = [f for f in enumerate_bounded_polys(A, degree, support) if store.jacobson_mask[list(f.terms.values())].all()]
+    assert len(in_J) == count  # the census probes in J<x>
+    assert not any(store.certifies(f) for f in in_J)
+    assert evaluated == []
+    for f in in_J:
+        r = nilpotency_probe(f, CENSUS_CAP)
+        assert r.proved_nilpotent and r.index <= store.nil_index, (name, f, r)
+
+
+def test_module_stage_needs_an_invariant_radical(weyl2):
+    # J(R) = (y) is not Delta-invariant, d/dy(y) = 1: y x lies in J<x>, and
+    # (yx)^2 = yx, so the store must still try its modules
+    A = weyl2.presentation
+    store = finite_modules(A)
+    assert store.jacobson_mask is None and store.nil_index is None
+    f = A.scalar(weyl2.ring.el([0, 1])) * A.variable(1)
+    assert store.certifies(f)
+    r = nilpotency_probe(f, 8)
+    assert r.proved_not_nilpotent and r.reason == FINITE_MODULE
 
 
 def test_atom_cache_is_bounded(weyl2, monkeypatch):

@@ -67,6 +67,15 @@ def test_probe_checks_accept_nilpotency_probe(name, caps):
     assert _load("checks").check_probes(name, results, 8) == []
 
 
+@pytest.mark.parametrize("name, caps", [("q8_twist", (1, 1)), ("poly_z4_2v", (2, 2))])
+def test_probe_checks_accept_scan_results(name, caps):
+    # the scan runs the ladder itself, so its results must replay the same way
+    A = corpus.BUILDERS[name]().presentation
+    results = list(BoundedScan(A, *caps, 8).status.items())
+    assert any(r.proved_nilpotent for _, r in results)
+    assert _load("checks").check_probes(name, results, 8) == []
+
+
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_workload_round_passes_its_checks(name, monkeypatch, tmp_path):
     # one set-up, one timed round and the checks, as perfbench/run.py runs
