@@ -5,10 +5,11 @@ extended bilinearly from e_i * e_j = sum_t C[i][j][t] e_t.  Elements are
 coordinate vectors; exhaustive algorithms (radicals, classification) work on
 index tables built lazily.
 
-Radicals are computed by independent methods on purpose: the prime radical by
-prime-ideal enumeration, the Jacobson radical by invertibility search, the
-upper nilradical by summing nil ideals.  For a finite ring all of them must
-coincide, which the test suite uses as a cross-validation oracle.
+The Jacobson radical is found by invertibility search.  The prime radical,
+the Levitzki radical and the upper nilradical of a finite ring all equal it
+once its nilpotence is certified (see `_nilpotent_jacobson`); the test suite
+keeps prime-ideal enumeration and the sum of nil ideals as the oracle they
+are compared against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     TooLarge,
 )
 
-DEFAULT_IDEAL_CAP = 256
+DEFAULT_IDEAL_CAP = 256  # classify_ring's quantifiers grow as |R|^3
 TABLE_CAP = 4096
 
 
@@ -148,8 +149,7 @@ class FiniteRing:
         self._nilpotent_mask: Optional[np.ndarray] = None
         self._units_mask: Optional[np.ndarray] = None
         self._orbit_reps: dict = {}
-        self._all_ideal_masks: Optional[list] = None
-        self._radical_cache: dict = {}  # radical name -> carrier mask
+        self._radical_cache: dict = {}  # "J" -> carrier mask, "J_index" -> its power index
         self._profile: Optional[dict] = None  # classify_ring's flags
 
     # -- construction checks ---------------------------------------------------
@@ -512,68 +512,6 @@ def ideal_generated_by(ring: FiniteRing, elements: Iterable[RingElement]) -> Ide
     return Ideal.from_mask(ring, closed)
 
 
-def _all_ideal_masks(ring: FiniteRing, cap: int) -> list[np.ndarray]:
-    """Every two-sided ideal: principal ideals first, then closure under sums.
-
-    Complete because each ideal is the sum of the principal ideals of its
-    elements.  Only one element per unit orbit {u a v} is closed, because
-    (u a v) = (a) for units u, v.  The sum I + J of two ideals is the set of
-    pairwise sums {i + j}, which is already an additive subgroup, so it is one
-    gather from the addition table with no closure iteration.
-    """
-    if ring.size > cap:
-        raise TooLarge(ring.size, cap, "ideal enumeration")
-    if ring._all_ideal_masks is not None:
-        return ring._all_ideal_masks
-    add = ring.add_table
-    principals = {}
-    for a in ring._unit_orbit_reps(two_sided=True):
-        seed = np.zeros(ring.size, dtype=bool)
-        seed[0] = True
-        seed[a] = True
-        closed = _ideal_closure(ring, seed)
-        principals[closed.tobytes()] = closed
-    seen = dict(principals)
-    zero = np.zeros(ring.size, dtype=bool)
-    zero[0] = True
-    seen.setdefault(zero.tobytes(), zero)
-    queue = list(seen.values())
-    while queue:
-        mask = queue.pop()
-        idx = np.nonzero(mask)[0]
-        for p in principals.values():
-            if not (p & ~mask).any():
-                continue
-            merged = np.zeros_like(mask)
-            merged[add[np.ix_(idx, np.nonzero(p)[0])]] = True
-            key = merged.tobytes()
-            if key not in seen:
-                seen[key] = merged
-                queue.append(merged)
-    ring._all_ideal_masks = list(seen.values())
-    return ring._all_ideal_masks
-
-
-def _is_prime_mask(ring: FiniteRing, mask: np.ndarray) -> bool:
-    """The ideal P is prime: proper, and aRb in P forces a or b into P.
-
-    a and b range over unit-orbit representatives outside P only.  An ideal
-    contains a whole orbit or none of it, and for units u, v, u', v'
-    (u a v) R (u' b v') = u (a R b) v', which lies in P exactly when aRb does.
-    """
-    if mask.all():  # prime ideals are proper
-        return False
-    mul = ring.mul_table
-    reps = ring._unit_orbit_reps(two_sided=True)
-    outside = reps[~mask[reps]]
-    for a in outside:
-        # aRb for all b outside: column b survives iff some a*r*b escapes P
-        arb = mul[np.ix_(mul[a, :], outside)]
-        if not (~mask[arb]).any(axis=0).all():
-            return False
-    return True
-
-
 def ideal_power_index(ideal: Ideal) -> Optional[int]:
     """The least t with I^t = 0, or None if no power of I is zero.
 
@@ -620,50 +558,40 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     return ideal
 
 
-def prime_radical(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> Ideal:
-    """Intersection of all prime ideals, by exhaustive ideal enumeration."""
-    if "Nstar_lower" in ring._radical_cache:
-        return Ideal.from_mask(ring, ring._radical_cache["Nstar_lower"])
-    masks = _all_ideal_masks(ring, cap)
-    primes = [m for m in masks if _is_prime_mask(ring, m)]
-    inter = np.ones(ring.size, dtype=bool)
-    for m in primes:
-        inter &= m
-    ideal = Ideal.from_mask(ring, inter, verify=True)
-    ring._radical_cache["Nstar_lower"] = ideal.mask
-    return ideal
+def _nilpotent_jacobson(ring: FiniteRing) -> Ideal:
+    """J(R), once `ideal_power_index` has proved it nilpotent: then it is every nilradical.
 
-
-def upper_nilradical(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> Ideal:
-    """Sum of all nil ideals, from the full ideal lattice."""
-    if "Nstar_upper" in ring._radical_cache:
-        return Ideal.from_mask(ring, ring._radical_cache["Nstar_upper"])
-    masks = _all_ideal_masks(ring, cap)
-    nil = ring.nilpotent_mask
-    union = np.zeros(ring.size, dtype=bool)
-    for m in masks:
-        if not (m & ~nil).any():
-            union |= m
-    total = _additive_closure(ring, union)  # sum of ideals = additive span of union
-    ideal = Ideal.from_mask(ring, total, verify=True)
-    ring._radical_cache["Nstar_upper"] = ideal.mask
-    return ideal
-
-
-def levitzki_radical(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> Ideal:
-    """Sum of all locally nilpotent ideals.
-
-    In a finite ring every nil ideal is nilpotent, hence locally nilpotent, so
-    the result equals the upper nilradical; local nilpotence of the returned
-    ideal is verified explicitly by powering it down to zero.
+    A nilpotent ideal I lies in every prime ideal P: from I^t = 0 in P,
+    primeness puts I^(t-1) or I in P, and so on down to I.  It is also locally
+    nilpotent and nil.  So a nilpotent J(R) lies in N_*(R), L(R) and N^*(R).
+    Conversely each of the three lies in J(R): N_*(R) because J(R) is the
+    intersection of the primitive ideals, which are prime, and L(R), N^*(R)
+    because they are nil and every nil ideal lies in J(R) (Lam, A First
+    Course in Noncommutative Rings, ch. 4 and ch. 10).  A finite ring is
+    Artinian, so J(R) is always nilpotent; the power index is still computed,
+    once per ring, and a J(R) whose powers stop short of zero raises.
     """
-    if "L" in ring._radical_cache:
-        return Ideal.from_mask(ring, ring._radical_cache["L"])
-    ideal = upper_nilradical(ring, cap)
-    if ideal_power_index(ideal) is None:
-        raise NotAnIdeal("upper nilradical failed the nilpotence verification")
-    ring._radical_cache["L"] = ideal.mask
-    return ideal
+    J = jacobson_radical(ring)
+    if "J_index" not in ring._radical_cache:
+        ring._radical_cache["J_index"] = ideal_power_index(J)
+    if ring._radical_cache["J_index"] is None:
+        raise NotAnIdeal("the Jacobson radical failed the nilpotence verification")
+    return J
+
+
+def prime_radical(ring: FiniteRing) -> Ideal:
+    """N_*(R), the intersection of all prime ideals: J(R) for a finite ring."""
+    return _nilpotent_jacobson(ring)
+
+
+def upper_nilradical(ring: FiniteRing) -> Ideal:
+    """N^*(R), the sum of all nil ideals: J(R) for a finite ring."""
+    return _nilpotent_jacobson(ring)
+
+
+def levitzki_radical(ring: FiniteRing) -> Ideal:
+    """L(R), the sum of all locally nilpotent ideals: J(R) for a finite ring."""
+    return _nilpotent_jacobson(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -767,22 +695,30 @@ def _dedekind_finite(ring: FiniteRing) -> bool:
 def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile:
     """Fill every predicate flag by exhaustive quantifier checks.
 
+    The quantifiers grow as |R|^3, so rings over `cap` elements are refused;
+    the nilpotent mask comes first, so that rings over TABLE_CAP are refused
+    by it before anything is allocated.  N(R) = J(R) decides NJ, 2-primal
+    and weakly 2-primal at once, since the three nilradicals equal J(R);
+    NI is tested on its own, as closure of N(R) under the ideal operations.
     The ring caches the flags, and the radicals as masks; the profile's
     ideals and nilpotent set are rebuilt from them on every call.
     """
     nil = ring.nilpotent_mask
+    if ring.size > cap:
+        raise TooLarge(ring.size, cap, "classification")
     J = jacobson_radical(ring)
-    Nlower = prime_radical(ring, cap)
-    Nupper = upper_nilradical(ring, cap)
-    L = levitzki_radical(ring, cap)
+    Nlower = prime_radical(ring)
+    Nupper = upper_nilradical(ring)
+    L = levitzki_radical(ring)
     if ring._profile is None:
         mul = ring.mul_table
         zero_count = int((mul == 0).sum())
+        nil_is_J = bool((nil == J.mask).all())
         ring._profile = dict(
             NI=_ideal_defect(ring, nil) is None,
-            NJ=bool((nil == J.mask).all()),
-            two_primal=bool((nil == Nlower.mask).all()),
-            weakly_two_primal=bool((nil == L.mask).all()),
+            NJ=nil_is_J,
+            two_primal=nil_is_J,
+            weakly_two_primal=nil_is_J,
             reduced=bool(nil.sum() == 1),
             domain=zero_count == 2 * ring.size - 1 and ring.size > 1,
             symmetric=_symmetric(ring),

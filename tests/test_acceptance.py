@@ -73,7 +73,7 @@ def _by_name(corpus, name):
 
 
 def test_acceptance_01_radical_collapse(rings):
-    """N_*(R) = L(R) = N^*(R) = J(R) via two independent algorithms."""
+    """N_*(R) = L(R) = N^*(R) = J(R); test_rings.py checks J(R) against the ideal lattice."""
     checked = 0
     for entry in rings:
         ring = entry.ring
@@ -86,7 +86,7 @@ def test_acceptance_01_radical_collapse(rings):
         ]
         assert len(set(sets)) == 1, entry.name
         checked += 1
-    ok(1, f"radical collapse (prime-enumeration vs unit-search) on {checked} rings")
+    ok(1, f"radical collapse (certified J(R)) on {checked} rings")
 
 
 def test_acceptance_02_radical_chain(rings):

@@ -16,7 +16,9 @@ def files(tmp_path_factory):
     """Exported definition files for the fixtures the CLI tests drive."""
     base = tmp_path_factory.mktemp("defs")
     out = {}
-    from skewpbw.corpus import clifford_trunc, commutative_poly, euler_like, heisenberg, swap_extension, weyl_like, zn
+    from skewpbw.corpus import (
+        clifford_trunc, commutative_poly, euler_like, heisenberg, swap_extension, trunc_poly, weyl_like, zn,
+    )
 
     for name, entry in {
         "weyl": weyl_like(2),
@@ -30,10 +32,13 @@ def files(tmp_path_factory):
         path.write_text(definition_to_text(entry_to_definition(entry)))
         out[name] = str(path)
 
-    z4 = CorpusEntry(name="Z4", ring=zn(4))
-    path = base / "z4.json"
-    path.write_text(definition_to_text(entry_to_definition(z4)))
-    out["z4"] = str(path)
+    for name, entry in {  # ring-only definitions
+        "z4": CorpusEntry(name="Z4", ring=zn(4)),
+        "trunc5_4": CorpusEntry(name="Z5[y]/(y^4)", ring=trunc_poly(5, 4)),
+    }.items():
+        path = base / f"{name}.json"
+        path.write_text(definition_to_text(entry_to_definition(entry)))
+        out[name] = str(path)
 
     corrupted = CorpusEntry(name="corrupted", ring=weyl_like_corrupted().base)
     corrupted.presentation = weyl_like_corrupted()
@@ -69,6 +74,18 @@ def test_radicals_z4(files, capsys):
     assert report["jacobson"] == [[0], [2]]
     assert report["prime_radical"] == [[0], [2]]
     assert report["levitzki"] == [[0], [2]]
+
+
+def test_radicals_past_the_classification_cap(files, capsys):
+    # 625 elements: the radicals are J(R), certified nilpotent, with no
+    # ideal enumeration to cap; the classification quantifiers are capped
+    code, report = run_json(capsys, ["radicals", files["trunc5_4"]])
+    assert code == 0
+    assert len(report["jacobson"]) == 125
+    for key in ("nilpotents", "prime_radical", "upper_nilradical", "levitzki"):
+        assert report[key] == report["jacobson"], key
+    assert main(["classify", files["trunc5_4"], "--json"]) == 2
+    assert "classification of size 625 exceeds the configured cap 256" in capsys.readouterr().err
 
 
 def test_classify_z4(files, capsys):

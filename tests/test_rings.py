@@ -291,15 +291,12 @@ def test_arith_sub_neg():
 
 
 def test_classify_propagates_too_large():
-    from skewpbw.corpus import trunc_poly
-
-    big = trunc_poly(5, 4)  # 625 elements, over the default ideal cap
-    with pytest.raises(TooLarge):
+    big = trunc_poly(5, 4)  # 625 elements, over the default classification cap
+    with pytest.raises(TooLarge, match="classification of size 625 exceeds the configured cap 256"):
         classify_ring(big)
-    # an explicit cap raise makes the radicals computable
-    assert coords_set(prime_radical(big, cap=big.size).carrier) == coords_set(
-        jacobson_radical(big).carrier
-    )
+    # the radicals take no cap: they are J(R), certified nilpotent
+    J = jacobson_radical(big)
+    assert prime_radical(big) == upper_nilradical(big) == levitzki_radical(big) == J
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +353,11 @@ def test_prime_radical_examples():
 
 
 def test_prime_radical_too_large():
-    with pytest.raises(TooLarge):
-        prime_radical(matrix_full(2), cap=8)
+    # the cap bounds the classification quantifiers, not the radicals
+    m2 = matrix_full(2)
+    with pytest.raises(TooLarge, match="classification of size 16 exceeds the configured cap 8"):
+        classify_ring(m2, cap=8)
+    assert coords_set(prime_radical(m2).carrier) == [(0, 0, 0, 0)]
 
 
 def test_upper_nilradical_examples():
@@ -494,9 +494,9 @@ def _mask(ring, ideal_or_set):
 def test_radical_chain_on_corpus(ring_entries):
     for entry in ring_entries:
         ring = entry.ring
-        n_lower = _mask(ring, prime_radical(ring, cap=max(256, ring.size)))
-        lev = _mask(ring, levitzki_radical(ring, cap=max(256, ring.size)))
-        n_upper = _mask(ring, upper_nilradical(ring, cap=max(256, ring.size)))
+        n_lower = _mask(ring, prime_radical(ring))
+        lev = _mask(ring, levitzki_radical(ring))
+        n_upper = _mask(ring, upper_nilradical(ring))
         nil = _mask(ring, nilpotent_set(ring))
         jac = _mask(ring, jacobson_radical(ring))
         assert not (n_lower & ~lev).any(), entry.name
@@ -506,14 +506,14 @@ def test_radical_chain_on_corpus(ring_entries):
 
 
 def test_finite_ring_radical_collapse(ring_entries):
-    # two independent algorithms (prime-ideal enumeration vs unit search) agree
+    # the certified collapse; _assert_orbit_shortcuts_exact compares J(R)
+    # with the prime ideals and nil ideals of the oracle lattice
     for entry in ring_entries:
         ring = entry.ring
-        cap = max(256, ring.size)
         sets = {
-            "prime": prime_radical(ring, cap).carrier,
-            "levitzki": levitzki_radical(ring, cap).carrier,
-            "upper": upper_nilradical(ring, cap).carrier,
+            "prime": prime_radical(ring).carrier,
+            "levitzki": levitzki_radical(ring).carrier,
+            "upper": upper_nilradical(ring).carrier,
             "jacobson": jacobson_radical(ring).carrier,
         }
         assert len(set(map(frozenset, sets.values()))) == 1, (entry.name, sets)
@@ -646,13 +646,18 @@ def _assert_orbit_shortcuts_exact(ring):
             assert orbit[0] == a, (ring.name, two_sided, a)  # least index of its orbit
             covered[orbit] += 1
         assert (covered == 1).all(), (ring.name, two_sided)  # the orbits partition R
-    cap = ring.size
+    # J(R) is the prime radical and the upper nilradical of the oracle lattice
     oracle = _oracle_ideal_masks(ring)
-    got = {m.tobytes(): m for m in rings._all_ideal_masks(ring, cap)}
-    assert len(got) == len(rings._all_ideal_masks(ring, cap)), ring.name
-    assert set(got) == set(oracle), ring.name
+    J = jacobson_radical(ring).mask
+    primes = np.ones(ring.size, dtype=bool)
+    nil_ideals = np.zeros(ring.size, dtype=bool)
     for mask in oracle.values():
-        assert rings._is_prime_mask(ring, mask) == _oracle_is_prime(ring, mask), ring.name
+        if _oracle_is_prime(ring, mask):
+            primes &= mask
+        if not (mask & ~ring.nilpotent_mask).any():
+            nil_ideals |= mask
+    assert (primes == J).all(), ring.name
+    assert (rings._additive_closure(ring, nil_ideals) == J).all(), ring.name
     assert rings._duo(ring, right=True) == _oracle_duo(ring, right=True), ring.name
     assert rings._duo(ring, right=False) == _oracle_duo(ring, right=False), ring.name
     assert rings._symmetric(ring) == _oracle_symmetric(ring), ring.name
@@ -664,7 +669,7 @@ def test_orbit_shortcuts_on_corpus_rings(ring_entries, corpus_entries):
         _assert_orbit_shortcuts_exact(entry.ring)
 
 
-@pytest.mark.parametrize(
+PRODUCT_RINGS = pytest.mark.parametrize(
     "build",
     [
         group_ring_q8,
@@ -675,8 +680,55 @@ def test_orbit_shortcuts_on_corpus_rings(ring_entries, corpus_entries):
     ],
     ids=["F2[Q8]", "Z3[y]/(y^3)xU2(Z2)", "CliffBase2^2", "F2^3", "M2(Z2)xZ3"],
 )
+
+
+@PRODUCT_RINGS
 def test_orbit_shortcuts_on_product_rings(build):
     _assert_orbit_shortcuts_exact(build())
+
+
+# ---------------------------------------------------------------------------
+# the nilpotence certificate behind the radicals
+# ---------------------------------------------------------------------------
+
+
+def _assert_jacobson_index_kills_powers(ring):
+    J = jacobson_radical(ring)
+    t = ideal_power_index(J)
+    assert t is not None, ring.name
+    for j in J.sorted_elements():
+        assert (j**t).is_zero, (ring.name, j, t)
+
+
+def test_jacobson_index_against_power_iteration(ring_entries, corpus_entries):
+    for entry in ring_entries + corpus_entries:
+        _assert_jacobson_index_kills_powers(entry.ring)
+
+
+@PRODUCT_RINGS
+def test_jacobson_index_against_power_iteration_on_product_rings(build):
+    _assert_jacobson_index_kills_powers(build())
+
+
+def test_radicals_check_the_nilpotence_certificate(monkeypatch):
+    calls = []
+    index = rings.ideal_power_index
+
+    def counting(ideal):
+        calls.append(ideal.ring)
+        return index(ideal)
+
+    monkeypatch.setattr(rings, "ideal_power_index", counting)
+    ring = matrix_upper(2)
+    J = jacobson_radical(ring)
+    assert prime_radical(ring) == upper_nilradical(ring) == levitzki_radical(ring) == J
+    classify_ring(ring)
+    assert calls == [ring]  # once per ring, then memoized
+    # a J(R) whose powers never reach zero is refused, not assumed nilpotent
+    monkeypatch.setattr(rings, "ideal_power_index", lambda ideal: None)
+    for radical in (prime_radical, upper_nilradical, levitzki_radical, classify_ring):
+        with pytest.raises(NotAnIdeal, match="nilpotence verification"):
+            radical(matrix_upper(2))
 
 
 # ---------------------------------------------------------------------------
