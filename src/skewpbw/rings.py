@@ -269,13 +269,28 @@ class FiniteRing:
         return self._elements_arr
 
     def _require_tables(self) -> None:
-        """Build the index tables of +, * and negation.
+        """Build the index tables of +, * and negation, with no n x n x m temporary.
 
-        Multiplication contracts once: right[a, t] = a * e_t, so that
-        a * b = sum_t b_t (a * e_t) is one matmul per block of rows a.  That is
-        n^2 m^2 operations instead of the n^2 m^3 of contracting both factors
-        against the constants together.  Addition is accumulated one
-        coordinate at a time, with no n x n x m temporary.
+        The digits are split at the first digit t whose stride s_t has
+        s_t^2 <= n.  With nL = s_t, every index is a = h*nL + l: the element
+        h*nL has only the digits up to t (the high part H_a) and the element l
+        only the digits after t (the low part L_a), and a = H_a + L_a.
+
+        Addition reduces each coordinate on its own, so no carry crosses a
+        digit: index(a + b) = index(H_a + H_b) + index(L_a + L_b).  Two small
+        tables over the nH = n / nL high and the nL low elements hold those
+        indices, built one coordinate at a time, and the full table is their
+        sum broadcast over the row and column parts.
+
+        Multiplication distributes: a * b = H_a * b + L_a * b.  So only the
+        nH + nL rows of the pure-digit elements are contracted against the
+        constants, and row a is the addition-table lookup of rows H_a and L_a.
+        The contraction runs in float64 and is exact: e_s * b is reduced
+        modulo the orders first, so every coordinate of a pure-digit product
+        is an integer sum of at most m (k - 1)^2, with k the largest order.
+        Under TABLE_CAP, k <= 4096 and m <= 12, so the sums stay below 2^28:
+        far below 2^53, where float64 stops holding every integer, and below
+        2^31, so they are reduced in int32.
         """
         if self._mul_table is not None:
             return
@@ -283,16 +298,26 @@ class FiniteRing:
         A = self.elements_array
         ords = np.array(self.orders, dtype=np.int64)
         n = self.size
-        mul = np.empty((n, n), dtype=np.int32)
-        right = np.einsum("as,stu->atu", A, self.constants)
-        block = max(1, (1 << 22) // max(1, n * self.m))
-        for lo in range(0, n, block):
-            prod = np.matmul(A, right[lo : lo + block]) % ords
-            mul[lo : lo + block] = prod @ self._strides
-        add = np.zeros((n, n), dtype=np.int32)
-        for u, (k, stride) in enumerate(zip(self.orders, self._strides.tolist())):
-            col = A[:, u].astype(np.int32)
-            add += (np.add.outer(col, col) % k) * np.int32(stride)
+        t = int(np.argmax(self._strides**2 <= n))
+        nL = int(self._strides[t])
+        nH = n // nL
+        cut = t + 1
+        add_high = _digit_add_table(A[::nL, :cut], self.orders[:cut], self._strides[:cut])
+        add_low = _digit_add_table(A[:nL, cut:], self.orders[cut:], self._strides[cut:])
+        cols = np.arange(n)
+        add = (add_high[:, None, cols // nL] + add_low[None, :, cols % nL]).reshape(n, n)
+        # right[s, b, u]: coordinate u of e_s * b, reduced
+        right = np.einsum("bt,stu->sbu", A, self.constants) % ords
+        right = right.reshape(self.m, n * self.m).astype(np.float64)
+        pure = np.concatenate([A[::nL], A[:nL]]).astype(np.float64)
+        ords32, strides32 = ords.astype(np.int32), self._strides.astype(np.int32)
+        rows = np.empty((nH + nL, n), dtype=np.int32)
+        block = max(1, (1 << 20) // (n * self.m))  # rows per product of <= 2^20 entries
+        for lo in range(0, nH + nL, block):
+            prod = (pure[lo : lo + block] @ right).astype(np.int32).reshape(-1, n, self.m)
+            prod %= ords32
+            rows[lo : lo + block] = prod @ strides32
+        mul = add[rows[:nH, None, :], rows[None, nH:, :]].reshape(n, n)
         self._mul_table = mul
         self._add_table = add
         self._neg_arr = ((-A) % ords @ self._strides).astype(np.int32)
@@ -329,13 +354,13 @@ class FiniteRing:
             self._require_size("nilpotent mask")
             # r is nilpotent iff r^(2^s) = 0 once 2^s >= |R|: the power sequence
             # of any element cycles within |R| steps, so if it ever hits 0 it
-            # does so by exponent |R|.
-            ords = np.array(self.orders, dtype=np.int64)
-            X = self.elements_array.copy()
-            steps = max(1, int(np.ceil(np.log2(self.size))))
-            for _ in range(steps):
-                X = np.einsum("as,at,stu->au", X, X, self.constants) % ords
-            self._nilpotent_mask = ~X.any(axis=1)
+            # does so by exponent |R|.  Each step squares every element at once
+            # by one gather from the multiplication table.
+            mul = self.mul_table
+            X = np.arange(self.size)
+            for _ in range(max(1, int(np.ceil(np.log2(self.size))))):
+                X = mul[X, X]
+            self._nilpotent_mask = X == 0
         return self._nilpotent_mask
 
     @property
@@ -350,22 +375,23 @@ class FiniteRing:
         """One element index per orbit {u a v} (two-sided) or {u a} (left), u, v units.
 
         The orbits partition R, and each representative is the least index of
-        its orbit.  The quantifier checks below need only these: for units u, v
-        the two-sided ideal (u a v) equals (a), since a = u^-1 (u a v) v^-1.
+        its orbit, found for every element at once: least[a] is the least
+        index in the orbit of a, and a is a representative iff least[a] = a.
+        Two-sided, min over u, v of u a v = min over u of (min over v of
+        (u a) v), so two gathers from the table suffice.  The quantifier checks
+        below need only the representatives: for units u, v the two-sided
+        ideal (u a v) equals (a), since a = u^-1 (u a v) v^-1.
         """
         if two_sided not in self._orbit_reps:
             self._require_size("unit orbit pass")
             mul = self.mul_table
-            U = np.nonzero(self.units_mask)[0]
-            seen = np.zeros(self.size, dtype=bool)
-            reps = []
-            for a in range(self.size):
-                if seen[a]:
-                    continue
-                reps.append(a)
-                left = mul[U, a]
-                seen[mul[np.ix_(left, U)] if two_sided else left] = True
-            self._orbit_reps[two_sided] = np.array(reps, dtype=np.intp)
+            U = np.flatnonzero(self.units_mask)
+            if two_sided:
+                least = mul[:, U].min(axis=1)  # least[a] = min over v of a v
+                least = least[mul[U, :]].min(axis=0)
+            else:
+                least = mul[U, :].min(axis=0)
+            self._orbit_reps[two_sided] = np.flatnonzero(least == np.arange(self.size))
         return self._orbit_reps[two_sided]
 
     def mask_of(self, elements: Iterable[RingElement]) -> np.ndarray:
@@ -386,6 +412,15 @@ class FiniteRing:
             and np.array_equal(self.constants, other.constants)
             and self.one.coords == other.one.coords
         )
+
+
+def _digit_add_table(coords: np.ndarray, orders: Sequence[int], strides: np.ndarray) -> np.ndarray:
+    """[x, y] -> index of x + y, for rows x, y of coords over the given digits."""
+    table = np.zeros((len(coords), len(coords)), dtype=np.int32)
+    for u, (k, stride) in enumerate(zip(orders, strides.tolist())):
+        col = coords[:, u].astype(np.int32)
+        table += (np.add.outer(col, col) % k) * np.int32(stride)
+    return table
 
 
 def make_ring(
@@ -695,17 +730,18 @@ def _dedekind_finite(ring: FiniteRing) -> bool:
 def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile:
     """Fill every predicate flag by exhaustive quantifier checks.
 
-    The quantifiers grow as |R|^3, so rings over `cap` elements are refused;
-    the nilpotent mask comes first, so that rings over TABLE_CAP are refused
-    by it before anything is allocated.  N(R) = J(R) decides NJ, 2-primal
-    and weakly 2-primal at once, since the three nilradicals equal J(R);
-    NI is tested on its own, as closure of N(R) under the ideal operations.
-    The ring caches the flags, and the radicals as masks; the profile's
-    ideals and nilpotent set are rebuilt from them on every call.
+    The quantifiers grow as |R|^3, so rings over `cap` elements are refused,
+    and rings over TABLE_CAP before that, both before anything is allocated.
+    N(R) = J(R) decides NJ, 2-primal and weakly 2-primal at once, since the
+    three nilradicals equal J(R); NI is tested on its own, as closure of N(R)
+    under the ideal operations.  The ring caches the flags, and the radicals
+    as masks; the profile's ideals and nilpotent set are rebuilt from them on
+    every call.
     """
-    nil = ring.nilpotent_mask
+    ring._require_size("classification")
     if ring.size > cap:
         raise TooLarge(ring.size, cap, "classification")
+    nil = ring.nilpotent_mask
     J = jacobson_radical(ring)
     Nlower = prime_radical(ring)
     Nupper = upper_nilradical(ring)

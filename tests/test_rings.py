@@ -192,18 +192,89 @@ def test_matrix_ring_against_numpy_oracle():
             assert (expected == got).all()
 
 
+def _assert_tables_match(ring, pairs):
+    """Table entries at the given index pairs against coordinate arithmetic."""
+    for a, b in pairs:
+        x = ring.element_from_index(a).coords
+        y = ring.element_from_index(b).coords
+        assert ring.neg_array[a] == ring.index_of([-c % k for c, k in zip(x, ring.orders)])
+        assert ring.mul_table[a, b] == ring.index_of(ring._mul_coords(x, y))
+        s = [(c + d) % k for c, d, k in zip(x, y, ring.orders)]
+        assert ring.add_table[a, b] == ring.index_of(s)
+
+
+# The six rings of the benchmark's ring_lattice workload.
+RING_LATTICE = [
+    trunc_poly(5, 4),
+    product_ring(matrix_upper(5), zn(5)),
+    product_ring(clifford_base(3), clifford_base(2)),
+    product_ring(product_ring(matrix_upper(2), trunc_poly(2, 4)), zn(2)),
+    product_ring(group_ring_q8(), zn(2)),
+    matrix_full(3),
+]
+
+
+# The tables split the digits; these rings have one digit, mixed orders and
+# an odd digit count.
 @pytest.mark.parametrize(
-    "ring", [matrix_full(3), product_ring(zn(4), trunc_poly(2, 2))], ids=lambda r: r.name
+    "ring",
+    [
+        product_ring(zn(4), trunc_poly(2, 2)),
+        zn(2),
+        zn(4),
+        product_ring(zn(4), zn(3)),
+        clifford_base(2),
+        *RING_LATTICE,
+    ],
+    ids=lambda r: r.name,
 )
 def test_tables_match_coordinate_arithmetic(ring):
-    for a in range(ring.size):
-        x = ring.element_from_index(a).coords
-        assert ring.neg_array[a] == ring.index_of([-c % k for c, k in zip(x, ring.orders)])
-        for b in range(ring.size):
-            y = ring.element_from_index(b).coords
-            assert ring.mul_table[a, b] == ring.index_of(ring._mul_coords(x, y))
-            s = [(c + d) % k for c, d, k in zip(x, y, ring.orders)]
-            assert ring.add_table[a, b] == ring.index_of(s)
+    """Every pair on rings of at most 100 elements, 2,000 seeded pairs above."""
+    if ring.size <= 100:
+        pairs = [(a, b) for a in range(ring.size) for b in range(ring.size)]
+    else:
+        pairs = np.random.default_rng(0).integers(0, ring.size, size=(2000, 2)).tolist()
+    _assert_tables_match(ring, pairs)
+    assert all(t.dtype == np.int32 for t in (ring.mul_table, ring.add_table, ring.neg_array))
+
+
+# Builds the 4096-element F2[Q8] x Z4 x Z4, the largest ring under TABLE_CAP,
+# under the same address-space limit as _HUGE_RING_SCRIPT below.
+_TABLE_CAP_RING_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from skewpbw.corpus import group_ring_q8, product_ring, zn
+ring = product_ring(product_ring(group_ring_q8(), zn(4)), zn(4))
+assert ring.size == 4096
+rng = np.random.default_rng(0)
+for a, b in rng.integers(0, ring.size, size=(2000, 2)).tolist():
+    x = ring.element_from_index(a).coords
+    y = ring.element_from_index(b).coords
+    assert ring.mul_table[a, b] == ring.index_of(ring._mul_coords(x, y)), (a, b)
+    s = [(c + d) % k for c, d, k in zip(x, y, ring.orders)]
+    assert ring.add_table[a, b] == ring.index_of(s), (a, b)
+    assert ring.neg_array[a] == ring.index_of([-c % k for c, k in zip(x, ring.orders)]), a
+print("ok")
+"""
+
+
+def _run_child(script):
+    src = Path(skewpbw.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_tables_of_a_table_cap_ring_under_an_address_space_limit():
+    proc = _run_child(_TABLE_CAP_RING_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
 
 
 # Run in a child process under an address-space limit, so that a path that
@@ -234,15 +305,7 @@ for name, call in calls:
 
 
 def test_huge_ring_raises_too_large_before_allocating():
-    src = Path(skewpbw.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _HUGE_RING_SCRIPT],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _run_child(_HUGE_RING_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "classify_ring",
@@ -667,6 +730,43 @@ def _assert_orbit_shortcuts_exact(ring):
 def test_orbit_shortcuts_on_corpus_rings(ring_entries, corpus_entries):
     for entry in ring_entries + corpus_entries:
         _assert_orbit_shortcuts_exact(entry.ring)
+
+
+def _oracle_orbit_reps(ring, two_sided):
+    """The least index of each unit orbit: walk R upward, marking each orbit met."""
+    mul = ring.mul_table
+    U = np.nonzero(ring.units_mask)[0]
+    seen = np.zeros(ring.size, dtype=bool)
+    reps = []
+    for a in range(ring.size):
+        if seen[a]:
+            continue
+        reps.append(a)
+        left = mul[U, a]
+        seen[mul[np.ix_(left, U)] if two_sided else left] = True
+    return np.array(reps, dtype=np.intp)
+
+
+def _assert_nil_mask_and_orbit_reps_exact(ring):
+    # r is nilpotent iff r^|R| = 0; RingElement powers use the coordinates,
+    # not the tables
+    powers = [(ring.element_from_index(a) ** ring.size).is_zero for a in range(ring.size)]
+    nil = ring.nilpotent_mask
+    assert nil.dtype == bool and np.array_equal(nil, powers), ring.name
+    for two_sided in (True, False):
+        reps = ring._unit_orbit_reps(two_sided)
+        oracle = _oracle_orbit_reps(ring, two_sided)
+        assert reps.dtype == oracle.dtype and np.array_equal(reps, oracle), (ring.name, two_sided)
+
+
+def test_nil_mask_and_orbit_reps_on_corpus_rings(ring_entries, corpus_entries):
+    for entry in ring_entries + corpus_entries:
+        _assert_nil_mask_and_orbit_reps_exact(entry.ring)
+
+
+@pytest.mark.parametrize("ring", RING_LATTICE, ids=lambda r: r.name)
+def test_nil_mask_and_orbit_reps_on_ring_lattice_rings(ring):
+    _assert_nil_mask_and_orbit_reps_exact(ring)
 
 
 PRODUCT_RINGS = pytest.mark.parametrize(
