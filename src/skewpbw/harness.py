@@ -276,10 +276,10 @@ class Evidence:
 
     profile = cached_property(lambda self: classify_ring(self.ring))
 
-    def _flag(self, flag: str, radical: Optional[Ideal] = None) -> TV:
-        """A ring flag; a failed radical equality names an element of N(R) xor the radical."""
+    def _flag(self, flag: str) -> TV:
+        """A ring flag; a failed one names an element of N(R) xor J(R), every nilradical of a finite ring."""
         value, nil = getattr(self.profile, flag), self.profile.nilpotents
-        apart = nil ^ radical.carrier if radical is not None and not value else ()
+        apart = () if value else nil ^ self.profile.jacobson_radical.carrier
         if not apart:
             return TV(value, True)
         sep = min(apart, key=lambda e: e.index)
@@ -291,9 +291,9 @@ class Evidence:
             return TV(False, True, "N(R) is not an ideal")
         return _tv_compat(invariance(Ideal(self.ring, self.profile.nilpotents), self.system, mode))
 
-    R_NI = cached_property(lambda self: self._flag("NI", self.profile.upper_nilradical))  # N(R) is an ideal
-    two_primal = cached_property(lambda self: self._flag("two_primal", self.profile.prime_radical))
-    weakly_two_primal = cached_property(lambda self: self._flag("weakly_two_primal", self.profile.levitzki_radical))
+    R_NI = cached_property(lambda self: self._flag("NI"))  # N(R) is an ideal
+    two_primal = cached_property(lambda self: self._flag("two_primal"))
+    weakly_two_primal = cached_property(lambda self: self._flag("weakly_two_primal"))
     locally_finite = cached_property(lambda self: self._flag("locally_finite"))
     sigma_compatible = cached_property(lambda self: _tv_compat(is_sigma_compatible(self.ring, self.system)))
     delta_compatible = cached_property(lambda self: _tv_compat(is_delta_compatible(self.ring, self.system)))
@@ -304,7 +304,7 @@ class Evidence:
     N_sigma_rigid = cached_property(
         lambda self: _tv_compat(is_sigma_rigid_subset(self.ring, self.system, self.profile.nilpotents))
     )
-    Nstar_eq_N = cached_property(lambda self: TV(self.profile.upper_nilradical.carrier == self.profile.nilpotents, True))
+    Nstar_eq_N = cached_property(lambda self: TV(self.profile.NJ, True))
 
 
 # ---------------------------------------------------------------------------

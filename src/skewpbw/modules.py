@@ -39,19 +39,24 @@ those are the coordinates of phi(k_v g_v) = 0.  Products run in float64,
 exact on integers below 2^53; `FiniteModules` reduces before any squaring
 whose sums could reach that bound.
 
-The catalogue, tried in this order; a candidate is kept only if it passes
-(1) and (2), and a family is left out when its size passes DIMENSION_CAP:
+The catalogue is one family of modules, each named by a shape
+((m_1, rule_1), ..., (m_n, rule_n)): M = sum over alpha < m of R x^alpha,
+L_r acting on the coefficients, and X_i(e_t x^alpha) the engine's
+x_i * e_t x^alpha with each exponent gamma_j of each term reduced by the
+rule of variable j, cyclic (x_j^{m_j} -> 1, gamma_j modulo m_j) or
+truncated (x_j^{m_j} -> 0, the term dropped once gamma_j >= m_j).  A
+candidate is kept only if it passes (1) and (2), so any shape is sound.
+The shapes are tried in this order, each group left out when its size
+passes DIMENSION_CAP:
 
-  (a) M = R, L_r the left multiplication, and X_i(s) = sigma_i(s) c_i +
-      delta_i(s) for c in {0, 1}^n.  (1) holds for every c, by
-      delta(rs) = sigma(r) delta(s) + delta(r) s; (2) decides which c
-      qualify.  For n = 1 this is R as a left R[x; sigma, delta]-module
-      (Goodearl and Warfield, An Introduction to Noncommutative Noetherian
-      Rings, ch. 2).
-  (b) M = sum over alpha in {0, 1}^n of R x^alpha, L_r acting on the
-      coefficients, and X_i(e_t x^alpha) the engine's x_i * e_t x^alpha
-      with every exponent reduced modulo 2 (x_i^2 -> 1).  For n = 1 this
-      is A / A(x^2 - 1).
+  - every m_i = 1, truncated before cyclic in each variable.  Then M = R
+    and X_i(s) = sigma_i(s) c_i + delta_i(s), with c_i = 1 for a cyclic
+    variable and 0 for a truncated one.  (1) holds for every c, by
+    delta(rs) = sigma(r) delta(s) + delta(r) s; (2) decides which c
+    qualify.  For n = 1 this is R as a left R[x; sigma, delta]-module
+    (Goodearl and Warfield, An Introduction to Noncommutative Noetherian
+    Rings, ch. 2).
+  - every m_i = 2, cyclic: x_i^2 -> 1.  For n = 1 this is A / A(x^2 - 1).
 
 When J(R) is invariant under every sigma_i and delta_i, each f in J(R)<x>
 is nilpotent (proof at probes._probe_rows), so no module certifies it: the
@@ -74,9 +79,10 @@ from .maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance
 from .rings import ideal_power_index, jacobson_radical
 
 ATOM_CACHE_CAP = 1 << 8  # entries (module, alpha) in a store's cache of rho(x^alpha) atoms
-# at most this many family (a) candidates, and additive generators in the
-# family (b) module: n variables give 2^n of each, times m for (b)
+# at most this many shapes with every m_i = 1, and additive generators in the
+# shape with every m_i = 2: n variables give 2^n of each, times m for the latter
 DIMENSION_CAP = 64
+CYCLIC, TRUNCATED = "cyclic", "truncated"  # x_i^{m_i} -> 1, x_i^{m_i} -> 0
 
 
 def _omega(k: int) -> int:
@@ -94,7 +100,7 @@ def _omega(k: int) -> int:
 class FiniteModule:
     """rho on M's additive generators: L_{e_s} and X_i, integer matrices."""
 
-    family: str
+    shape: tuple        # ((m_1, rule_1), ..., (m_n, rule_n))
     left: np.ndarray    # (m, D, D): L_{e_s}
     ops: list           # X_1..X_n, each (D, D)
     orders: np.ndarray  # (D,): order of each additive generator of M
@@ -125,24 +131,11 @@ class FiniteModule:
         return out
 
 
-def regular_module(A: ExtensionPresentation, c: Sequence[int]) -> FiniteModule:
-    """Family (a): M = R with X_i = sigma_i c_i + delta_i, c_i in {0, 1}."""
-    base = A.base
-    C = base.constants
-    orders = np.array(base.orders, dtype=np.int64)
-    ops = [
-        (ci * s.matrix + d.matrix) % orders[:, None]
-        for ci, s, d in zip(c, A.system.sigmas, A.system.deltas)
-    ]
-    # L_{e_s}[u, t] = coordinate u of e_s e_t
-    return FiniteModule("a", C.transpose(0, 2, 1).copy(), ops, orders)
-
-
-def parity_module(A: ExtensionPresentation) -> FiniteModule:
-    """Family (b): M = sum_{alpha in {0,1}^n} R x^alpha, x_i^2 -> 1."""
+def shape_module(A: ExtensionPresentation, shape: tuple) -> FiniteModule:
+    """M = sum_{alpha < m} R x^alpha with each x_i^{m_i} reduced by its rule."""
     base = A.base
     m = base.m
-    alphas = list(itertools.product((0, 1), repeat=A.n))
+    alphas = list(itertools.product(*(range(mi) for mi, _ in shape)))
     pos = {alpha: k for k, alpha in enumerate(alphas)}
     D = len(alphas) * m
     orders = np.tile(np.array(base.orders, dtype=np.int64), len(alphas))
@@ -155,12 +148,14 @@ def parity_module(A: ExtensionPresentation) -> FiniteModule:
         for alpha in alphas:
             for t, et in enumerate(gens):
                 for gamma, c in A._mul_terms(xi, {alpha: et}).items():
-                    row = pos[tuple(g % 2 for g in gamma)] * m
-                    X[row : row + m, pos[alpha] * m + t] += elems[c]
+                    # cyclic exponents wrap; a truncated one past m_i falls outside pos, and the term is 0
+                    k = pos.get(tuple(g % mi if rule == CYCLIC else g for g, (mi, rule) in zip(gamma, shape)))
+                    if k is not None:
+                        X[k * m : (k + 1) * m, pos[alpha] * m + t] += elems[c]
         ops.append(X % orders[:, None])
-    L = base.constants.transpose(0, 2, 1)
-    left = np.stack([np.kron(np.eye(len(alphas), dtype=np.int64), L[s]) for s in range(m)])
-    return FiniteModule("b", left, ops, orders)
+    # L_{e_s} = C[s]^T on each coefficient block: entry (u, t) is coordinate u of e_s e_t
+    left = np.einsum("ab,stu->saubt", np.eye(len(alphas), dtype=np.int64), base.constants).reshape(m, D, D)
+    return FiniteModule(shape, left, ops, orders)
 
 
 def is_module(A: ExtensionPresentation, M: FiniteModule) -> bool:
@@ -195,12 +190,12 @@ class FiniteModules:
 
     def __init__(self, A: ExtensionPresentation):
         A._require_verified()
-        candidates = []
+        shapes = []
         if 2**A.n <= DIMENSION_CAP:
-            candidates += [regular_module(A, c) for c in itertools.product((0, 1), repeat=A.n)]
+            shapes += itertools.product(((1, TRUNCATED), (1, CYCLIC)), repeat=A.n)
         if 2**A.n * A.base.m <= DIMENSION_CAP:
-            candidates.append(parity_module(A))
-        self.modules = [M for M in candidates if is_module(A, M)]
+            shapes.append(((2, CYCLIC),) * A.n)
+        self.modules = [M for M in (shape_module(A, shape) for shape in shapes) if is_module(A, M)]
         self._elems = A.base.elements_array.astype(np.float64)
         self._m = A.base.m
         self._orders = [M.orders.astype(np.float64)[:, None] for M in self.modules]

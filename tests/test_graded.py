@@ -15,7 +15,7 @@ from skewpbw import (
     trivial_grading,
     verify_presentation,
 )
-from skewpbw.corpus import clifford_base, field4, trunc_poly, zn
+from skewpbw.corpus import BUILDERS, clifford_base, field4, standard_rings, trunc_poly, zn
 from skewpbw.errors import (
     IdentityNotDegreeZero,
     InhomogeneousConstant,
@@ -110,6 +110,55 @@ def test_connected_examples():
     assert is_connected(attach_grading(trunc_poly(2, 2), [0, 1]))
     assert not is_connected(trivial_grading(zn(4)))
     assert is_connected(attach_grading(clifford_base(2), [0, 2, 2]))
+
+
+def _oracle_is_connected(grading):
+    """R_0 spanned by 1 and a field, by the element loops: quadratic in |R_0|."""
+    ring = grading.ring
+    zero_gens = grading.component_generators(0)
+    comp = []
+    for idx in range(ring.size):
+        r = ring.element_from_index(idx)
+        if all(c == 0 for t, c in enumerate(r.coords) if t not in zero_gens):
+            comp.append(r)
+    multiples = set()
+    r = ring.zero
+    for _ in range(ring.size):
+        multiples.add(r)
+        r = r + ring.one
+    if any(x not in multiples for x in comp):
+        return False
+    for a in comp:
+        for b in comp:
+            if a * b != b * a:
+                return False
+    for a in comp:
+        if a.is_zero:
+            continue
+        if not any((a * b == ring.one and b * a == ring.one) for b in comp):
+            return False
+    return True
+
+
+def test_connected_by_counting_matches_the_element_loops():
+    # every labelling in {0, 1, 2} that attach_grading accepts, on the
+    # standard rings and the corpus bases
+    rings = [e.ring for e in standard_rings()] + [build().ring for build in BUILDERS.values()]
+    gradings = []
+    for ring in rings:
+        for labels in itertools.product(range(3), repeat=ring.m):
+            try:
+                gradings.append(attach_grading(ring, labels))
+            except (IdentityNotDegreeZero, InhomogeneousConstant):
+                pass
+    verdicts = [(is_connected(g), _oracle_is_connected(g)) for g in gradings]
+    assert all(new == old for new, old in verdicts)
+    assert (len(gradings), sum(new for new, _ in verdicts)) == (54, 19)
+
+
+def test_connected_on_a_large_prime_field():
+    # Z_4093 = Z*1 is a field; the element loops would pair 4093^2 elements
+    assert is_connected(attach_grading(zn(4093), [0]))
 
 
 # ---------------------------------------------------------------------------

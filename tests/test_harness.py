@@ -2,6 +2,7 @@
 
 import pytest
 
+from skewpbw.corpus import BUILDERS, standard_rings
 from skewpbw.errors import WrongShape
 from skewpbw.harness import (
     CONSISTENT,
@@ -9,6 +10,7 @@ from skewpbw.harness import (
     PRECONDITION_FAILED,
     THEOREM_IDS,
     VIOLATED,
+    Evidence,
     SearchBudget,
     TheoremCheck,
     counterexample_search,
@@ -21,6 +23,25 @@ from skewpbw.probes import NICheckResult, bounded_NI_check, replay_violation
 
 def check(tid, entry, budget=None):
     return run_check(TheoremCheck(tid, entry, budget))
+
+
+def test_ring_flags_read_against_each_nilradical():
+    # every nilradical of a finite ring is J(R), so a flag read against J(R)
+    # has the value and the witness it has read against its own radical
+    for entry in standard_rings() + [build() for build in BUILDERS.values()]:
+        ev = Evidence.of(entry)
+        p = ev.profile
+        for attr, flag, radical in (
+            ("R_NI", "NI", p.upper_nilradical),
+            ("two_primal", "two_primal", p.prime_radical),
+            ("weakly_two_primal", "weakly_two_primal", p.levitzki_radical),
+        ):
+            tv = getattr(ev, attr)
+            sep = min(() if tv.value else p.nilpotents ^ radical.carrier, key=lambda e: e.index, default=None)
+            assert tv.value == getattr(p, flag), (entry.name, flag)
+            want = None if sep is None else f"{sep!r} separates"
+            assert want is None if tv.witness is None else tv.witness.startswith(want), (entry.name, flag)
+        assert ev.Nstar_eq_N.value == (p.upper_nilradical.carrier == p.nilpotents), entry.name
 
 
 def test_t1_swap_precondition_failed_with_witness(swap_entry):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -10,7 +11,15 @@ import pytest
 from skewpbw import corpus
 from skewpbw.extension import make_extension, verify_presentation
 from skewpbw.maps import SigmaSystem, identity_map
-from skewpbw.modules import DIMENSION_CAP, FiniteModules, finite_modules, is_module
+from skewpbw.modules import (
+    CYCLIC,
+    DIMENSION_CAP,
+    TRUNCATED,
+    FiniteModules,
+    finite_modules,
+    is_module,
+    shape_module,
+)
 from skewpbw.probes import (
     FINITE_MODULE,
     LEADING_CHAIN,
@@ -32,6 +41,16 @@ CENSUS = [
     ("q8_twist", 1, 1),
 ]
 CENSUS_CAP = 32
+ONE = ((1, TRUNCATED), (1, CYCLIC))  # the m_i = 1 rules, as c_i = 0 and c_i = 1
+
+
+def cyclic(*m):
+    return tuple((mi, CYCLIC) for mi in m)
+
+
+def z2_polynomials(n):
+    ring = corpus.zn(2)
+    return verify_presentation(make_extension(ring, SigmaSystem([identity_map(ring)] * n)))
 
 
 def rho(store, k, f):
@@ -62,7 +81,7 @@ def test_rho_is_multiplicative(name):
         assert np.array_equal(rho(store, k, A.one_poly()), np.eye(len(M.orders), dtype=np.int64))
         for f, g in pairs:
             want = M.reduce(rho(store, k, f) @ rho(store, k, g))
-            assert np.array_equal(rho(store, k, f * g), want), (name, M.family, f, g)
+            assert np.array_equal(rho(store, k, f * g), want), (name, M.shape, f, g)
 
 
 def rho_direct(A, M, f):
@@ -95,17 +114,65 @@ def test_changed_operator_is_rejected(name):
                     continue
                 for f, g, fg in products:
                     want = other.reduce(rho_direct(A, other, f) @ rho_direct(A, other, g))
-                    assert np.array_equal(rho_direct(A, other, fg), want), (name, M.family, i, u, v)
+                    assert np.array_equal(rho_direct(A, other, fg), want), (name, M.shape, i, u, v)
     assert rejected > 0, name
 
 
 def test_catalogue_on_the_corpus():
-    # family (a) gives no module on clifford_trunc_2: x2 x1 = x1 x2 + y1
-    # needs operators that do not commute; family (b) passes everywhere
-    kept = {name: [M.family for M in finite_modules(b().presentation).modules] for name, b in corpus.BUILDERS.items()}
-    assert kept["clifford_trunc_2"] == ["b"]
-    assert all(families[-1] == "b" for families in kept.values())
-    assert kept["heisenberg_2"] == ["a"] * 4 + ["b"]  # c_3 = 0
+    # no m_i = 1 shape gives a module on clifford_trunc_2: x2 x1 = x1 x2 + y1
+    # needs operators that do not commute; cyclic m_i = 2 passes everywhere
+    kept = {name: [M.shape for M in finite_modules(b().presentation).modules] for name, b in corpus.BUILDERS.items()}
+    assert kept["clifford_trunc_2"] == [cyclic(2, 2)]
+    assert all(shapes[-1] == cyclic(*[2] * len(shapes[-1])) for shapes in kept.values())
+    assert kept["heisenberg_2"] == [(a, b, (1, TRUNCATED)) for a in ONE for b in ONE] + [cyclic(2, 2, 2)]  # c_3 = 0
+
+
+def _closed_form(A, c):
+    """The m_i = 1 module in closed form: X_i = c_i sigma_i + delta_i, L_{e_s} = C[s]^T."""
+    C, orders = A.base.constants, np.array(A.base.orders, dtype=np.int64)
+    ops = [(ci * s.matrix + d.matrix) % orders[:, None] for ci, s, d in zip(c, A.system.sigmas, A.system.deltas)]
+    return C.transpose(0, 2, 1), ops, orders
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS) + ["Z2[x1..x6]"])
+def test_unit_shapes_match_the_closed_form(name):
+    A = z2_polynomials(6) if name == "Z2[x1..x6]" else corpus.BUILDERS[name]().presentation
+    for c in itertools.product((0, 1), repeat=A.n):
+        M = shape_module(A, tuple(ONE[ci] for ci in c))
+        left, ops, orders = _closed_form(A, c)
+        assert np.array_equal(M.left, left) and np.array_equal(M.orders, orders), (name, c)
+        assert len(M.ops) == A.n and all(np.array_equal(X, Y) for X, Y in zip(M.ops, ops)), (name, c)
+
+
+@pytest.mark.parametrize(
+    "name, shape, passes",
+    [
+        ("poly_z4_2v", cyclic(3, 3), True),
+        ("matrix_poly_2", cyclic(3), True),
+        ("euler_like_2", cyclic(3), True),
+        ("swap_extension", cyclic(3), True),
+        ("clifford_trunc_2", ((2, TRUNCATED), (3, CYCLIC)), True),
+        ("clifford_trunc_2", ((6, CYCLIC), (1, TRUNCATED)), True),
+        ("clifford_trunc_2", cyclic(2, 3), True),
+        ("clifford_trunc_2", cyclic(6, 1), True),
+        ("clifford_trunc_2", cyclic(3, 3), False),
+    ],
+)
+def test_shapes_outside_the_catalogue(name, shape, passes):
+    # m_i > 2 and mixed rules: the relation check decides, and a module it
+    # keeps is multiplicative on engine products
+    A = corpus.BUILDERS[name]().presentation
+    M = shape_module(A, shape)
+    assert M.shape == shape and len(M.orders) == A.base.m * np.prod([m for m, _ in shape])
+    assert is_module(A, M) == passes
+    if not passes:
+        return
+    rng = random.Random(name)
+    pairs = [(random_poly(rng, A), random_poly(rng, A)) for _ in range(PAIRS)]
+    pairs += [(A.variable(j), A.variable(i)) for i in range(1, A.n + 1) for j in range(1, A.n + 1)]
+    for f, g in pairs:
+        want = M.reduce(rho_direct(A, M, f) @ rho_direct(A, M, g))
+        assert np.array_equal(rho_direct(A, M, f * g), want), (name, shape, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +327,16 @@ def test_atom_cache_is_bounded(weyl2, monkeypatch):
 
 
 def test_catalogue_size_is_capped():
-    # Z2[x1..x7] would give 128 candidates of family (a) and a family (b)
+    # Z2[x1..x7] would give 128 shapes with every m_i = 1 and a cyclic m_i = 2
     # module on 128 generators: both are left out, and probes go on to the
     # power chain
-    ring = corpus.zn(2)
-    A = verify_presentation(make_extension(ring, SigmaSystem([identity_map(ring)] * 7)))
+    A = z2_polynomials(7)
     assert 2**A.n > DIMENSION_CAP and FiniteModules(A).modules == []
     f = A.variable(1) + A.variable(2)
     assert not finite_modules(A).certifies(f)
     assert nilpotency_probe(f, 4).reason == LEADING_CHAIN
-    B = verify_presentation(make_extension(ring, SigmaSystem([identity_map(ring)] * 6)))
-    assert [M.family for M in FiniteModules(B).modules] == ["a"] * 64 + ["b"]
+    B = z2_polynomials(6)
+    assert [M.shape for M in FiniteModules(B).modules] == list(itertools.product(ONE, repeat=6)) + [cyclic(*[2] * 6)]
 
 
 def test_store_is_built_on_first_use_only():
