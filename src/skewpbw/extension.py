@@ -5,16 +5,17 @@ are computed by rewriting: coefficients are pushed through variables with
 x_i r = sigma_i(r) x_i + delta_i(r), and out-of-order variable pairs are
 swapped with x_j x_i = d_ij x_i x_j + t0 + sum_k t_k x_k.
 
-Termination of the rewriting recursion is measured lexicographically by
+Termination of the rewriting is measured lexicographically by
 (total degree, inversion count of the variable word): sigma-pushes and d-swaps
 keep the degree and strictly reduce inversions, while delta-pushes and tail
 branches strictly reduce the degree.
 
 The cost of a product is lopsided.  For each term x^alpha of the left factor,
 x^alpha is pushed past the right factor's coefficients (up to |alpha| + 1
-terms when delta != 0) and x^alpha x^beta is reordered by recursion on alpha;
-both grow with deg alpha and make cache keys per alpha.  So a long chain of
-products should keep its short factor on the left.
+terms when delta != 0) and x^alpha x^beta is reordered one junction at a
+time, through x^(alpha - e_j); both grow with deg alpha and make cache keys
+per alpha.  So a long chain of products should keep its short factor on the
+left.
 
 Presentations are verified before any arithmetic is allowed: the overlap
 checks below are the finite diamond-lemma conditions that make the rewriting
@@ -33,13 +34,15 @@ from .errors import (
     NonInjectiveSigma,
     OverlapFails,
     ShapeMismatch,
+    TooLarge,
     Unverified,
     ZeroD,
 )
-from .maps import SigmaSystem
+from .maps import SigmaSystem, multi_indices
 from .rings import FiniteRing, RingElement
 
 CACHE_CAP = 1 << 18  # entries in each of _push_cache and _mono_cache
+TABLE_ENTRIES = 1 << 24  # entries of an atom table, or of one block of its value rows
 
 
 def _cache_put(cache: dict, key, value, cap: Optional[int] = None) -> None:
@@ -338,47 +341,85 @@ class ExtensionPresentation:
         return terms
 
     def _mono(self, alpha: tuple, beta: tuple) -> dict:
-        """Normal form of x^alpha * x^beta as {gamma: coefficient index}."""
+        """Normal form of x^alpha * x^beta as {gamma: coefficient index}.
+
+        A junction x_j x_i with j > i is rewritten by its relation, which
+        needs the normal forms of smaller products first (the termination
+        order of the module docstring).  Each such product is a frame of
+        `_reorder` on an explicit stack: a frame yields the product it needs
+        and is sent its normal form back, so a reordering of any degree
+        fits, with no recursion.
+        """
+        out = self._mono_ready(alpha, beta)
+        if out is not None:
+            return out
+        stack = [self._reorder(alpha, beta)]
+        value = None
+        while True:
+            try:
+                need = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value
+                continue
+            value = self._mono_ready(*need)
+            if value is None:
+                stack.append(self._reorder(*need))
+
+    def _mono_ready(self, alpha: tuple, beta: tuple) -> Optional[dict]:
+        """x^alpha * x^beta when it is cached or has no junction to rewrite, else None."""
         if alpha == self._zero_exp:
             return {beta: self._one}
         if beta == self._zero_exp:
             return {alpha: self._one}
-        key = (alpha, beta)
-        hit = self._mono_cache.get(key)
+        hit = self._mono_cache.get((alpha, beta))
         if hit is not None:
             return hit
         j = max(t for t in range(self.n) if alpha[t] > 0)
         i = min(t for t in range(self.n) if beta[t] > 0)
-        if j <= i:
-            merged = tuple(a + b for a, b in zip(alpha, beta))
-            out = {merged: self._one}
-            _cache_put(self._mono_cache, key, out)
-            return out
-        # junction x_j x_i with j > i: substitute the defining relation
-        left = list(alpha)
-        left[j] -= 1
-        left = tuple(left)
-        right = list(beta)
-        right[i] -= 1
-        right = tuple(right)
-        rel = self._rel[(i, j)]
+        if j > i:
+            return None
+        out = {tuple(a + b for a, b in zip(alpha, beta)): self._one}
+        _cache_put(self._mono_cache, (alpha, beta), out)
+        return out
+
+    def _reorder(self, alpha: tuple, beta: tuple):
+        """Frame of `_mono` at the junction x_j x_i, j > i: substitute the defining relation.
+
+        x^alpha x^beta = x^left (x_j x_i) x^right = sum over the relation's
+        terms c x^grel of x^left c (x^grel x^right).  Yields each product of
+        monomials whose normal form it needs and is not ready; returns, and
+        caches, the normal form.
+        """
+        j = max(t for t in range(self.n) if alpha[t] > 0)
+        i = min(t for t in range(self.n) if beta[t] > 0)
+        left = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+        right = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
         mul = self._mul
         add = self._add
         out = {}
-        for grel, c in rel:
-            for delta, cd in self._mono(grel, right).items():
+        for grel, c in self._rel[(i, j)]:
+            tail = self._mono_ready(grel, right)
+            if tail is None:
+                tail = yield (grel, right)
+            for delta, cd in tail.items():
                 c2 = mul[c][cd]
                 if not c2:
                     continue
                 for gam, cp in self._push(left, c2).items():
-                    for eps, ce in self._mono(gam, delta).items():
+                    head = self._mono_ready(gam, delta)
+                    if head is None:
+                        head = yield (gam, delta)
+                    for eps, ce in head.items():
                         coeff = mul[cp][ce]
                         if not coeff:
                             continue
                         prev = out.get(eps, 0)
                         out[eps] = add[prev][coeff] if prev else coeff
         out = {g: c for g, c in out.items() if c}
-        _cache_put(self._mono_cache, key, out)
+        _cache_put(self._mono_cache, (alpha, beta), out)
         return out
 
     def _mul_terms(self, f: dict, g: dict) -> dict:
@@ -427,92 +468,128 @@ def coefficient_keys(polys: Sequence[SkewPolynomial], pos: dict) -> np.ndarray:
     return K
 
 
-class DenseProducts:
-    """Batched products of polynomials supported on `monos`, as matmuls.
+class AtomTable:
+    """The element-index atom table Q[gamma][alpha][c] = x^gamma (c x^alpha).
 
-    A polynomial sum_alpha r_alpha x^alpha with every alpha in `monos` is a
-    row of base coordinates with one block of m per monomial; block alpha
-    holds the coordinates of r_alpha (`base.elements_array`).  The rewriting
-    engine computes the atom tensor once,
+    `monos` are the monomials of the bounded polynomials; every row of Q is
+    a polynomial written as element indices over `out_monos`, the monomials
+    that the products of `monos` use.  By biadditivity every product of
+    two polynomials supported on `monos` lies on them.
 
-        T[(alpha, s), (beta, t)] = x^alpha e_s * x^beta e_t,
-
-    written over `out_monos`, the monomials its products use; by
-    bilinearity every product of two such polynomials lies on them.  For a
-    fixed f with row x_f, the map h -> h f has the matrix
-    sum_{beta,t} x_f[beta,t] T[:, (beta,t)] and h -> f h the matrix
-    sum_{alpha,s} x_f[alpha,s] T[(alpha,s), :]; a batch of products is one
-    matmul followed by reduction of each output coordinate modulo its order.
+    The table is built once, from the m generator products
+    x^gamma (e_t x^alpha) of the rewriting engine: c = sum_t c_t e_t with
+    integer coordinates c_t, and x^gamma (c x^alpha) is additive in c, so
+    its coordinates are sum_t c_t times those of x^gamma (e_t x^alpha),
+    reduced modulo the additive orders.  Additively A is the direct sum of
+    the Z_{k_u} e_u x^w (Mon(A) is a left basis), so that reduction is the
+    product whatever integer stands for c_t: k_t e_t = 0.  The contraction
+    is exact in int64, each sum being below m k^2 with k the largest order.
     So `_mul_terms` stays the only definition of the multiplication.
 
-    Why this is exact: additively A is the direct sum of the Z_{k_u} x^gamma
-    e_u (Mon(A) is a left basis), and its multiplication is Z-bilinear.  An
-    integer coordinate c of e_s stands for its class modulo k_s, and another
-    representative c + q k_s changes the product by q (k_s e_s) y = 0.  So
-    the integer contraction of both factors' coordinates against T, reduced
-    coordinate by coordinate modulo k_u, is the product.  The matmuls run in
-    float64, exact on integers below 2^53: every factor entry is a reduced
-    coordinate below k = max(orders) <= TABLE_CAP, so no sum exceeds
-    (L m) (k - 1)^2, which T's own L^2 m^2 entries keep far below 2^53.
-    Results are reduced as integers, in int32 whenever that bound allows.
+    Everything a scan does with a factor f is then a gather from the ring's
+    index tables, with no coordinates and no modulus:
+
+      - left values  VL_f[alpha][c] = c (x^alpha f), since a left scalar
+        acts on a normal form coefficient by coefficient, and
+        x^alpha f = sum_beta Q[alpha][beta][f_beta];
+      - right values VR_f[alpha][c] = f (c x^alpha)
+        = sum_beta f_beta Q[beta][alpha][c].
+
+    For h = sum_alpha h_alpha x^alpha, h f = sum_alpha VL_f[alpha][h_alpha]
+    and f h = sum_alpha VR_f[alpha][h_alpha]: the add-table sum of one value
+    row per support slot of h.
+
+    The scans need few of those sums.  When J = J(R) is invariant under
+    every sigma_i and delta_i, J<x> is a two-sided ideal of A whose elements
+    are nilpotent (proof at probes._probe_rows), so every product of a
+    factor f in J<x> is a nilpotent closure check unless it is 0.  And
+    h f = 0 exactly when the value row of h's last slot is the negated sum
+    of the rows of its other slots: `probes._zero_products` finds those h
+    by joining the rows of each slot with the negated partial sums of each
+    prefix, and no product row is formed.  Q, and every block of value rows
+    the scans allocate, is checked against TABLE_ENTRIES before it is
+    allocated.
     """
 
     def __init__(self, A: "ExtensionPresentation", monos: Sequence[tuple]):
         A._require_verified()
         base = A.base
         self.A = A
-        self.m = m = base.m
         self.monos = list(monos)
-        self._pos = {alpha: i for i, alpha in enumerate(self.monos)}
-        atoms = [(alpha, base.generator(s).index) for alpha in self.monos for s in range(m)]
-        products = [[A._mul_terms({a: ea}, {b: eb}) for b, eb in atoms] for a, ea in atoms]
-        self.out_monos = sorted({g for row in products for p in row for g in p}, key=lambda a: (sum(a), a))
+        L, R, m = len(self.monos), base.size, base.m
+        # the rewriting never raises the degree, so every product lies in
+        # degree <= 2 max|alpha|: bound the table before any product is made
+        top = 2 * max(sum(alpha) for alpha in self.monos)
+        entries = L * L * R * len(multi_indices(A.n, 0, top))
+        if entries > TABLE_ENTRIES:
+            raise TooLarge(entries, TABLE_ENTRIES, "atom table")
+        self._pos = {alpha: k for k, alpha in enumerate(self.monos)}
+        gens = [base.generator(t).index for t in range(m)]
+        products = [
+            [[A._mul_terms({gamma: A._one}, {alpha: e}) for e in gens] for alpha in self.monos]
+            for gamma in self.monos
+        ]
+        self.out_monos = sorted(
+            {g for row in products for col in row for p in col for g in p}, key=lambda a: (sum(a), a)
+        )
         col = {gamma: k for k, gamma in enumerate(self.out_monos)}
+        W = len(self.out_monos)
         elems = base.elements_array
-        T = np.zeros((len(atoms), len(atoms), len(self.out_monos), m), dtype=np.int16)
-        for i, row in enumerate(products):
-            for j, p in enumerate(row):
-                for gamma, c in p.items():
-                    T[i, j, col[gamma]] = elems[c]
-        self._T = T.reshape(len(atoms), len(atoms), -1)
+        T = np.zeros((L, L, m, W, m), dtype=np.int64)  # coordinates of x^gamma (e_t x^alpha)
+        for g, row in enumerate(products):
+            for a, gen_products in enumerate(row):
+                for t, p in enumerate(gen_products):
+                    for gamma, c in p.items():
+                        T[g, a, t, col[gamma]] = elems[c]
         orders = np.array(base.orders, dtype=np.int64)
-        bound = len(atoms) * (int(orders.max()) - 1) ** 2
-        self._acc = np.int32 if bound < 2**31 else np.int64
-        self._in_orders = np.tile(orders, len(self.monos)).astype(self._acc)
-        self._out_orders = np.tile(orders, len(self.out_monos)).astype(self._acc)
-        self.width = self._T.shape[2]
-        self._elems = elems.astype(np.float64)
-        self._strides = base._strides.astype(self._acc)
+        self.Q = np.empty((L, L, R, W), dtype=np.int32)
+        for g in range(L):
+            self.Q[g] = (np.einsum("ct,atwu->acwu", elems, T[g]) % orders) @ base._strides
+        self.width = W
+        self.size = R
+        self._mul = base.mul_table.ravel()
+        # a view in memory order: + is commutative, so either order holds a + b at a * R + b
+        self._add = base.add_table.ravel(order="K")
+
+    def plus(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise sum of two arrays of element indices, by the flat addition table."""
+        return self._add[np.add(np.multiply(a, self.size, dtype=np.intp), b, dtype=np.intp)]
+
+    def times(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise product a * b of two arrays of element indices, by the flat multiplication table."""
+        return self._mul[np.add(np.multiply(a, self.size, dtype=np.intp), b, dtype=np.intp)]
 
     def keys(self, polys: Sequence[SkewPolynomial]) -> np.ndarray:
         """Coefficient element index per monomial of `monos`, one row per poly."""
         return coefficient_keys(polys, self._pos)
 
-    def coords(self, keys: np.ndarray) -> np.ndarray:
-        """Coordinate rows (float64 integers) of element-index rows."""
-        return self._elems[keys].reshape(len(keys), -1)
+    def _slot_sum(self, K: np.ndarray, shape: tuple, term) -> np.ndarray:
+        """Per key row of K, the add-table sum over its support slots b of term(rows, b).
 
-    def index_keys(self, P: np.ndarray) -> np.ndarray:
-        """Element-index rows of reduced integer coordinate rows."""
-        return (P.reshape(len(P), -1, self.m) @ self._strides).astype(np.int32)
-
-    def times(self, f: np.ndarray, side: str) -> np.ndarray:
-        """Matrix of h -> h f (side 'right') or h -> f h ('left'), reduced.
-
-        `f` is a coordinate row; only its nonzero columns are contracted.
+        term(rows, b) is the value of slot b for the key rows `rows`, which
+        all have a nonzero coefficient there; slots with coefficient 0
+        contribute 0 and are skipped.
         """
-        nz = np.flatnonzero(f)
-        block = self._T[:, nz] if side == "right" else self._T[nz]
-        M = np.tensordot(block.astype(np.float64), f[nz], axes=([1 if side == "right" else 0], [0]))
-        return M % self._out_orders
+        out = np.zeros((len(K),) + shape, dtype=np.int32)
+        for b in range(len(self.monos)):
+            rows = np.flatnonzero(K[:, b])
+            if len(rows):
+                out[rows] = self.plus(out[rows], term(rows, b))
+        return out
 
-    def products(self, X: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """Reduced integer coordinate rows of the products X @ M."""
-        return (X @ M).astype(self._acc) % self._out_orders
+    def left_values(self, K: np.ndarray) -> np.ndarray:
+        """VL[f][alpha][c] = c (x^alpha f) for the factors with key rows K: (len(K), L, R, W)."""
+        L, W = len(self.monos), self.width
+        xf = self._slot_sum(K, (L, W), lambda rows, b: self.Q[:, b, K[rows, b]].transpose(1, 0, 2))
+        return self.times(np.arange(self.size, dtype=np.int32)[None, None, :, None], xf[:, :, None, :])
 
-    def sums(self, X: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Reduced integer coordinate rows of the sums X + f."""
-        return (X + f).astype(self._acc) % self._in_orders
+    def right_values(self, K: np.ndarray) -> np.ndarray:
+        """VR[f][alpha][c] = f (c x^alpha) for the factors with key rows K: (len(K), L, R, W)."""
+        return self._slot_sum(K, self.Q.shape[1:], lambda rows, b: self.times(K[rows, b, None, None, None], self.Q[b]))
+
+    def products(self, V: np.ndarray, K: np.ndarray) -> np.ndarray:
+        """Rows sum_alpha V[alpha][K[:, alpha]]: h f (V = VL_f) or f h (V = VR_f) per key row h."""
+        return self._slot_sum(K, (self.width,), lambda rows, a: V[a, K[rows, a]])
 
     def poly(self, key: np.ndarray, monos: Sequence[tuple]) -> SkewPolynomial:
         """The polynomial of one element-index row over `monos`."""

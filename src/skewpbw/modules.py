@@ -32,12 +32,13 @@ phi^(2^s) = 0 for 2^s >= L.
 Matrices.  An additive endomorphism phi of M = sum_u Z_{k_u} g_u is the
 integer matrix whose column v holds the coordinates of phi(g_v), row u taken
 modulo k_u.  Composition is the integer matrix product reduced row by row,
-and any integer representatives of the entries give the same result, by the
-argument of `extension.DenseProducts`: adding k_v to entry (v, w) of the
-right factor adds k_v times column v of the left factor to column w, and
-those are the coordinates of phi(k_v g_v) = 0.  Products run in float64,
-exact on integers below 2^53; `FiniteModules` reduces before any squaring
-whose sums could reach that bound.
+and any integer representatives of the entries give the same result: adding
+k_v to entry (v, w) of the right factor adds k_v times column v of the left
+factor to column w, and those are the coordinates of phi(k_v g_v) = 0.
+Products run in float64, exact on integers below 2^53 (every sum of a
+product of reduced matrices is below D k^2, with k the largest order);
+`FiniteModules` reduces before any squaring whose sums could reach that
+bound.
 
 The catalogue is one family of modules, each named by a shape
 ((m_1, rule_1), ..., (m_n, rule_n)): M = sum over alpha < m of R x^alpha,

@@ -31,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent
-from .extension import DenseProducts, ExtensionPresentation, SkewPolynomial, coefficient_keys
+from .errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent, TooLarge
+from .extension import TABLE_ENTRIES, AtomTable, ExtensionPresentation, SkewPolynomial, coefficient_keys
 from .maps import DELTA_INVARIANT, invariance, multi_indices
 from .modules import finite_modules
 from .rings import Ideal
@@ -40,6 +40,7 @@ from .rings import Ideal
 DEFAULT_EXPONENT_CAP = 16
 DEFAULT_PAIR_BUDGET = 10**6
 BLOCK_ENTRIES = 1 << 22  # matrix entries per row block of a batched product
+ROW_ENTRIES = 1 << 14  # entries per block of value, product, sum or cross-product rows
 
 NILPOTENT = "nilpotent"
 NOT_NILPOTENT = "not_nilpotent"
@@ -264,6 +265,14 @@ def bounded_NI_check(
 
     A proved-nilpotent pair whose sum or product is proved NOT nilpotent is a
     genuine witness that N(A) is not an ideal, hence that A is not NI.
+
+    The products of each proved nilpotent f with every scanned h come from
+    the value rows of f in an `AtomTable`.  When f lies in J<x>, J the
+    scan's certificate, every h f and f h lies in that two-sided ideal of
+    nilpotents (proof at `_probe_rows`), so f adds one nilpotent check per
+    nonzero product, and only its zero products are found, by the join of
+    `_zero_products`.  The rows of any other f are formed and go through
+    `_probe_rows` in the scalar scan's order, [h0 f, f h0, h1 f, ...].
     """
     if scan is None:
         scan = BoundedScan(A, degree_cap, support_cap, exponent_cap, pair_budget)
@@ -284,45 +293,63 @@ def bounded_NI_check(
         return scan.ni_result
 
     if pn:
-        # one map per face from row bytes to probe result, across every f and block
-        seen_products: dict = {}
-        seen_sums: dict = {}
-        dense = DenseProducts(scan.A, multi_indices(scan.A.n, 0, scan.degree_cap))
-        K = dense.keys(scan.polys)
-        X_pn = dense.coords(dense.keys(pn))
+        table = AtomTable(scan.A, multi_indices(scan.A.n, 0, scan.degree_cap))
+        K = table.keys(scan.polys)
+        K_pn = table.keys(pn)
+        H = len(scan.polys)
+        certified = np.zeros(len(pn), dtype=bool)
+        if scan.certificate is not None:
+            certified = scan.certificate.mask[K_pn].all(axis=1)
         # products first: the canonical witnesses (x*y on the Weyl-like fixture)
-        # live in the multiplication face.  Rows are [h0 f, f h0, h1 f, ...],
-        # the order of the scalar scan this replaces.
-        block = max(1, BLOCK_ENTRIES // (2 * dense.width))
-        for f, xf in zip(pn, X_pn):
-            right, left = dense.times(xf, "right"), dense.times(xf, "left")
-            for lo in range(0, len(K), block):
-                X = dense.coords(K[lo : lo + block])
-                rows = np.empty((2 * len(X), len(dense.out_monos)), dtype=np.int32)
-                rows[0::2] = dense.index_keys(dense.products(X, right))
-                rows[1::2] = dense.index_keys(dense.products(X, left))
-                c, u, hit = _probe_rows(scan, dense, rows, dense.out_monos, seen_products)
-                checks += c
-                unknown_checks += u
-                if hit is not None:
-                    kind = "left_product" if hit[0] % 2 == 0 else "right_product"
-                    return verdict(kind, f, scan.polys[lo + hit[0] // 2], hit)
-        block = max(1, BLOCK_ENTRIES // X_pn.shape[1])
-        for i, f in enumerate(pn):
-            for lo in range(i, len(pn), block):
-                sums = dense.sums(X_pn[lo : lo + block], X_pn[i])
-                c, u, hit = _probe_rows(scan, dense, dense.index_keys(sums), dense.monos, seen_sums)
-                checks += c
-                unknown_checks += u
-                if hit is not None:
-                    return verdict("sum", f, pn[lo + hit[0]], hit)
+        # live in the multiplication face.  Per f the rows are
+        # [h0 f, f h0, h1 f, ...], the order of the scalar scan this replaces.
+        seen_products: dict = {}
+        factors = _factor_block(table, scan.support_cap, H)
+        block = max(1, ROW_ENTRIES // (2 * table.width))
+        cuts = [0, *(np.flatnonzero(np.diff(certified)) + 1).tolist(), len(pn)]
+        for first, end in zip(cuts, cuts[1:]):  # runs of factors in J<x> or outside it
+            if certified[first]:
+                # each nonzero h f and f h is in J<x>, so a nilpotent check
+                for lo in range(first, end, factors):
+                    Kf = K_pn[lo : min(end, lo + factors)]
+                    for values in (table.left_values, table.right_values):
+                        checks += len(Kf) * H - len(_zero_products(table, values(Kf), scan.support_cap)[0])
+                continue
+            for i in range(first, end):
+                left, right = table.left_values(K_pn[i : i + 1])[0], table.right_values(K_pn[i : i + 1])[0]
+                for lo in range(0, H, block):
+                    Kh = K[lo : lo + block]
+                    rows = np.empty((2 * len(Kh), table.width), dtype=np.int32)
+                    rows[0::2] = table.products(left, Kh)
+                    rows[1::2] = table.products(right, Kh)
+                    c, u, hit = _probe_rows(scan, table, rows, table.out_monos, seen_products)
+                    checks += c
+                    unknown_checks += u
+                    if hit is not None:
+                        kind = "left_product" if hit[0] % 2 == 0 else "right_product"
+                        return verdict(kind, pn[i], scan.polys[lo + hit[0] // 2], hit)
+        # sums f + g over the pairs i <= j of proved nilpotents, i-major;
+        # row i starts at flat pair index i n - i (i - 1) / 2
+        seen_sums: dict = {}
+        n = len(pn)
+        starts = np.arange(n) * n - np.arange(n) * (np.arange(n) - 1) // 2
+        block = max(1, ROW_ENTRIES // K_pn.shape[1])
+        for lo in range(0, n * (n + 1) // 2, block):
+            k = np.arange(lo, min(lo + block, n * (n + 1) // 2))
+            I = np.searchsorted(starts, k, "right") - 1
+            J = I + k - starts[I]
+            c, u, hit = _probe_rows(scan, table, table.plus(K_pn[J], K_pn[I]), table.monos, seen_sums)
+            checks += c
+            unknown_checks += u
+            if hit is not None:
+                return verdict("sum", pn[I[hit[0]]], pn[J[hit[0]]], hit)
     status = NICheckResult.CONSISTENT if unknown_checks == 0 else NICheckResult.INCONCLUSIVE
     scan.ni_result = NICheckResult(status, stats=_scan_stats(scan, checks, unknown_checks))
     return scan.ni_result
 
 
 def _probe_rows(
-    scan: BoundedScan, dense: DenseProducts, rows: np.ndarray, monos: list, seen: dict
+    scan: BoundedScan, table: AtomTable, rows: np.ndarray, monos: list, seen: dict
 ) -> tuple:
     """Closure checks on element-index rows, in row order: (checks, unknown, hit).
 
@@ -335,9 +362,12 @@ def _probe_rows(
     left, and every coefficient of x^a * d x^b is a sum of terms w(d) s,
     with w a word in the sigmas and deltas and s in R.  For c in J and d in
     J^(k-1) they lie in J J^(k-1) R = J^k: J<x> * J^(k-1)<x> <= J^k<x>, so
-    by induction f^k = f * f^(k-1) lies in J^k<x>, and f^t = 0.  As the
-    not-nilpotent certificates of `nilpotency_probe` are sound, `scan.probe`
-    would return nilpotent(k) with k <= t <= cap.  So one mask test counts
+    by induction f^k = f * f^(k-1) lies in J^k<x>, and f^t = 0.  The same
+    two facts make J<x> a two-sided ideal of A: (r x^a)(c x^b) has the
+    coefficients r w(c) s and (c x^a)(r x^b) the coefficients c w(r) s, all
+    in J for c in J.  As the not-nilpotent certificates of
+    `nilpotency_probe` are sound, `scan.probe` would return nilpotent(k)
+    with k <= t <= cap.  So one mask test counts
     such rows as nilpotent checks; none becomes a polynomial or enters
     `scan.status`.  Each distinct remaining row is looked up in `seen` (row
     bytes -> probe result, shared by all blocks of one face) in order of
@@ -364,9 +394,9 @@ def _probe_rows(
         key = rows[row].tobytes()
         r = seen.get(key)
         if r is None:
-            r = seen[key] = scan.probe(dense.poly(rows[row], monos))
+            r = seen[key] = scan.probe(table.poly(rows[row], monos))
         if r.proved_not_nilpotent:
-            hit = (row, dense.poly(rows[row], monos), r)
+            hit = (row, table.poly(rows[row], monos), r)
             break
         unknown[u] = r.status == UNKNOWN
     end = len(rows) if hit is None else hit[0] + 1
@@ -375,6 +405,105 @@ def _probe_rows(
         int(np.count_nonzero(unknown[inverse.ravel()[: np.searchsorted(todo, end)]])),
         hit,
     )
+
+
+def _row_ids(labels: np.ndarray, rows: np.ndarray, radix: int) -> np.ndarray:
+    """Integers that are equal exactly where the pairs (label, row) are equal.
+
+    Every row entry is below `radix`.  The columns are folded in base radix
+    after the label, as many at a time as keep the ids below 2^63; when not
+    one more fits, the ids are first replaced by their ranks, which keeps
+    them exact.
+    """
+    ids = labels.astype(np.int64)
+    bound = int(ids.max()) + 1 if len(ids) else 1
+    j = 0
+    while j < rows.shape[1]:
+        k = 0
+        while j + k < rows.shape[1] and bound * radix ** (k + 1) < 1 << 63:
+            k += 1
+        if not k:
+            _, ids = np.unique(ids, return_inverse=True)
+            bound = int(ids.max()) + 1
+            continue
+        powers = np.array([radix ** (k - 1 - t) for t in range(k)], dtype=np.int64)
+        ids = ids * radix**k + rows[:, j : j + k] @ powers
+        bound *= radix**k
+        j += k
+    return ids
+
+
+def _factor_block(table: AtomTable, support_cap: int, n_polys: int) -> int:
+    """Factors per block of value rows: a value table, the largest partial sums and the pairs of each."""
+    L, r = len(table.monos), table.size - 1
+    partials = max(math.comb(L, s) * r**s for s in range(support_cap))
+    per_factor = table.Q[0].size + partials * table.width + n_polys
+    if per_factor > TABLE_ENTRIES:
+        raise TooLarge(per_factor, TABLE_ENTRIES, "value rows of one factor")
+    return max(1, ROW_ENTRIES // per_factor)
+
+
+def _zero_products(table: AtomTable, V: np.ndarray, support_cap: int) -> tuple:
+    """The zero products of a block of factors with the bounded polynomials.
+
+    V[f][alpha][c] is a value table of each factor f (`AtomTable.left_values`
+    or `right_values`), and the h are `_polys_over_monomials(table.monos,
+    support_cap)`, numbered in that order.  The product of f with
+    h = sum_k c_k x^alpha_k (alpha_1 < ... < alpha_s, every c_k != 0) is the
+    add-table sum of the rows V[f][alpha_k][c_k], so it is 0 exactly when
+    the last slot's row V[f][alpha_s][c_s] equals the negated partial sum
+    -(V[f][alpha_1][c_1] + ... + V[f][alpha_(s-1)][c_(s-1)]).  So support
+    by support, the rows of every slot are joined with the negated partial
+    sums of every prefix, on exact ids of (factor, row) (`_row_ids`), and a
+    match counts when its slot comes after the prefix.  Support 1 has the
+    one partial sum 0, so its join is a zero test.  No product row is
+    formed.  Returns (factor, h) index arrays, sorted factor-major, h-minor.
+    """
+    nF, L, R, W = V.shape
+    r = R - 1  # nonzero coefficients per slot
+    neg = table.A.base.neg_array
+    rows = V[:, :, 1:]  # (nF, L, r, W): row (f, alpha, c) for every nonzero c
+    f, a, c = np.nonzero(~rows.any(axis=-1))
+    found_f, found_h = [f], [a * r + c]
+    offset = L * r  # index of the first h of the next support
+    prefixes = [(a,) for a in range(L - 1)]  # those with a later slot
+    partial = rows[:, :-1]  # (nF, prefixes, r^(s-1), W): their partial sums
+    for s in range(2, support_cap + 1):
+        if not prefixes:  # no h has s slots
+            break
+        combos = list(itertools.combinations(range(L), s))
+        where = {prefix: k for k, prefix in enumerate(prefixes)}
+        rank = np.full((len(prefixes), L), -1)  # rank of prefix + (alpha,) among the combos
+        for k, combo in enumerate(combos):
+            rank[where[combo[:-1]], combo[-1]] = k
+        nN = partial.shape[0] * partial.shape[1] * partial.shape[2]
+        ids = _row_ids(
+            np.concatenate([np.repeat(np.arange(nF), nN // nF), np.repeat(np.arange(nF), L * r)]),
+            np.concatenate([neg[partial].reshape(-1, W), rows.reshape(-1, W)]),
+            R,
+        )
+        order = np.argsort(ids[:nN], kind="stable")
+        sorted_ids = ids[:nN][order]
+        lo = np.searchsorted(sorted_ids, ids[nN:], "left")
+        count = np.searchsorted(sorted_ids, ids[nN:], "right") - lo
+        v = np.repeat(np.arange(len(count)), count)  # each match, by its slot row
+        matched = order[lo[v] + np.arange(len(v)) - (np.cumsum(count) - count)[v]]
+        _, pre, p = np.unravel_index(matched, partial.shape[:3])
+        f, a, c = np.unravel_index(v, (nF, L, r))
+        k = rank[pre, a]
+        keep = k >= 0
+        found_f.append(f[keep])
+        found_h.append(offset + (k[keep] * partial.shape[2] + p[keep]) * r + c[keep])
+        offset += len(combos) * r**s
+        prefixes = [combo for combo in combos if combo[-1] < L - 1]
+        if s < support_cap and prefixes:
+            parent = [where[combo[:-1]] for combo in prefixes]
+            slot = [combo[-1] for combo in prefixes]
+            partial = table.plus(partial[:, parent, :, None, :], rows[:, slot, None, :, :])
+            partial = partial.reshape(nF, len(prefixes), -1, W)
+    f, h = np.concatenate(found_f), np.concatenate(found_h)
+    order = np.lexsort((h, f))
+    return f[order], h[order]
 
 
 def _scan_stats(scan: BoundedScan, checks: int, unknown_checks: int) -> dict:
@@ -550,29 +679,40 @@ def bounded_skew_armendariz(
     if total**2 > pair_budget:
         raise BudgetExceeded(total**2, pair_budget, "Armendariz pair enumeration")
     polys = _polys_over_monomials(A, monos, support_cap)
-    mul, _, _ = A.base.index_rows()
-    sigma_pow = {alpha: A.system.sigma_power(alpha).tolist() for alpha in monos}
-    dense = DenseProducts(A, monos)
-    block = max(1, BLOCK_ENTRIES // dense.width)
-    # one matmul per f against every g; the cross products are tested only
-    # where f g = 0, in f-major, g-minor order
-    X = dense.coords(dense.keys(polys))  # total**2 <= pair_budget keeps this small
-    for f, xf in zip(polys, X):
-        times_f = dense.times(xf, "left")
-        for lo in range(0, len(X), block):
-            zero = ~dense.products(X[lo : lo + block], times_f).any(axis=1)
-            for j in np.flatnonzero(zero):
-                g = polys[lo + j]
-                for alpha, a in f.terms.items():
-                    for beta, b in g.terms.items():
-                        if mul[a][sigma_pow[alpha][b]]:
-                            return ArmendarizResult(
-                                False,
-                                witness={"f": f, "g": g, "alpha": alpha, "beta": beta},
-                                degree_cap=degree_cap,
-                                support_cap=support_cap,
-                                weak=weak,
-                            )
+    table = AtomTable(A, monos)
+    K = table.keys(polys)  # total**2 <= pair_budget keeps this small
+    # each polynomial's support slots in order, padded with coefficient 0,
+    # and images[g, alpha, j] = sigma^alpha(b_j) of the j-th coefficient of g
+    slots = np.argsort(K == 0, axis=1, kind="stable")[:, :support_cap]
+    coefs = np.take_along_axis(K, slots, axis=1)
+    sigma_pow = np.stack([A.system.sigma_power(alpha) for alpha in monos]).astype(np.int32)
+    images = sigma_pow[:, coefs].transpose(1, 0, 2)
+    # the zero products f g from the join of the right values of f; the cross
+    # products are tested only on those pairs, in f-major, g-minor order
+    factors = _factor_block(table, support_cap, len(polys))
+    chunk = max(1, ROW_ENTRIES // slots.shape[1] ** 2)
+    for lo in range(0, len(polys), factors):
+        F, G = _zero_products(table, table.right_values(K[lo : lo + factors]), support_cap)
+        for at in range(0, len(F), chunk):
+            f, g = lo + F[at : at + chunk], G[at : at + chunk]
+            # cross[k, i, j] = a_i sigma^alpha_i(b_j), 0 on padding
+            cross = table.times(coefs[f][:, :, None], images[g[:, None], slots[f]])
+            bad = np.flatnonzero(cross.any(axis=(1, 2)))
+            if len(bad):
+                k = int(bad[0])
+                i, j = divmod(int(np.flatnonzero(cross[k])[0]), slots.shape[1])
+                return ArmendarizResult(
+                    False,
+                    witness={
+                        "f": polys[f[k]],
+                        "g": polys[g[k]],
+                        "alpha": monos[slots[f[k], i]],
+                        "beta": monos[slots[g[k], j]],
+                    },
+                    degree_cap=degree_cap,
+                    support_cap=support_cap,
+                    weak=weak,
+                )
     return ArmendarizResult(True, degree_cap=degree_cap, support_cap=support_cap, weak=weak)
 
 

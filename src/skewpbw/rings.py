@@ -271,8 +271,9 @@ class FiniteRing:
     def _require_tables(self) -> None:
         """Build the index tables of +, * and negation, with no n x n x m temporary.
 
-        The digits are split at the first digit t whose stride s_t has
-        s_t^2 <= n.  With nL = s_t, every index is a = h*nL + l: the element
+        The digits are split after the digit t whose stride s_t makes
+        nH + nL least, with nL = s_t and nH = n / nL, ties going to the
+        smaller nL.  Every index is a = h*nL + l: the element
         h*nL has only the digits up to t (the high part H_a) and the element l
         only the digits after t (the low part L_a), and a = H_a + L_a.
 
@@ -298,8 +299,9 @@ class FiniteRing:
         A = self.elements_array
         ords = np.array(self.orders, dtype=np.int64)
         n = self.size
-        t = int(np.argmax(self._strides**2 <= n))
-        nL = int(self._strides[t])
+        strides = self._strides.tolist()
+        t = min(range(self.m), key=lambda u: (n // strides[u] + strides[u], strides[u]))
+        nL = strides[t]
         nH = n // nL
         cut = t + 1
         add_high = _digit_add_table(A[::nL, :cut], self.orders[:cut], self._strides[:cut])

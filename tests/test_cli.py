@@ -1,10 +1,16 @@
 """CLI verbs, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewpbw
+from skewpbw import cli
 from skewpbw.cli import main
 from skewpbw.corpus import CorpusEntry, q8_twist, weyl_like_corrupted
 from skewpbw.defio import definition_to_text, entry_to_definition, parse_poly
@@ -310,15 +316,21 @@ def test_one_variable_products_of_any_degree(files, capsys, argv, expected):
     assert {key: report[key] for key in expected} == expected
 
 
-@pytest.mark.parametrize("argv", [
-    ["mul", "heisenberg", "--lhs", "x2^2000", "--rhs", "x1"],
-    ["mul", "clifford", "--lhs", "x2^1500", "--rhs", "x1"],
+@pytest.mark.parametrize("argv, expected", [
+    (["mul", "heisenberg", "--lhs", "x2^2000", "--rhs", "x1"], {"product": "[1]*x1^1*x2^2000", "degree": 2001}),
+    (
+        ["mul", "heisenberg", "--lhs", "x2^1001", "--rhs", "x1"],
+        {"product": "[1]*x1^1*x2^1001 + [1]*x2^1000*x3^1", "degree": 1002},
+    ),
+    (["mul", "clifford", "--lhs", "x2^1500", "--rhs", "x1"], {"product": "[1,0,0]*x1^1*x2^1500", "degree": 1501}),
 ])
-def test_expression_too_deep_exit_2(files, capsys, argv):
-    # reordering x2^k x1 still recurses once per degree
-    assert main(argv[:1] + [files[argv[1]]] + argv[2:]) == 2
-    err = capsys.readouterr().err
-    assert "too deep for the rewriting engine" in err and "Traceback" not in err
+def test_reordering_products_of_any_degree(files, capsys, argv, expected):
+    # x2^k x1 = x1 x2^k + k x3 x2^(k-1) in the Heisenberg algebra over Z_2,
+    # and x1 x2^k over the Clifford base: `_mono` reorders on an explicit
+    # stack, so no degree overruns the recursion limit
+    code, report = run_json(capsys, argv[:1] + [files[argv[1]]] + argv[2:])
+    assert code == 0
+    assert {key: report[key] for key in expected} == expected
 
 
 def test_search_verb(capsys):
@@ -339,3 +351,23 @@ def test_corpus_list_and_export(tmp_path, capsys):
 
 def test_corpus_unknown_export_exit_2(capsys):
     assert main(["corpus", "--export", "nope"]) == 2
+
+
+def test_one_parser_serves_every_verb(files, capsys):
+    # the parser is built once per process; verbs run back to back through
+    # one main print what each prints in a fresh process
+    assert cli.build_parser() is cli.build_parser()
+    runs = [
+        ["check", files["swap"], "--json", "--theorem", "T1"],
+        ["mul", files["weyl"], "--lhs", "x^3", "--rhs", "[0,1]"],
+        ["check", files["euler"], "--json", "--degree", "1"],
+    ]
+    src = Path(skewpbw.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    for argv in runs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "skewpbw.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv

@@ -1,7 +1,7 @@
-"""The dense product kernel against the rewriting engine and the scalar scans.
+"""The atom table against the rewriting engine, and the table scans against the scalar ones.
 
 The per-pair loops that `bounded_NI_check` and `bounded_skew_armendariz` ran
-before they went through `DenseProducts` are kept here as oracles, and the
+before they went through a product table are kept here as oracles, and the
 `skewpbw check --json` reports of the corpus are compared byte for byte with
 golden files (`tests/golden/check/`).  Those at the recorded budgets were
 written by the scalar scans; the doubled, reduced-pair and forced variants
@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skewpbw import cli, corpus, defio, probes
-from skewpbw.extension import DenseProducts, SkewPolynomial
+from skewpbw import cli, corpus, defio, extension, probes
+from skewpbw.errors import TooLarge
+from skewpbw.extension import AtomTable, SkewPolynomial
 from skewpbw.maps import multi_indices
 from skewpbw.rings import ideal_power_index
 from skewpbw.harness import SearchBudget
@@ -50,7 +51,7 @@ def _weak_monos(A):
 
 
 # ---------------------------------------------------------------------------
-# the scalar scans, as they were before the dense kernel
+# the scalar scans, as they were before the product tables
 # ---------------------------------------------------------------------------
 
 
@@ -141,9 +142,9 @@ def _random_full_poly(rng, A, monos):
 
 
 def _check_kernel(A, monos, polys, rng):
-    dense = DenseProducts(A, monos)
+    table = AtomTable(A, monos)
     polys = polys + [_random_full_poly(rng, A, monos) for _ in range(20)]
-    X = dense.coords(dense.keys(polys))
+    K = table.keys(polys)
     n = len(polys)
     if n * n < ALL_PAIRS:
         pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -154,15 +155,16 @@ def _check_kernel(A, monos, polys, rng):
         by_f.setdefault(i, []).append(j)
     for i, hs in by_f.items():
         f = polys[i]
-        for side, engine in (("right", lambda h: h * f), ("left", lambda h: f * h)):
-            rows = dense.index_keys(dense.products(X[hs], dense.times(X[i], side)))
+        for values, engine in ((table.left_values, lambda h: h * f), (table.right_values, lambda h: f * h)):
+            rows = table.products(values(K[i : i + 1])[0], K[hs])
             for j, row in zip(hs, rows):
-                assert dense.poly(row, dense.out_monos) == engine(polys[j]), (A.name, side, i, j)
+                assert table.poly(row, table.out_monos) == engine(polys[j]), (A.name, values.__name__, i, j)
     return len(pairs)
 
 
 @pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
 def test_dense_products_match_engine(name):
+    # value rows of the atom table, summed over the support of h, are h f and f h
     entry = corpus.BUILDERS[name]()
     A = entry.presentation
     degree_cap, support_cap, _ = _budget(entry)
@@ -176,21 +178,20 @@ def test_dense_products_match_engine(name):
 def test_dense_sums_and_keys_round_trip(euler3):
     A = euler3.presentation
     monos = multi_indices(A.n, 0, 2)
-    dense = DenseProducts(A, monos)
+    table = AtomTable(A, monos)
     rng = random.Random(3)
     polys = [_random_full_poly(rng, A, monos) for _ in range(30)]
-    K = dense.keys(polys)
+    K = table.keys(polys)
     assert K.dtype == np.int32
     for f, row in zip(polys, K):
-        assert dense.poly(row, monos) == f
-    X = dense.coords(K)
+        assert table.poly(row, monos) == f
     for i, f in enumerate(polys):
-        rows = dense.index_keys(dense.sums(X, X[i]))
-        assert [dense.poly(r, monos) for r in rows] == [g + f for g in polys]
+        rows = table.plus(K, K[i])
+        assert [table.poly(r, monos) for r in rows] == [g + f for g in polys]
 
 
 def test_dense_kernel_builds_from_the_engine_only(weyl2, monkeypatch):
-    # the atom tensor is (|monos| m)^2 engine products, nothing else
+    # the atom table is |monos|^2 m engine products x^gamma (e_t x^alpha), nothing else
     A = weyl2.presentation
     calls = []
     real = type(A)._mul_terms
@@ -201,18 +202,48 @@ def test_dense_kernel_builds_from_the_engine_only(weyl2, monkeypatch):
 
     monkeypatch.setattr(type(A), "_mul_terms", counting)
     monos = multi_indices(A.n, 0, 2)
-    DenseProducts(A, monos)
-    assert len(calls) == (len(monos) * A.base.m) ** 2
-    assert all(len(f) == 1 and len(g) == 1 for f, g in calls)
+    table = AtomTable(A, monos)
+    per_gamma = len(monos) * A.base.m
+    assert [f for f, _ in calls] == [{gamma: A._one} for gamma in monos for _ in range(per_gamma)]
+    assert all(len(g) == 1 for _, g in calls)
+    # and every entry of Q is x^gamma (c x^alpha), for every element c
+    monkeypatch.undo()
+    for g, gamma in enumerate(monos):
+        for a, alpha in enumerate(monos):
+            for c in range(A.base.size):
+                expected = A.monomial(gamma) * SkewPolynomial(A, {alpha: c})
+                assert table.poly(table.Q[g, a, c], table.out_monos) == expected
+
+
+def test_atom_table_refuses_past_its_cap_before_allocating(clifford2, monkeypatch):
+    A = clifford2.presentation
+    calls = []
+    real = type(A)._mul_terms
+    monkeypatch.setattr(type(A), "_mul_terms", lambda self, f, g: calls.append(1) or real(self, f, g))
+    monos = multi_indices(A.n, 0, 2)
+    # |monos|^2 |R| entries per output monomial, of which there are at most 15 (degree <= 4)
+    monkeypatch.setattr(extension, "TABLE_ENTRIES", len(monos) ** 2 * A.base.size * 15 - 1)
+    with pytest.raises(TooLarge, match="atom table"):
+        AtomTable(A, monos)
+    assert calls == []
+    # the value rows of one factor are checked against the same cap before
+    # any is formed: here the table fits and one factor's rows do not
+    monkeypatch.setattr(extension, "TABLE_ENTRIES", len(monos) ** 2 * A.base.size * 15)
+    monkeypatch.setattr(probes, "TABLE_ENTRIES", 100)
+    built = []
+    monkeypatch.setattr(AtomTable, "right_values", lambda self, K: built.append(K))
+    with pytest.raises(TooLarge, match="value rows of one factor"):
+        bounded_skew_armendariz(A, 2, 2)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
-# the dense scans against the scalar ones
+# the table scans against the scalar ones
 # ---------------------------------------------------------------------------
 
 
 def _assert_status_matches(scan, ref_scan):
-    """The dense check's probes are the scalar scan's, less certified closure rows.
+    """The table check's probes are the scalar scan's, less certified closure rows.
 
     Rows in J<x> are decided by the certificate's mask test and never enter
     `scan.status`; everything else is probed exactly as the scalar scan did.
@@ -262,6 +293,21 @@ def test_armendariz_matches_scalar_scan(name, weak):
     assert got.witness == witness
 
 
+@pytest.mark.parametrize("name", ["matrix_poly_2", "poly_z4_2v", "swap_extension"])
+@pytest.mark.parametrize("caps", [(0, 2), (1, 4)])
+def test_scans_match_scalar_scans_past_the_monomials(name, caps):
+    # supports up to, and past, the number of monomials: no h has more slots
+    A = corpus.BUILDERS[name]().presentation
+    degree_cap, support_cap = caps
+    for weak in (False, True):
+        got = bounded_skew_armendariz(A, degree_cap, support_cap, weak=weak)
+        assert (got.holds, got.witness) == oracle_armendariz(A, degree_cap, support_cap, weak=weak)
+    scan = BoundedScan(A, degree_cap, support_cap, 8)
+    got = bounded_NI_check(A, degree_cap, support_cap, 8, scan=scan)
+    ref = oracle_NI_check(BoundedScan(A, degree_cap, support_cap, 8))
+    assert (got.status, got.stats, got.witness) == (ref.status, ref.stats, ref.witness)
+
+
 @pytest.mark.parametrize("name", ["euler_like_3", "matrix_poly_2", "poly_z4_2v", "swap_extension", "weyl_like_2"])
 def test_scans_agree_across_row_blocks(name, monkeypatch):
     # blocks of one or a few rows: witnesses and counts must not depend on them
@@ -271,6 +317,7 @@ def test_scans_agree_across_row_blocks(name, monkeypatch):
     arm = bounded_skew_armendariz(A, min(caps[0], 2), min(caps[1], 2))
     for entries in (1, 100):
         monkeypatch.setattr(probes, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(probes, "ROW_ENTRIES", entries)
         scan = BoundedScan(A, *caps)
         got = bounded_NI_check(A, *caps, scan=scan)
         assert (got.status, got.stats, got.witness) == (ref.status, ref.stats, ref.witness)

@@ -214,8 +214,8 @@ RING_LATTICE = [
 ]
 
 
-# The tables split the digits; these rings have one digit, mixed orders and
-# an odd digit count.
+# The tables split the digits; these rings have one digit, mixed orders, an
+# odd digit count, and a leading digit far larger than the root of the size.
 @pytest.mark.parametrize(
     "ring",
     [
@@ -224,6 +224,7 @@ RING_LATTICE = [
         zn(4),
         product_ring(zn(4), zn(3)),
         clifford_base(2),
+        product_ring(zn(3), zn(1000)),
         *RING_LATTICE,
     ],
     ids=lambda r: r.name,
