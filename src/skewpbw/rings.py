@@ -5,7 +5,8 @@ extended bilinearly from e_i * e_j = sum_t C[i][j][t] e_t.  Elements are
 coordinate vectors; exhaustive algorithms (radicals, classification) work on
 index tables built lazily.
 
-The Jacobson radical is found by invertibility search.  The prime radical,
+The Jacobson radical is found by invertibility search over the nilpotent
+elements.  The prime radical,
 the Levitzki radical and the upper nilradical of a finite ring all equal it
 once its nilpotence is certified (see `_nilpotent_jacobson`); the test suite
 keeps prime-ideal enumeration and the sum of nil ideals as the oracle they
@@ -30,7 +31,7 @@ from .errors import (
     TooLarge,
 )
 
-DEFAULT_IDEAL_CAP = 256  # classify_ring's quantifiers grow as |R|^3
+DEFAULT_IDEAL_CAP = 256  # classify_ring's checks take up to m |R|^2 time and memory
 TABLE_CAP = 4096
 
 
@@ -148,30 +149,49 @@ class FiniteRing:
         self._neg_list: Optional[list] = None
         self._nilpotent_mask: Optional[np.ndarray] = None
         self._units_mask: Optional[np.ndarray] = None
-        self._orbit_reps: dict = {}
+        self._orbit_reps: Optional[np.ndarray] = None
         self._radical_cache: dict = {}  # "J" -> carrier mask, "J_index" -> its power index
         self._profile: Optional[dict] = None  # classify_ring's flags
 
     # -- construction checks ---------------------------------------------------
 
     def _verify_well_defined(self) -> None:
-        # k_i * C[i,j] and k_j * C[i,j] must vanish coordinate-wise, otherwise
-        # the bilinear extension is not biadditive on the quotient group.
-        for i in range(self.m):
-            for j in range(self.m):
-                row = self.constants[i, j]
-                for u in range(self.m):
-                    cu = int(row[u])
-                    if (self.orders[i] * cu) % self.orders[u] != 0 or (
-                        self.orders[j] * cu
-                    ) % self.orders[u] != 0:
-                        raise IllDefinedConstant(i + 1, j + 1)
+        """k_i C[i,j] and k_j C[i,j] vanish coordinate-wise, for all pairs at once.
+
+        Otherwise the bilinear extension is not biadditive on the quotient
+        group.  The first failing pair (i, j) in lexicographic order is
+        reported.  Products are exact Python integers when k^2 could
+        overflow int64, with k the largest order.
+        """
+        C = self.constants
+        if max(self.orders) ** 2 >= 2**63:
+            C = C.astype(object)
+        ords = np.array(self.orders, dtype=C.dtype)
+        bad = ((ords[:, None, None] * C) % ords != 0) | ((ords[None, :, None] * C) % ords != 0)
+        pairs = np.argwhere(bad.any(axis=2))
+        if len(pairs):
+            i, j = (int(t) + 1 for t in pairs[0])
+            raise IllDefinedConstant(i, j)
 
     def _verify_identity(self) -> None:
-        for i in range(self.m):
-            e = self.generator(i)
-            if (self.one * e) != e or (e * self.one) != e:
-                raise BadIdentity(i + 1)
+        """1 e_i = e_i = e_i 1 for every generator, in one contraction per side.
+
+        With 1 = sum_s o_s e_s, 1 e_i = sum_s o_s C[s,i] and e_i 1 =
+        sum_s o_s C[i,s], reduced modulo the orders.  The first failing
+        generator is reported.  Sums are exact Python integers when
+        m (k - 1)^2 could overflow int64.
+        """
+        C = self.constants
+        if self.m * (max(self.orders) - 1) ** 2 >= 2**63:
+            C = C.astype(object)
+        ords = np.array(self.orders, dtype=C.dtype)
+        one = np.array(self._one, dtype=C.dtype)
+        eye = np.eye(self.m, dtype=C.dtype)
+        left = np.einsum("s,siu->iu", one, C) % ords
+        right = np.einsum("s,isu->iu", one, C) % ords
+        bad = np.flatnonzero(((left != eye) | (right != eye)).any(axis=1))
+        if len(bad):
+            raise BadIdentity(int(bad[0]) + 1)
 
     def _verify_associative(self) -> None:
         """(e_i e_j) e_k = e_i (e_j e_k) for all generator triples, in one contraction.
@@ -373,28 +393,25 @@ class FiniteRing:
             self._units_mask = ((mt == one) & (mt.T == one)).any(axis=1)
         return self._units_mask
 
-    def _unit_orbit_reps(self, two_sided: bool) -> np.ndarray:
-        """One element index per orbit {u a v} (two-sided) or {u a} (left), u, v units.
+    def _unit_orbit_reps(self) -> np.ndarray:
+        """One element index per two-sided unit orbit {u a v}, u, v units.
 
         The orbits partition R, and each representative is the least index of
         its orbit, found for every element at once: least[a] is the least
         index in the orbit of a, and a is a representative iff least[a] = a.
-        Two-sided, min over u, v of u a v = min over u of (min over v of
-        (u a) v), so two gathers from the table suffice.  The quantifier checks
-        below need only the representatives: for units u, v the two-sided
-        ideal (u a v) equals (a), since a = u^-1 (u a v) v^-1.
+        Min over u, v of u a v = min over u of (min over v of (u a) v), so two
+        gathers from the table suffice.  The quantifier checks below need only
+        the representatives: for units u, v the two-sided ideal (u a v) equals
+        (a), since a = u^-1 (u a v) v^-1.
         """
-        if two_sided not in self._orbit_reps:
+        if self._orbit_reps is None:
             self._require_size("unit orbit pass")
             mul = self.mul_table
             U = np.flatnonzero(self.units_mask)
-            if two_sided:
-                least = mul[:, U].min(axis=1)  # least[a] = min over v of a v
-                least = least[mul[U, :]].min(axis=0)
-            else:
-                least = mul[U, :].min(axis=0)
-            self._orbit_reps[two_sided] = np.flatnonzero(least == np.arange(self.size))
-        return self._orbit_reps[two_sided]
+            least = mul[:, U].min(axis=1)  # least[a] = min over v of a v
+            least = least[mul[U, :]].min(axis=0)
+            self._orbit_reps = np.flatnonzero(least == np.arange(self.size))
+        return self._orbit_reps
 
     def mask_of(self, elements: Iterable[RingElement]) -> np.ndarray:
         mask = np.zeros(self.size, dtype=bool)
@@ -403,7 +420,7 @@ class FiniteRing:
         return mask
 
     def set_of(self, mask: np.ndarray) -> frozenset:
-        return frozenset(self.element_from_index(int(i)) for i in np.nonzero(mask)[0])
+        return frozenset(RingElement(self, row) for row in self.elements_array[mask].tolist())
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.name}, |R|={self.size})"
@@ -498,7 +515,12 @@ class Ideal:
 
 
 def _ideal_defect(ring: FiniteRing, mask: np.ndarray) -> Optional[str]:
-    """Why the masked set is not a two-sided ideal, or None if it is one."""
+    """Why the masked set is not a two-sided ideal, or None if it is one.
+
+    Once the set is an additive subgroup, absorption is tested by the
+    generators e_t alone: every r in R is a sum of multiples of the e_t, so
+    e_t a and a e_t in the set for every t put ra and ar there too.
+    """
     if not mask[0]:
         return "0 is missing from the carrier"
     idx = np.nonzero(mask)[0]
@@ -507,7 +529,8 @@ def _ideal_defect(ring: FiniteRing, mask: np.ndarray) -> Optional[str]:
     if not mask[ring.neg_array[idx]].all():
         return "carrier is not closed under negation"
     mul = ring.mul_table
-    if not mask[mul[:, idx]].all() or not mask[mul[idx, :]].all():
+    gens = ring._strides
+    if not mask[mul[np.ix_(gens, idx)]].all() or not mask[mul[np.ix_(idx, gens)]].all():
         return "carrier does not absorb ring multiplication"
     return None
 
@@ -579,7 +602,14 @@ def nilpotent_set(ring: FiniteRing) -> frozenset:
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:
-    """{ r : 1 - s*r is a unit for every s }, units found by exhaustive search."""
+    """{ r : 1 - s*r is a unit for every s }, searched over the nilpotent r only.
+
+    J(R) holds only nilpotent elements.  Some power r^k of any r is an
+    idempotent e, since the powers of r cycle.  If r is in J(R), so is e, so
+    1 - e is a unit; and e(1 - e) = e - e^2 = 0, so e = 0 and r is nilpotent.
+    Units are found by exhaustive search, and the result is verified to be an
+    ideal.
+    """
     if "J" in ring._radical_cache:
         return Ideal.from_mask(ring, ring._radical_cache["J"])
     mul = ring.mul_table
@@ -588,8 +618,9 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     neg = ring.neg_array
     add = ring.add_table
     one_minus = add[one, neg]  # index of 1 - x
-    ok = units[one_minus[mul]]  # ok[s, r] = (1 - s*r) is a unit
-    mask = ok.all(axis=0)
+    nil = np.flatnonzero(ring.nilpotent_mask)
+    mask = np.zeros(ring.size, dtype=bool)
+    mask[nil] = units[one_minus[mul[:, nil]]].all(axis=0)  # 1 - s*r a unit for all s
     ideal = Ideal.from_mask(ring, mask, verify=True)
     ring._radical_cache["J"] = ideal.mask
     return ideal
@@ -666,29 +697,47 @@ class RingProfile:
 
 
 def _symmetric(ring: FiniteRing) -> bool:
-    """rst = 0 implies rts = 0, for r over the left unit orbits {u r} only.
+    """abc = 0 implies bac = 0: every right annihilator r(ab) lies in r(ba).
 
-    For a unit u, (ur)st = u(rst) and (ur)ts = u(rts), and each is zero
-    exactly when the product without u is.
+    In a ring with 1 this rule is symmetry (rst = 0 implies rts = 0).  With
+    c = 1 it gives reversibility, ab = 0 implies ba = 0.  Then from rst = 0,
+    reversibility gives str = 0, the rule gives tsr = 0 and reversibility
+    again rts = 0.  Conversely a symmetric ring is reversible (r = 1), and
+    abc = 0 gives bca = 0, then bac = 0.
+
+    Swapping a and b gives the reverse inclusion, so the test is r(ab) =
+    r(ba): row ab equals row ba of Z = (mul == 0).  Each element gets the id
+    of its row's class of equal rows (one sort of the n bit-packed rows), and
+    the test is that the table [a, b] -> id(ab) is symmetric.  A ring that is
+    not reversible (Z not symmetric) exits first.
     """
     mul = ring.mul_table
-    for r in ring._unit_orbit_reps(two_sided=False):
-        rst = mul[mul[r, :], :]  # [s, t] -> (r*s)*t; its transpose is (r*t)*s
-        if ((rst == 0) & (rst.T != 0)).any():
-            return False
-    return True
+    Z = mul == 0
+    if not (Z == Z.T).all():
+        return False
+    rows = np.packbits(Z, axis=1)
+    _, row_id = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(), return_inverse=True)
+    ids = row_id.astype(np.int16)[mul]  # [a, b] -> id(ab); fewer than TABLE_CAP < 2^15 ids
+    return bool((ids == ids.T).all())
 
 
 def _semicommutative(ring: FiniteRing) -> bool:
-    """ab = 0 implies aRb = 0, for a over the two-sided unit orbits only.
+    """ab = 0 implies aRb = 0: each right annihilator r(a) is a left ideal.
 
-    For units u, v: (uav)b = 0 exactly when a(vb) = 0, and (uav)Rb = u(aRb)
-    with aRb = aR(vb), so the pair (uav, b) is the pair (a, vb) in disguise.
+    r(a) is an additive subgroup, and every r in R is a sum of multiples of
+    the generators e_t, so r(a) absorbs R on the left as soon as it absorbs
+    each e_t: b in r(a) implies e_t b in r(a).  a ranges over the two-sided
+    unit orbits only: for units u, v, (uav)b = 0 exactly when a(vb) = 0, so
+    r(uav) = v^-1 r(a), a left ideal exactly when r(a) is.  All
+    representatives are tested at once, in bounded blocks of rows.
     """
     mul = ring.mul_table
-    for a in ring._unit_orbit_reps(two_sided=True):
-        annihilated = np.nonzero(mul[a, :] == 0)[0]
-        if mul[np.ix_(mul[a, :], annihilated)].any():
+    reps = ring._unit_orbit_reps()
+    left = mul[ring._strides]  # [t, b] -> e_t b
+    block = max(1, (1 << 22) // (ring.m * ring.size))  # representatives per m x n block of <= 2^22 entries
+    for lo in range(0, len(reps), block):
+        Z = mul[reps[lo : lo + block]] == 0  # [a, b] -> (ab == 0)
+        if (Z[:, None, :] & ~Z[:, left]).any():
             return False
     return True
 
@@ -697,21 +746,27 @@ def _duo(ring: FiniteRing, right: bool) -> bool:
     """Every principal right (left) ideal aR (Ra) is two-sided.
 
     aR is row a of the multiplication table: it is an additive group and
-    contains a, so no closure is needed.  a ranges over the two-sided unit
-    orbits only: (uav)R = u(aR), and for a unit u, u(aR) is an ideal exactly
-    when aR is.  An ideal among the two absorbs u or u^-1 on the left, so it
-    contains the other, which has the same size; the two are then equal.
-    The left case is the mirror image, with R(uav) = (Ra)v.
+    contains a, so no closure is needed.  It is a two-sided ideal exactly when
+    Ra lies in it: then RaR lies in aRR = aR, and conversely Ra lies in RaR.
+    Ra is the additive span of the products e_t a, so the test is e_t a in aR
+    for every generator e_t, made for every a at once by one scatter of the
+    rows aR into membership rows.  a ranges over the two-sided unit orbits
+    only: (uav)R = u(aR), and for a unit u, u(aR) is an ideal exactly when aR
+    is.  An ideal among the two absorbs u or u^-1 on the left, so it contains
+    the other, which has the same size; the two are then equal.  The left case
+    is the mirror image: a e_t in Ra, with R(uav) = (Ra)v.
     """
     mul = ring.mul_table
-    for a in ring._unit_orbit_reps(two_sided=True):
-        one_sided = np.zeros(ring.size, dtype=bool)
-        one_sided[mul[a, :] if right else mul[:, a]] = True
-        idx = np.nonzero(one_sided)[0]
-        other = mul[:, idx] if right else mul[idx, :]
-        if not one_sided[other].all():
-            return False
-    return True
+    reps = ring._unit_orbit_reps()
+    gens = ring._strides
+    if right:
+        one_sided, other = mul[reps], mul[np.ix_(gens, reps)].T  # aR; e_t a
+    else:
+        one_sided, other = mul[:, reps].T, mul[np.ix_(reps, gens)]  # Ra; a e_t
+    rows = np.arange(len(reps))[:, None]
+    member = np.zeros((len(reps), ring.size), dtype=bool)
+    member[rows, one_sided] = True
+    return bool(member[rows, other].all())
 
 
 def _abelian(ring: FiniteRing) -> bool:
@@ -730,10 +785,15 @@ def _dedekind_finite(ring: FiniteRing) -> bool:
 
 
 def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile:
-    """Fill every predicate flag by exhaustive quantifier checks.
+    """Fill every predicate flag by exact quantifier checks.
 
-    The quantifiers grow as |R|^3, so rings over `cap` elements are refused,
-    and rings over TABLE_CAP before that, both before anything is allocated.
+    Each inner quantifier over R runs over the additive generators e_t where
+    the tested set is an additive group (semicommutative, duo, and the ideal
+    tests), and the outer one over unit-orbit representatives; symmetric
+    compares the rows ab and ba of the zero pattern of the table through
+    ids of equal rows.  Each check takes up to m |R|^2 time and memory, so
+    rings over `cap` elements are refused, and rings over TABLE_CAP before
+    that, both before anything is allocated.
     N(R) = J(R) decides NJ, 2-primal and weakly 2-primal at once, since the
     three nilradicals equal J(R); NI is tested on its own, as closure of N(R)
     under the ideal operations.  The ring caches the flags, and the radicals
@@ -749,8 +809,7 @@ def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile
     Nupper = upper_nilradical(ring)
     L = levitzki_radical(ring)
     if ring._profile is None:
-        mul = ring.mul_table
-        zero_count = int((mul == 0).sum())
+        zero = ring.mul_table == 0
         nil_is_J = bool((nil == J.mask).all())
         ring._profile = dict(
             NI=_ideal_defect(ring, nil) is None,
@@ -758,9 +817,9 @@ def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile
             two_primal=nil_is_J,
             weakly_two_primal=nil_is_J,
             reduced=bool(nil.sum() == 1),
-            domain=zero_count == 2 * ring.size - 1 and ring.size > 1,
+            domain=int(zero.sum()) == 2 * ring.size - 1 and ring.size > 1,
             symmetric=_symmetric(ring),
-            reversible=bool((((mul == 0) == (mul.T == 0))).all()),
+            reversible=bool((zero == zero.T).all()),
             semicommutative=_semicommutative(ring),
             right_duo=_duo(ring, right=True),
             left_duo=_duo(ring, right=False),

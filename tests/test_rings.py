@@ -85,25 +85,108 @@ def test_make_ring_rejects_nonassociative():
         make_ring([3], [[[2]]], [1])
 
 
+def _scalar_mul(orders, constants, a, b):
+    m = len(orders)
+    out = [0] * m
+    for s in range(m):
+        for t in range(m):
+            for u in range(m):
+                out[u] += a[s] * b[t] * constants[s][t][u]
+    return [c % k for c, k in zip(out, orders)]
+
+
+def _generators(m):
+    return [[int(s == i) for s in range(m)] for i in range(m)]
+
+
 def _first_nonassociative_triple(orders, constants):
     """The scalar check: first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
     m = len(orders)
 
     def mul(a, b):
-        out = [0] * m
-        for s in range(m):
-            for t in range(m):
-                for u in range(m):
-                    out[u] += a[s] * b[t] * constants[s][t][u]
-        return [c % k for c, k in zip(out, orders)]
+        return _scalar_mul(orders, constants, a, b)
 
-    gens = [[int(s == i) for s in range(m)] for i in range(m)]
+    gens = _generators(m)
     for i in range(m):
         for j in range(m):
             for k in range(m):
                 if mul(mul(gens[i], gens[j]), gens[k]) != mul(gens[i], mul(gens[j], gens[k])):
                     return (i + 1, j + 1, k + 1)
     return None
+
+
+def _first_ill_defined_pair(orders, constants):
+    """The scalar check: first (i, j) with k_i C[i,j] or k_j C[i,j] nonzero."""
+    m = len(orders)
+    for i in range(m):
+        for j in range(m):
+            for u in range(m):
+                c = constants[i][j][u] % orders[u]
+                if (orders[i] * c) % orders[u] or (orders[j] * c) % orders[u]:
+                    return (i + 1, j + 1)
+    return None
+
+
+def _first_bad_identity(orders, constants, one):
+    """The scalar check: first i with 1 e_i != e_i or e_i 1 != e_i."""
+    one = [c % k for c, k in zip(one, orders)]
+    for i, e in enumerate(_generators(len(orders))):
+        if _scalar_mul(orders, constants, one, e) != e or _scalar_mul(orders, constants, e, one) != e:
+            return i + 1
+    return None
+
+
+def _first_construction_error(orders, constants, one):
+    """The scalar checks in the order FiniteRing makes them: the error type and its index."""
+    pair = _first_ill_defined_pair(orders, constants)
+    if pair:
+        return IllDefinedConstant, pair
+    i = _first_bad_identity(orders, constants, one)
+    if i:
+        return BadIdentity, i
+    triple = _first_nonassociative_triple(orders, constants)
+    if triple:
+        return NonAssociative, triple
+    return None
+
+
+def test_construction_checks_match_scalar_loops():
+    # one or two mutated constants or identity coordinates of valid rings with
+    # mixed orders: the same error, at the same first index, as the scalar loops
+    rng = np.random.default_rng(20)
+    bases = [
+        product_ring(zn(4), zn(2)),
+        product_ring(zn(4), trunc_poly(2, 2)),
+        product_ring(zn(3), matrix_upper(2)),
+        matrix_upper(3),
+        clifford_base(2),
+    ]
+    seen = set()
+    for base in bases:
+        orders, m = list(base.orders), base.m
+        for _ in range(60):
+            C = base.constants.tolist()
+            one = list(base.one.coords)
+            for _ in range(int(rng.integers(1, 3))):
+                if rng.random() < 0.2:
+                    u = int(rng.integers(m))
+                    one[u] = int(rng.integers(orders[u]))
+                else:
+                    i, j, u = (int(t) for t in rng.integers(m, size=3))
+                    C[i][j][u] = int(rng.integers(orders[u]))
+            expected = _first_construction_error(orders, C, one)
+            try:
+                make_ring(orders, C, one)
+                got = None
+            except IllDefinedConstant as exc:
+                got = IllDefinedConstant, exc.pair
+            except BadIdentity as exc:
+                got = BadIdentity, exc.index
+            except NonAssociative as exc:
+                got = NonAssociative, exc.triple
+            assert got == expected, (base.name, C, one)
+            seen.add(got[0] if got else None)
+    assert seen == {None, IllDefinedConstant, BadIdentity, NonAssociative}
 
 
 @pytest.mark.parametrize(
@@ -159,6 +242,10 @@ def test_associativity_check_exact_for_huge_orders():
         C = [[coords((x[0] * y[0], x[1] * y[1])) for y in basis] for x in basis]
         r = make_ring([k, k], C, coords((1, 1)))
         assert r.one * r.generator(1) == r.generator(1)
+        # the idempotent (1, 0) is no identity: the same generator as the scalar loop
+        with pytest.raises(BadIdentity) as exc:
+            make_ring([k, k], C, coords((1, 0)))
+        assert _first_construction_error([k, k], C, coords((1, 0))) == (BadIdentity, exc.value.index)
 
 
 def test_make_ring_rejects_ill_defined_constant():
@@ -293,7 +380,7 @@ calls = [
     ("nilpotent_set", lambda: nilpotent_set(ring)),
     ("elements", ring.elements),
     ("elements_array", lambda: ring.elements_array),
-    ("unit_orbit_reps", lambda: ring._unit_orbit_reps(two_sided=True)),
+    ("unit_orbit_reps", ring._unit_orbit_reps),
     ("is_connected", lambda: is_connected(attach_grading(ring, [0]))),
 ]
 for name, call in calls:
@@ -468,6 +555,44 @@ def test_ideal_verification_rejects_non_ideal():
         Ideal(z4, [z4.el([0]), z4.el([1])])
 
 
+def _oracle_ideal_defect(ring, mask):
+    """The ideal checks with absorption tested by every element on each side."""
+    if not mask[0]:
+        return "0 is missing from the carrier"
+    idx = np.nonzero(mask)[0]
+    if not mask[ring.add_table[np.ix_(idx, idx)]].all():
+        return "carrier is not closed under addition"
+    if not mask[ring.neg_array[idx]].all():
+        return "carrier is not closed under negation"
+    if not mask[ring.mul_table[:, idx]].all() or not mask[ring.mul_table[idx, :]].all():
+        return "carrier does not absorb ring multiplication"
+    return None
+
+
+def test_ideal_defect_matches_absorption_by_every_element():
+    # every subset of U2(Z2), then the additive groups spanned by one or two
+    # elements of larger rings: one-sided ideals among them fail only absorption
+    u2 = matrix_upper(2)
+    for bits in range(1 << u2.size):
+        mask = np.array([(bits >> i) & 1 for i in range(u2.size)], dtype=bool)
+        assert rings._ideal_defect(u2, mask) == _oracle_ideal_defect(u2, mask), bits
+    for ring in (matrix_upper(3), product_ring(zn(4), trunc_poly(2, 2)), product_ring(zn(2), matrix_upper(2))):
+        defects = set()
+        for a in range(ring.size):
+            for b in range(a, ring.size):
+                seed = np.zeros(ring.size, dtype=bool)
+                seed[[a, b]] = True
+                mask = rings._additive_closure(ring, seed)
+                defect = rings._ideal_defect(ring, mask)
+                assert defect == _oracle_ideal_defect(ring, mask), (ring.name, a, b)
+                defects.add(defect)
+        assert defects == {None, "carrier does not absorb ring multiplication"}, ring.name
+    # {0, e11} is a left ideal of U2(Z2) and {0, e22} a right ideal; neither is two-sided
+    for coords in ([1, 0, 0], [0, 0, 1]):
+        with pytest.raises(NotAnIdeal, match="absorb"):
+            Ideal(u2, [u2.zero, u2.el(coords)])
+
+
 def test_ideal_carrier_is_built_on_first_use(monkeypatch):
     z4 = zn(4)
     calls = []
@@ -543,6 +668,26 @@ def test_group_ring_q8_separates_reversible_from_symmetric():
     # local ring: the 128-element augmentation ideal is both N(R) and J(R)
     assert len(profile.nilpotents) == 128
     assert profile.nilpotents == profile.jacobson_radical.carrier
+
+
+def test_symmetric_ring_that_is_not_commutative():
+    """F4[x; Frobenius]/(x^2) on 1, w, x, wx, with w^2 = w + 1 and x w = w^2 x.
+
+    Local with J = F4 x and J^2 = 0; symmetric, though x w != w x.  Every
+    other symmetric ring in these tests is commutative, where comparing the
+    rows ab and ba of the zero pattern is trivial.
+    """
+    constants = [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # 1 *
+        [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]],  # w *
+        [[0, 0, 1, 0], [0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]],  # x *
+        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]],  # wx *
+    ]
+    ring = make_ring([2, 2, 2, 2], constants, [1, 0, 0, 0], name="F4[x;F]/(x^2)")
+    w, x = ring.generator(1), ring.generator(2)
+    assert x * w != w * x and (x * x).is_zero
+    assert classify_ring(ring).symmetric and _oracle_symmetric(ring)
+    _assert_orbit_shortcuts_exact(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +814,14 @@ def _oracle_is_prime(ring, mask):
 
 def _oracle_duo(ring, right):
     mul = ring.mul_table
+    seeds = set()  # elements with the same seed span the same one-sided ideal
     for a in range(ring.size):
         seed = np.zeros(ring.size, dtype=bool)
         seed[a] = True
         seed[mul[a, :] if right else mul[:, a]] = True
+        if seed.tobytes() in seeds:
+            continue
+        seeds.add(seed.tobytes())
         one_sided = rings._additive_closure(ring, seed)
         idx = np.nonzero(one_sided)[0]
         if not one_sided[mul[:, idx] if right else mul[idx, :]].all():
@@ -701,15 +850,12 @@ def _oracle_semicommutative(ring):
 def _assert_orbit_shortcuts_exact(ring):
     mul = ring.mul_table
     units = np.nonzero(ring.units_mask)[0]
-    for two_sided in (True, False):
-        reps = ring._unit_orbit_reps(two_sided)
-        covered = np.zeros(ring.size, dtype=int)
-        for a in reps:
-            left = mul[units, a]
-            orbit = np.unique(mul[np.ix_(left, units)] if two_sided else left)
-            assert orbit[0] == a, (ring.name, two_sided, a)  # least index of its orbit
-            covered[orbit] += 1
-        assert (covered == 1).all(), (ring.name, two_sided)  # the orbits partition R
+    covered = np.zeros(ring.size, dtype=int)
+    for a in ring._unit_orbit_reps():
+        orbit = np.unique(mul[np.ix_(mul[units, a], units)])
+        assert orbit[0] == a, (ring.name, a)  # least index of its orbit
+        covered[orbit] += 1
+    assert (covered == 1).all(), ring.name  # the orbits partition R
     # J(R) is the prime radical and the upper nilradical of the oracle lattice
     oracle = _oracle_ideal_masks(ring)
     J = jacobson_radical(ring).mask
@@ -722,10 +868,21 @@ def _assert_orbit_shortcuts_exact(ring):
             nil_ideals |= mask
     assert (primes == J).all(), ring.name
     assert (rings._additive_closure(ring, nil_ideals) == J).all(), ring.name
+    _assert_predicates_match_oracles(ring)
+
+
+def _oracle_jacobson(ring):
+    """J(R) by the invertibility search over every element: 1 - s r a unit for every s."""
+    one_minus = ring.add_table[ring.one_index, ring.neg_array]
+    return ring.units_mask[one_minus[ring.mul_table]].all(axis=0)
+
+
+def _assert_predicates_match_oracles(ring):
     assert rings._duo(ring, right=True) == _oracle_duo(ring, right=True), ring.name
     assert rings._duo(ring, right=False) == _oracle_duo(ring, right=False), ring.name
     assert rings._symmetric(ring) == _oracle_symmetric(ring), ring.name
     assert rings._semicommutative(ring) == _oracle_semicommutative(ring), ring.name
+    assert np.array_equal(jacobson_radical(ring).mask, _oracle_jacobson(ring)), ring.name
 
 
 def test_orbit_shortcuts_on_corpus_rings(ring_entries, corpus_entries):
@@ -733,8 +890,8 @@ def test_orbit_shortcuts_on_corpus_rings(ring_entries, corpus_entries):
         _assert_orbit_shortcuts_exact(entry.ring)
 
 
-def _oracle_orbit_reps(ring, two_sided):
-    """The least index of each unit orbit: walk R upward, marking each orbit met."""
+def _oracle_orbit_reps(ring):
+    """The least index of each two-sided unit orbit: walk R upward, marking each orbit met."""
     mul = ring.mul_table
     U = np.nonzero(ring.units_mask)[0]
     seen = np.zeros(ring.size, dtype=bool)
@@ -743,8 +900,7 @@ def _oracle_orbit_reps(ring, two_sided):
         if seen[a]:
             continue
         reps.append(a)
-        left = mul[U, a]
-        seen[mul[np.ix_(left, U)] if two_sided else left] = True
+        seen[mul[np.ix_(mul[U, a], U)]] = True
     return np.array(reps, dtype=np.intp)
 
 
@@ -754,10 +910,9 @@ def _assert_nil_mask_and_orbit_reps_exact(ring):
     powers = [(ring.element_from_index(a) ** ring.size).is_zero for a in range(ring.size)]
     nil = ring.nilpotent_mask
     assert nil.dtype == bool and np.array_equal(nil, powers), ring.name
-    for two_sided in (True, False):
-        reps = ring._unit_orbit_reps(two_sided)
-        oracle = _oracle_orbit_reps(ring, two_sided)
-        assert reps.dtype == oracle.dtype and np.array_equal(reps, oracle), (ring.name, two_sided)
+    reps = ring._unit_orbit_reps()
+    oracle = _oracle_orbit_reps(ring)
+    assert reps.dtype == oracle.dtype and np.array_equal(reps, oracle), ring.name
 
 
 def test_nil_mask_and_orbit_reps_on_corpus_rings(ring_entries, corpus_entries):
@@ -786,6 +941,68 @@ PRODUCT_RINGS = pytest.mark.parametrize(
 @PRODUCT_RINGS
 def test_orbit_shortcuts_on_product_rings(build):
     _assert_orbit_shortcuts_exact(build())
+
+
+@pytest.mark.parametrize("ring", RING_LATTICE, ids=lambda r: r.name)
+def test_predicates_match_oracles_on_ring_lattice_rings(ring):
+    _assert_predicates_match_oracles(ring)
+
+
+FLAG_NAMES = {
+    "NI", "NJ", "two_primal", "weakly_two_primal", "reduced", "domain", "symmetric",
+    "reversible", "semicommutative", "right_duo", "left_duo", "abelian",
+    "dedekind_finite", "locally_finite",
+}
+
+# |J(R)| and the flags that hold, for each ring of RING_LATTICE
+RING_LATTICE_PROFILES = {
+    "Z5[y]/(y^4)": (125, {
+        "NI", "NJ", "two_primal", "weakly_two_primal", "symmetric", "reversible", "semicommutative",
+        "right_duo", "left_duo", "abelian", "dedekind_finite", "locally_finite",
+    }),
+    "U2(Z5)xZ5": (5, {"NI", "NJ", "two_primal", "weakly_two_primal", "dedekind_finite", "locally_finite"}),
+    "CliffBase3(Z2)xCliffBase2(Z2)": (32, {
+        "NI", "NJ", "two_primal", "weakly_two_primal", "symmetric", "reversible", "semicommutative",
+        "right_duo", "left_duo", "abelian", "dedekind_finite", "locally_finite",
+    }),
+    "U2(Z2)xZ2[y]/(y^4)xZ2": (16, {"NI", "NJ", "two_primal", "weakly_two_primal", "dedekind_finite", "locally_finite"}),
+    "F2[Q8]xZ2": (128, {
+        "NI", "NJ", "two_primal", "weakly_two_primal", "reversible", "semicommutative",
+        "right_duo", "left_duo", "abelian", "dedekind_finite", "locally_finite",
+    }),
+    "M2(Z3)": (1, {"dedekind_finite", "locally_finite"}),
+}
+
+
+@pytest.mark.parametrize("ring", RING_LATTICE, ids=lambda r: r.name)
+def test_ring_lattice_profiles_are_pinned(ring):
+    size, holding = RING_LATTICE_PROFILES[ring.name]
+    profile = classify_ring(ring, cap=ring.size)
+    flags = profile.flags()
+    assert set(flags) == FLAG_NAMES
+    assert {name for name, value in flags.items() if value} == holding
+    assert len(profile.jacobson_radical) == size
+
+
+def _generator_tests(ring, gens):
+    """(semicommutative, right duo, left duo), each absorbing only `gens`, over the orbit representatives."""
+    mul = ring.mul_table
+    reps = ring._unit_orbit_reps()
+    semi = all(not mul[a, mul[np.ix_(gens, np.flatnonzero(mul[a] == 0))]].any() for a in reps)
+    right = all(set(mul[a]).issuperset(mul[gens, a]) for a in reps)
+    left = all(set(mul[:, a]).issuperset(mul[a, gens]) for a in reps)
+    return semi, right, left
+
+
+def test_one_generator_does_not_decide_the_quantifiers():
+    # U2(Z2) on e11, e12, e22 is neither semicommutative nor duo on either
+    # side, yet each test passes when it absorbs only e11, or only e22
+    ring = matrix_upper(2)
+    gens = ring._strides
+    flags = (rings._semicommutative(ring), rings._duo(ring, right=True), rings._duo(ring, right=False))
+    oracles = (_oracle_semicommutative(ring), _oracle_duo(ring, right=True), _oracle_duo(ring, right=False))
+    assert flags == oracles == _generator_tests(ring, gens) == (False, False, False)
+    assert _generator_tests(ring, gens[:1]) == _generator_tests(ring, gens[-1:]) == (True, True, True)
 
 
 # ---------------------------------------------------------------------------
