@@ -455,8 +455,9 @@ class ExtensionPresentation:
         return f"ExtensionPresentation({self.name}; {status}; {', '.join(tags) or 'general'})"
 
 
-def coefficient_keys(polys: Sequence[SkewPolynomial], pos: dict) -> np.ndarray:
-    """Coefficient element index per monomial, one row per poly; `pos` maps monomial -> column."""
+def coefficient_keys(polys: Sequence[SkewPolynomial], monos: Sequence[tuple]) -> np.ndarray:
+    """Coefficient element index per monomial of `monos`, one row per poly."""
+    pos = {alpha: k for k, alpha in enumerate(monos)}
     K = np.zeros((len(polys), len(pos)), dtype=np.int32)
     rows, cols, vals = [], [], []
     for r, f in enumerate(polys):
@@ -523,7 +524,6 @@ class AtomTable:
         entries = L * L * R * len(multi_indices(A.n, 0, top))
         if entries > TABLE_ENTRIES:
             raise TooLarge(entries, TABLE_ENTRIES, "atom table")
-        self._pos = {alpha: k for k, alpha in enumerate(self.monos)}
         gens = [base.generator(t).index for t in range(m)]
         products = [
             [[A._mul_terms({gamma: A._one}, {alpha: e}) for e in gens] for alpha in self.monos]
@@ -558,10 +558,6 @@ class AtomTable:
     def times(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product a * b of two arrays of element indices, by the flat multiplication table."""
         return self._mul[np.add(np.multiply(a, self.size, dtype=np.intp), b, dtype=np.intp)]
-
-    def keys(self, polys: Sequence[SkewPolynomial]) -> np.ndarray:
-        """Coefficient element index per monomial of `monos`, one row per poly."""
-        return coefficient_keys(polys, self._pos)
 
     def _slot_sum(self, K: np.ndarray, shape: tuple, term) -> np.ndarray:
         """Per key row of K, the add-table sum over its support slots b of term(rows, b).

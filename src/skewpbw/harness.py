@@ -2,12 +2,11 @@
 
 The theorems rest on a few facts about one instance: whether R is NI or
 2-primal, the (weak) Sigma/Delta-compatibility of R, whether A is NI at the
-bounds, whether N(A) = N(R)<x>, and whether the bounded nilpotents are
-quasi-regular.  `Evidence` computes each fact once per (entry, budget) and is
-kept on the entry, so the checks share one scan, one NI closure check and one
-quasi-regularity witness per proved nilpotent.  Each theorem is a row of
-`STATEMENTS`: its hypotheses, its named conclusions and its verdict rule, an
-implication or an equivalence.  `run_check` evaluates a row and reports one of:
+bounds, and whether N(A) = N(R)<x>.  `Evidence` computes each fact once per
+(entry, budget) and is kept on the entry, so the checks share one scan and one
+NI closure check.  Each theorem is a row of `STATEMENTS`: its hypotheses, its
+named conclusions and its verdict rule, an implication or an equivalence.
+`run_check` evaluates a row and reports one of:
 
   Consistent          -- everything observed matches the theorem;
   Violated            -- exactly-computed results contradict the theorem
@@ -31,9 +30,9 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional, Union
 
 from .corpus import CorpusEntry, commutative_poly, euler_like, matrix_poly, quasi_comm, standard_corpus, swap_extension, weyl_like
-from .errors import BudgetExceeded, NotProvedNilpotent, WrongShape
+from .errors import BudgetExceeded, WrongShape
 from .extension import SkewPolynomial
-from .graded import Grading, is_graded_extension, polynomial_is_homogeneous
+from .graded import is_graded_extension
 from .maps import (
     DELTA_INVARIANT,
     SIGMA_IDEAL,
@@ -52,7 +51,6 @@ from .probes import (
     bounded_NI_check,
     bounded_skew_armendariz,
     coefficient_agreement,
-    quasi_regularity_witness,
 )
 from .rings import Ideal, classify_ring
 
@@ -196,27 +194,6 @@ def _tv_compat(res: CompatResult) -> TV:
     return TV(res.holds, exact, _wstr(res.witness), res.bounded)
 
 
-def _tv_qr_face(scan: BoundedScan, grading: Optional[Grading] = None, memo: Optional[dict] = None) -> TV:
-    """Every proved-nilpotent (optionally homogeneous) element is quasi-regular.
-
-    `memo` maps each proved nilpotent already tried to the reason its witness
-    failed, or to None, so that faces sharing it try each element once.
-    """
-    memo = {} if memo is None else memo
-    for f in scan.proved_nilpotent:
-        if grading is not None and not polynomial_is_homogeneous(f, grading):
-            continue
-        if f not in memo:
-            try:
-                quasi_regularity_witness(f, scan.exponent_cap)
-                memo[f] = None
-            except NotProvedNilpotent as exc:  # a failed witness would contradict ring axioms
-                memo[f] = str(exc)
-        if memo[f] is not None:
-            return TV(False, True, f"{f.to_expr()}: {memo[f]}")
-    return TV(True, False)
-
-
 class Evidence:
     """The facts the theorems rest on, for one entry at one budget.
 
@@ -226,13 +203,15 @@ class Evidence:
     BudgetExceeded, is not kept, so each theorem that needs it meets the same
     exception.  The object holds the entry's ring, system, presentation and
     grading, but not the entry, which holds it.
+
+    No fact tests quasi-regularity: a nilpotent f is quasi-regular by the
+    ring axioms, (1 + f)(1 - f + ... + (-f)^(k-1)) = 1 - (-f)^k = 1.
     """
 
     def __init__(self, entry: CorpusEntry, budget: SearchBudget):
         self.ring, self.system = entry.ring, entry.system
         self.A, self.grading = entry.presentation, entry.grading
         self.budget = budget
-        self._qr: dict = {}  # proved nilpotent -> why its witness failed, or None
 
     @staticmethod
     def of(entry: CorpusEntry, budget: Optional[SearchBudget] = None) -> "Evidence":
@@ -243,8 +222,6 @@ class Evidence:
 
     scan = cached_property(lambda self: BoundedScan(self.A, *self.budget.caps()))
     ni = cached_property(lambda self: bounded_NI_check(self.A, *self.budget.caps(), scan=self.scan))
-    qr = cached_property(lambda self: _tv_qr_face(self.scan, memo=self._qr))
-    qr_homogeneous = cached_property(lambda self: _tv_qr_face(self.scan, self.grading, self._qr))
 
     @cached_property
     def A_NI(self) -> Optional[TV]:
@@ -368,28 +345,30 @@ STATEMENTS = {
     "T5": Statement(_implication, (("every d_ij has a two-sided inverse", "d_units"),), pre=("A_NI",)),
     # graded A: NJ iff NI and J(A) n R_0 nil; computable faces only
     "T6": Statement(_implication, (
-        ("homogeneous bounded nilpotents are quasi-regular", "qr_homogeneous"),
         ("J(A) n R_0 nil (via connectedness)", "R0_nil",
          "J(A) n R_0 is not computable for a non-connected base; clause reported unchecked"),
     )),
     # quasi-commutative bijective over weakly 2-primal weak Sigma-compatible R: A NJ
-    "T7": Statement(_implication, (("A NI (bounded)", "A_NI"), ("bounded nilpotents quasi-regular", "qr")),
+    "T7": Statement(_implication, (("A NI (bounded)", "A_NI"),),
                     pre=("weakly_two_primal & weak_sigma_compatible",)),
+    # The bounded face of A NJ is N(A) <= J(A), which A NI already gives: a
+    # nil ideal lies in J(A).  The other half, J(A) <= N(A), is untested
+    # until a finite-module face for it is added (ROADMAP.md).
     # derivation type: A NI iff A NJ, with the radical chain faces
     "T8": Statement(_compare, (
-        ("A NI (bounded)", "A_NI"), ("A NJ (bounded face)", "A_NI & qr"),
+        ("A NI (bounded)", "A_NI"), ("A NJ (bounded face)", "A_NI"),
         ("R NI and N(A)=N(R)<x> (bounded)", "R_NI & agreement"),
     ), witness_note=True),
     # quasi-commutative four-way equivalence
     "T9": Statement(_compare, (
-        ("(i) A NJ and N(A)=N(R)<x>", "A_NI & qr & agreement"),
+        ("(i) A NJ and N(A)=N(R)<x>", "A_NI & agreement"),
         ("(ii) N(R) Sigma-ideal and N(A)=N(R)<x>", "N_sigma_ideal & agreement"),
         ("(iii) A NI and N(R) Sigma-rigid", "A_NI & N_sigma_rigid"),
         ("(iv) N(R) Sigma-rigid ideal and N*(A)=N*(R)<x>", "N_sigma_rigid & R_NI & agreement"),
     )),
     # derivation-type four-way equivalence (NJ, NI, coefficient faces)
     "T10": Statement(_compare, (
-        ("(i) A NJ (bounded face)", "A_NI & qr"), ("(ii) A NI (bounded)", "A_NI"),
+        ("(i) A NJ (bounded face)", "A_NI"), ("(ii) A NI (bounded)", "A_NI"),
         ("(iii) R NI and N(A)=N(R)<x>", "R_NI & agreement"),
         ("(iv) R NI and N*(A)=N*(R)<x>", "R_NI & Nstar_eq_N & agreement"),
     )),
@@ -433,6 +412,8 @@ def _evaluate(st: Statement, ev: Evidence, force: bool, report: TheoremReport) -
         parts.append(tv)
     if st.verdict is _implication:
         report.verdict = _implication(tv_and(parts), exact)
+        if not parts:  # tv_and([]) holds, with nothing behind it
+            report.notes.append("no conclusion checked at this budget: the verdict is vacuous")
     if gated:
         report.verdict = PRECONDITION_FAILED
         report.notes.append("conclusions evaluated despite failed hypotheses (forced)")

@@ -197,6 +197,9 @@ class BoundedScan:
     chain per polynomial, one `FiniteModules.decide` per row block for the
     rows it leaves open, the power chain for the rest.  `status` holds them
     in enumeration order, then the NI closure rows that `probe` decides.
+    `keys` holds the coefficient row of each polynomial of `polys`
+    (`coefficient_keys`), one column per monomial of degree <= degree_cap in
+    `multi_indices` order: the columns of an `AtomTable` over them.
     `certificate` is the store's invariant J(R) when its t <= exponent_cap.
     """
 
@@ -220,7 +223,7 @@ class BoundedScan:
             self.certificate = Ideal.from_mask(A.base, modules.jacobson_mask)
         self.status: dict[SkewPolynomial, ProbeResult] = {}
         monos = multi_indices(A.n, 0, degree_cap)
-        K = coefficient_keys(self.polys, {alpha: k for k, alpha in enumerate(monos)})
+        K = self.keys = coefficient_keys(self.polys, monos)
         block = max(1, BLOCK_ENTRIES // modules.width)
         for lo in range(0, len(K), block):
             polys = self.polys[lo : lo + block]
@@ -294,8 +297,8 @@ def bounded_NI_check(
 
     if pn:
         table = AtomTable(scan.A, multi_indices(scan.A.n, 0, scan.degree_cap))
-        K = table.keys(scan.polys)
-        K_pn = table.keys(pn)
+        K = scan.keys
+        K_pn = K[[scan.status[f].proved_nilpotent for f in scan.polys]]
         H = len(scan.polys)
         certified = np.zeros(len(pn), dtype=bool)
         if scan.certificate is not None:
@@ -680,7 +683,7 @@ def bounded_skew_armendariz(
         raise BudgetExceeded(total**2, pair_budget, "Armendariz pair enumeration")
     polys = _polys_over_monomials(A, monos, support_cap)
     table = AtomTable(A, monos)
-    K = table.keys(polys)  # total**2 <= pair_budget keeps this small
+    K = coefficient_keys(polys, monos)  # total**2 <= pair_budget keeps this small
     # each polynomial's support slots in order, padded with coefficient 0,
     # and images[g, alpha, j] = sigma^alpha(b_j) of the j-th coefficient of g
     slots = np.argsort(K == 0, axis=1, kind="stable")[:, :support_cap]

@@ -390,7 +390,8 @@ class FiniteRing:
         if self._units_mask is None:
             one = self.one_index
             mt = self.mul_table
-            self._units_mask = ((mt == one) & (mt.T == one)).any(axis=1)
+            E = mt == one
+            self._units_mask = (E & E.T).any(axis=1)
         return self._units_mask
 
     def _unit_orbit_reps(self) -> np.ndarray:
@@ -696,7 +697,7 @@ class RingProfile:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
-def _symmetric(ring: FiniteRing) -> bool:
+def _symmetric(ring: FiniteRing, zero: np.ndarray) -> bool:
     """abc = 0 implies bac = 0: every right annihilator r(ab) lies in r(ba).
 
     In a ring with 1 this rule is symmetry (rst = 0 implies rts = 0).  With
@@ -708,14 +709,13 @@ def _symmetric(ring: FiniteRing) -> bool:
     Swapping a and b gives the reverse inclusion, so the test is r(ab) =
     r(ba): row ab equals row ba of Z = (mul == 0).  Each element gets the id
     of its row's class of equal rows (one sort of the n bit-packed rows), and
-    the test is that the table [a, b] -> id(ab) is symmetric.  A ring that is
-    not reversible (Z not symmetric) exits first.
+    the test is that the table [a, b] -> id(ab) is symmetric.  `zero` is Z.
+    The test needs no reversibility check of its own: column 1 of rows ab
+    and ba says ab = 0 exactly when ba = 0.  `classify_ring` skips it for a
+    ring that is not reversible.
     """
     mul = ring.mul_table
-    Z = mul == 0
-    if not (Z == Z.T).all():
-        return False
-    rows = np.packbits(Z, axis=1)
+    rows = np.packbits(zero, axis=1)
     _, row_id = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(), return_inverse=True)
     ids = row_id.astype(np.int16)[mul]  # [a, b] -> id(ab); fewer than TABLE_CAP < 2^15 ids
     return bool((ids == ids.T).all())
@@ -810,6 +810,7 @@ def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile
     L = levitzki_radical(ring)
     if ring._profile is None:
         zero = ring.mul_table == 0
+        reversible = bool((zero == zero.T).all())
         nil_is_J = bool((nil == J.mask).all())
         ring._profile = dict(
             NI=_ideal_defect(ring, nil) is None,
@@ -818,8 +819,8 @@ def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile
             weakly_two_primal=nil_is_J,
             reduced=bool(nil.sum() == 1),
             domain=int(zero.sum()) == 2 * ring.size - 1 and ring.size > 1,
-            symmetric=_symmetric(ring),
-            reversible=bool((zero == zero.T).all()),
+            symmetric=reversible and _symmetric(ring, zero),
+            reversible=reversible,
             semicommutative=_semicommutative(ring),
             right_duo=_duo(ring, right=True),
             left_duo=_duo(ring, right=False),

@@ -53,10 +53,10 @@ def certified(request):
     scan = BoundedScan(A, *caps)
     assert scan.certificate is not None and scan.certificate.mask[1:].any()
     table = AtomTable(A, multi_indices(A.n, 0, caps[0]))
-    polys = sorted(scan.polys, key=lambda f: scan.status[f].status != UNKNOWN)
-    assert scan.status[polys[0]].status == UNKNOWN
-    scanned = np.zeros((len(polys), len(table.out_monos)), dtype=np.int32)
-    scanned[:, [table.out_monos.index(a) for a in table.monos]] = table.keys(polys)
+    order = sorted(range(len(scan.polys)), key=lambda i: scan.status[scan.polys[i]].status != UNKNOWN)
+    assert scan.status[scan.polys[order[0]]].status == UNKNOWN
+    scanned = np.zeros((len(order), len(table.out_monos)), dtype=np.int32)
+    scanned[:, [table.out_monos.index(a) for a in table.monos]] = scan.keys[order]
     return scan, table, scanned, scan.scan_unknown
 
 
@@ -178,7 +178,7 @@ def test_join_matches_row_walk(certified, data):
     # zero product the join finds is a zero row of the walk over all h, and
     # the other way round, and the rows are the engine's products
     scan, table, _, _ = certified
-    K = table.keys(scan.polys)
+    K = scan.keys
     in_J = scan.certificate.mask[K].all(axis=1)
     kinds = data.draw(st.lists(st.sampled_from(["certified", "uncertified", "random"]), min_size=1, max_size=5))
     factors = []

@@ -21,7 +21,7 @@ import pytest
 
 from skewpbw import cli, corpus, defio, extension, probes
 from skewpbw.errors import TooLarge
-from skewpbw.extension import AtomTable, SkewPolynomial
+from skewpbw.extension import AtomTable, SkewPolynomial, coefficient_keys
 from skewpbw.maps import multi_indices
 from skewpbw.rings import ideal_power_index
 from skewpbw.harness import SearchBudget
@@ -144,7 +144,7 @@ def _random_full_poly(rng, A, monos):
 def _check_kernel(A, monos, polys, rng):
     table = AtomTable(A, monos)
     polys = polys + [_random_full_poly(rng, A, monos) for _ in range(20)]
-    K = table.keys(polys)
+    K = coefficient_keys(polys, monos)
     n = len(polys)
     if n * n < ALL_PAIRS:
         pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -181,7 +181,7 @@ def test_dense_sums_and_keys_round_trip(euler3):
     table = AtomTable(A, monos)
     rng = random.Random(3)
     polys = [_random_full_poly(rng, A, monos) for _ in range(30)]
-    K = table.keys(polys)
+    K = coefficient_keys(polys, monos)
     assert K.dtype == np.int32
     for f, row in zip(polys, K):
         assert table.poly(row, monos) == f
@@ -267,6 +267,9 @@ def test_ni_check_matches_scalar_scan(name):
     A = entry.presentation
     caps = _budget(entry)
     scan = BoundedScan(A, *caps)
+    # the scan's key rows are its polynomials over the table's columns
+    table = AtomTable(A, multi_indices(A.n, 0, caps[0]))
+    assert [table.poly(row, table.monos) for row in scan.keys] == scan.polys
     got = bounded_NI_check(A, *caps, scan=scan)
     assert got.status == ref.status
     assert got.stats == ref.stats

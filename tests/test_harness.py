@@ -1,5 +1,8 @@
 """Theorem checks T1..T10 and the counterexample search."""
 
+import sys
+from functools import cached_property
+
 import pytest
 
 from skewpbw.corpus import BUILDERS, standard_rings
@@ -10,6 +13,7 @@ from skewpbw.harness import (
     PRECONDITION_FAILED,
     THEOREM_IDS,
     VIOLATED,
+    STATEMENTS,
     Evidence,
     SearchBudget,
     TheoremCheck,
@@ -140,12 +144,16 @@ def test_t6_clifford_connected_clause_exact(clifford2):
     assert report.verdict == CONSISTENT
     clause = [c for c in report.conclusions if "connected" in c["name"]]
     assert clause and clause[0]["exact"] is True
+    assert not any("vacuous" in note for note in report.notes)
 
 
 def test_t6_trivially_graded_not_connected_notes(swap_entry):
     report = check("T6", swap_entry)
     assert report.verdict == CONSISTENT
     assert any("not computable" in note for note in report.notes)
+    # no conclusion is left to check, and the report says so
+    assert report.conclusions == []
+    assert report.notes[-1] == "no conclusion checked at this budget: the verdict is vacuous"
 
 
 def test_t7_quasi_comm_consistent(quasi_z3):
@@ -295,62 +303,22 @@ def test_search_unknown_property_and_family():
         counterexample_search("not-NI", "not-a-family")
 
 
-# ---------------------------------------------------------------------------
-# quasi-regularity face
-# ---------------------------------------------------------------------------
-
-
-def test_qr_face_propagates_programming_errors(euler2, monkeypatch):
-    from skewpbw import corpus, harness
-    from skewpbw.probes import BoundedScan
-
-    # a fresh entry: a shared one may already hold a memoized qr face
-    clifford2 = corpus.clifford_trunc(2)
-
-    scan = BoundedScan(euler2.presentation, 2, 3, 8)
-    assert scan.proved_nilpotent
-
-    def broken(f, exponent_cap):
-        raise RuntimeError("bug in the witness code")
-
-    monkeypatch.setattr(harness, "quasi_regularity_witness", broken)
-    with pytest.raises(RuntimeError, match="bug in the witness code"):
-        harness._tv_qr_face(scan)
-    with pytest.raises(RuntimeError, match="bug in the witness code"):
-        check("T6", clifford2, SearchBudget(**clifford2.budget))
-
-
-def test_qr_face_reports_failed_witness_as_exact_false(euler2, monkeypatch):
-    from skewpbw import harness
-    from skewpbw.errors import NotProvedNilpotent
-    from skewpbw.probes import BoundedScan
-
-    scan = BoundedScan(euler2.presentation, 2, 3, 8)
-
-    def refuse(f, exponent_cap):
-        raise NotProvedNilpotent("witness verification failed")
-
-    monkeypatch.setattr(harness, "quasi_regularity_witness", refuse)
-    tv = harness._tv_qr_face(scan)
-    assert tv.value is False and tv.exact
-    assert "witness verification failed" in tv.witness
-
-
 @pytest.mark.parametrize("build", ["euler_like_2", "clifford_trunc_2"])
 def test_run_all_gathers_each_fact_once(build, monkeypatch):
-    from skewpbw import corpus, harness
+    from skewpbw import corpus, harness, probes
 
     entry = corpus.BUILDERS[build]()
     calls = {}
 
-    def spy(name):
-        original = getattr(harness, name)
+    def spy(name, modules):
+        original = getattr(modules[0], name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(harness, name, wrapper)
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
 
     predicates = [
         "is_sigma_compatible",
@@ -358,13 +326,31 @@ def test_run_all_gathers_each_fact_once(build, monkeypatch):
         "is_weak_sigma_compatible",
         "is_weak_delta_compatible",
     ]
-    for name in ["quasi_regularity_witness", *predicates]:
-        spy(name)
+    for name in predicates:
+        spy(name, [harness])
+    # nilpotents are quasi-regular by the ring axioms: no check computes a
+    # witness, wherever a module of the package has the function bound
+    witness = probes.quasi_regularity_witness
+    spy("quasi_regularity_witness", [
+        module for key, module in sys.modules.items()
+        if key.split(".")[0] == "skewpbw" and getattr(module, "quasi_regularity_witness", None) is witness
+    ])
     budget = SearchBudget(**entry.budget)
     first = [r.to_dict() for r in run_all(entry, budget)]
-    scan = entry.evidence[budget.caps()].scan
-    assert calls.get("quasi_regularity_witness", 0) <= len(scan.proved_nilpotent)
+    assert calls.get("quasi_regularity_witness", 0) == 0
     assert all(calls.get(name, 0) <= 1 for name in predicates), calls
     calls.clear()
     assert [r.to_dict() for r in run_all(entry, budget)] == first
     assert calls == {}
+
+
+def test_statements_name_exactly_the_evidence_facts():
+    # every fact a statement names is an Evidence attribute, and every fact
+    # of Evidence but the shared scan, NI check and ring profile is named
+    named = set()
+    for st in STATEMENTS.values():
+        exprs = [*st.pre, *(c[1] for c in st.conclusions), *st.sides]
+        named.update(fact for expr in exprs for fact in expr.split(" & "))
+    assert all(hasattr(Evidence, fact) for fact in named), sorted(f for f in named if not hasattr(Evidence, f))
+    facts = {name for name, value in vars(Evidence).items() if isinstance(value, cached_property)}
+    assert facts - {"scan", "ni", "profile"} <= named, sorted(facts - {"scan", "ni", "profile"} - named)

@@ -880,7 +880,7 @@ def _oracle_jacobson(ring):
 def _assert_predicates_match_oracles(ring):
     assert rings._duo(ring, right=True) == _oracle_duo(ring, right=True), ring.name
     assert rings._duo(ring, right=False) == _oracle_duo(ring, right=False), ring.name
-    assert rings._symmetric(ring) == _oracle_symmetric(ring), ring.name
+    assert rings._symmetric(ring, ring.mul_table == 0) == _oracle_symmetric(ring), ring.name
     assert rings._semicommutative(ring) == _oracle_semicommutative(ring), ring.name
     assert np.array_equal(jacobson_radical(ring).mask, _oracle_jacobson(ring)), ring.name
 
