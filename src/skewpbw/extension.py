@@ -66,6 +66,13 @@ class SkewPolynomial:
         self.terms = {a: c for a, c in terms.items() if c != 0}
         self._hash = None
 
+    @classmethod
+    def _nonzero(cls, ext: "ExtensionPresentation", terms: dict) -> "SkewPolynomial":
+        """The polynomial of `terms`, whose coefficients are all nonzero already: no filter, no copy."""
+        f = cls.__new__(cls)
+        f.ext, f.terms, f._hash = ext, terms, None
+        return f
+
     # -- inspection ------------------------------------------------------------
 
     @property
@@ -254,6 +261,7 @@ class ExtensionPresentation:
         self._push_cache: dict = {}
         self._mono_cache: dict = {}
         self._graded_profiles: dict = {}
+        self._leading: dict = {}  # alpha -> probes._leading_chain_row, bounded by probes.LEADING_CACHE_CAP
         self._modules = None  # modules.FiniteModules, built on first use
 
     def _check_pair(self, i: int, j: int) -> None:

@@ -35,10 +35,14 @@ modulo k_u.  Composition is the integer matrix product reduced row by row,
 and any integer representatives of the entries give the same result: adding
 k_v to entry (v, w) of the right factor adds k_v times column v of the left
 factor to column w, and those are the coordinates of phi(k_v g_v) = 0.
-Products run in float64, exact on integers below 2^53 (every sum of a
-product of reduced matrices is below D k^2, with k the largest order);
-`FiniteModules` reduces before any squaring whose sums could reach that
-bound.
+The relations (1) and (2) are checked in int64, one contraction per
+family: (1) for X_i on every e_s at once, and (2) for X_j X_i over every
+term of its right side at once.  The decisions run in float64, exact on
+integers below 2^53.  An image rho(f) is reduced before the first
+squaring, so its entries are at most b = k - 1, with k the largest order.
+Every sum of a product of two matrices with entries at most b is at most
+D b^2, so each squaring bounds the next b, and `FiniteModules` reduces
+before any squaring whose sums could reach 2^53.
 
 The catalogue is one family of modules, each named by a shape
 ((m_1, rule_1), ..., (m_n, rule_n)): M = sum over alpha < m of R x^alpha,
@@ -62,9 +66,10 @@ passes DIMENSION_CAP:
 When J(R) is invariant under every sigma_i and delta_i, each f in J(R)<x>
 is nilpotent (proof at probes._probe_rows), so no module certifies it: the
 store keeps that J(R) as a mask with its t, J(R)^t = 0, and `decide`
-answers such rows before it tries any module.  The store holds arrays and
-ints only, no reference to the presentation or its ring, so a presentation
-that keeps it is still freed by reference counting.
+answers such rows before it tries any module.  The store holds arrays,
+numbers and its cache of atoms only, no reference to the presentation or
+its ring, so a presentation that keeps it is still freed by reference
+counting.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ import numpy as np
 
 from .extension import ExtensionPresentation, SkewPolynomial, _cache_put
 from .maps import DELTA_INVARIANT, SIGMA_INVARIANT, invariance
-from .rings import ideal_power_index, jacobson_radical
+from .rings import jacobson_index, jacobson_radical
 
 ATOM_CACHE_CAP = 1 << 8  # entries (module, alpha) in a store's cache of rho(x^alpha) atoms
 # at most this many shapes with every m_i = 1, and additive generators in the
@@ -114,8 +119,10 @@ class FiniteModule:
         return P % self.orders[:, None]
 
     def scalar(self, coords: np.ndarray) -> np.ndarray:
-        """L_r for r with the given coordinates."""
-        return self.reduce(np.tensordot(coords, self.left, axes=1))
+        """L_r for r with the given coordinates, or one L_r per row of coordinates: one contraction."""
+        D = len(self.orders)
+        flat = coords @ self.left.reshape(len(self.left), D * D)
+        return self.reduce(flat.reshape(coords.shape[:-1] + (D, D)))
 
     def monomial(self, alpha: tuple) -> np.ndarray:
         """rho(x^alpha) = X_1^alpha_1 ... X_n^alpha_n, by binary powering."""
@@ -160,19 +167,24 @@ def shape_module(A: ExtensionPresentation, shape: tuple) -> FiniteModule:
 
 
 def is_module(A: ExtensionPresentation, M: FiniteModule) -> bool:
-    """Relations (1) on the generators e_s and (2) for every i < j, exactly."""
+    """Relations (1) on the generators e_s and (2) for every i < j, exactly.
+
+    Each family is one contraction: (1) for X_i on every e_s at once, and
+    (2) for x_j x_i on every term of its relation at once.  The checks stop
+    at the first relation that fails.
+    """
     elems = A.base.elements_array
     gens = [A.base.generator(t).index for t in range(A.base.m)]
     for i, X in enumerate(M.ops):
-        for s, es in enumerate(gens):
-            lhs = M.reduce(X @ M.left[s])
-            rhs = M.reduce(M.scalar(elems[A._sig[i][es]]) @ X + M.scalar(elems[A._del[i][es]]))
-            if not np.array_equal(lhs, rhs):
-                return False
+        lhs = M.reduce(X @ M.left)  # (m, D, D): X_i L_{e_s}
+        sig, dlt = A._sig[i], A._del[i]
+        rhs = M.scalar(elems[[sig[e] for e in gens]]) @ X + M.scalar(elems[[dlt[e] for e in gens]])
+        if not np.array_equal(lhs, M.reduce(rhs)):
+            return False
     for (i, j), rel in A._rel.items():
         lhs = M.reduce(M.ops[j] @ M.ops[i])
-        rhs = sum(M.scalar(elems[c]) @ M.monomial(gamma) for gamma, c in rel)
-        if not np.array_equal(lhs, M.reduce(rhs)):
+        coefs, monos = M.scalar(elems[[c for _, c in rel]]), np.stack([M.monomial(gamma) for gamma, _ in rel])
+        if not np.array_equal(lhs, M.reduce((coefs @ monos).sum(axis=0))):
             return False
     return True
 
@@ -185,8 +197,13 @@ class FiniteModules:
     rho(f) = sum_{alpha,s} f_{alpha,s} L_{e_s} rho(x^alpha), so a batch of
     coordinate rows over fixed monomials is decided by one contraction
     against the atoms L_{e_s} rho(x^alpha) and then ceil(log2 L) batched
-    squarings, module after module, each taking only the rows that the
-    modules before it left open.
+    squarings (`decide`), module after module, each taking only the rows
+    that the modules before it left open.  One polynomial (`certifies`)
+    takes the same path without the batch: rho(f) is the sum of the images
+    rho(c x^alpha) = L_c rho(x^alpha) of its terms, each formed from c's
+    coordinates and the atoms of alpha, and the same squaring routine
+    decides it.  The atoms are cached per store, at most ATOM_CACHE_CAP of
+    them, and the cache is emptied when full.
     """
 
     def __init__(self, A: ExtensionPresentation):
@@ -202,12 +219,13 @@ class FiniteModules:
         self._orders = [M.orders.astype(np.float64)[:, None] for M in self.modules]
         self._steps = [(M.length - 1).bit_length() for M in self.modules]  # ceil(log2 L)
         self.width = max((len(M.orders) ** 2 for M in self.modules), default=1)  # matrix entries per row
+        self._tops = [float(M.orders.max() - 1) for M in self.modules]  # largest reduced entry
         self._atoms: dict = {}  # (module, alpha) -> (m, D * D) float64 L_{e_s} rho(x^alpha)
         # J(R) and the least t with J(R)^t = 0 when J(R) is Sigma-Delta-invariant, else None
         J = jacobson_radical(A.base)
         invariant = all(invariance(J, A.system, kind).holds for kind in (SIGMA_INVARIANT, DELTA_INVARIANT))
         self.jacobson_mask: Optional[np.ndarray] = J.mask if invariant else None
-        self.nil_index: Optional[int] = ideal_power_index(J) if invariant else None
+        self.nil_index: Optional[int] = jacobson_index(A.base) if invariant else None
 
     def _atom(self, k: int, alpha: tuple) -> np.ndarray:
         key = (k, alpha)
@@ -225,24 +243,24 @@ class FiniteModules:
         # fmod is the remainder on these nonnegative integers, and far cheaper than %
         return np.fmod((X @ P).reshape(len(X), D, D), self._orders[k])
 
-    def _not_nilpotent(self, k: int, X: np.ndarray, monos: Sequence[tuple]) -> np.ndarray:
-        """rho_k(f)^(2^s) != 0 with 2^s >= L, for coordinate rows X over `monos`.
+    def _top_power(self, k: int, R: np.ndarray) -> np.ndarray:
+        """rho_k(f)^(2^s), reduced, with 2^s >= L, for reduced images R (B, D, D).
 
-        Rows are reduced only when the next squaring could leave the exact
-        float64 range: any integer representatives of the entries give the
-        same map, so one reduction at the end suffices otherwise.
+        rho_k(f) is nilpotent exactly when this power is 0.  Rows are reduced
+        only when the next squaring could leave the exact float64 range: any
+        integer representatives of the entries give the same map, so one
+        reduction at the end suffices otherwise.  R is reduced in place, so
+        it must be an array that no cache holds.
         """
-        orders = self._orders[k]
-        D, top = len(orders), float(orders.max() - 1)
-        R, bound = self.images(k, X, monos), top
+        orders, top = self._orders[k], self._tops[k]
+        D, bound = len(orders), top
         for _ in range(self._steps[k]):
             if D * bound * bound >= 2**53:
                 np.fmod(R, orders, out=R)
                 bound = top
             R = np.matmul(R, R)
             bound = D * bound * bound
-        np.fmod(R, orders, out=R)
-        return R.reshape(len(X), -1).any(axis=1)
+        return np.fmod(R, orders, out=R)
 
     def decide(self, K: np.ndarray, monos: Sequence[tuple]) -> np.ndarray:
         """For element-index rows K over `monos`: does some module prove the row's f not nilpotent?
@@ -258,15 +276,28 @@ class FiniteModules:
         for k in range(len(self.modules)):
             if not len(todo):
                 break
-            hit = self._not_nilpotent(k, X[todo], monos)
+            power = self._top_power(k, self.images(k, X[todo], monos))
+            hit = power.reshape(len(todo), -1).any(axis=1)
             out[todo[hit]] = True
             todo = todo[~hit]
         return out
 
     def certifies(self, f: SkewPolynomial) -> bool:
-        """Whether some module proves f not nilpotent."""
-        monos = list(f.terms)
-        return bool(self.decide(np.array([[f.terms[a] for a in monos]]), monos)[0])
+        """`decide` on f's row alone: does some module prove f not nilpotent?"""
+        terms = f.terms
+        if not terms or self.jacobson_mask is not None and all(self.jacobson_mask[c] for c in terms.values()):
+            return False
+        elems = self._elems
+        for k in range(len(self.modules)):
+            orders = self._orders[k]
+            R = None
+            for alpha, c in terms.items():
+                image = elems[c] @ self._atom(k, alpha)
+                R = image if R is None else np.add(R, image, out=R)
+            R = np.fmod(R.reshape(1, len(orders), -1), orders)
+            if np.count_nonzero(self._top_power(k, R)):
+                return True
+        return False
 
 
 def finite_modules(A: ExtensionPresentation) -> FiniteModules:

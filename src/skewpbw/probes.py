@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent, TooLarge
-from .extension import TABLE_ENTRIES, AtomTable, ExtensionPresentation, SkewPolynomial, coefficient_keys
+from .extension import TABLE_ENTRIES, AtomTable, ExtensionPresentation, SkewPolynomial, _cache_put, coefficient_keys
 from .maps import DELTA_INVARIANT, invariance, multi_indices
 from .modules import finite_modules
 from .rings import Ideal
@@ -41,6 +41,7 @@ DEFAULT_EXPONENT_CAP = 16
 DEFAULT_PAIR_BUDGET = 10**6
 BLOCK_ENTRIES = 1 << 22  # matrix entries per row block of a batched product
 ROW_ENTRIES = 1 << 14  # entries per block of value, product, sum or cross-product rows
+LEADING_CACHE_CAP = 1 << 8  # leading monomials alpha in a presentation's leading-chain table
 
 NILPOTENT = "nilpotent"
 NOT_NILPOTENT = "not_nilpotent"
@@ -80,18 +81,41 @@ def _leading_chain_holds(f: SkewPolynomial) -> bool:
     a_k = 0 iff b_k = 0, R commutative or not.  The orbit is eventually
     periodic, and a unit c has a unit orbit.  Bijectivity is needed: in
     Z_4[x1, x2] with x2 x1 = 2 x1 x2, lc = 1 yet (x1 x2)^3 = 0.
+
+    The answer depends only on (alpha, c), so it is read from the row of
+    alpha in the presentation's table (`_leading_chain_row`).
     """
-    A = f.ext
-    alpha = max(f.terms, key=lambda a: (sum(a), a))
-    c = f.terms[alpha]
-    if A.base.units_mask[c]:
-        return True
-    sigma, times_c = A.system.sigma_power(alpha).tolist(), A._mul[c]
-    b, seen = c, set()
-    while b and b not in seen:
-        seen.add(b)
-        b = times_c[sigma[b]]
-    return b != 0
+    terms = f.terms
+    alpha = max(terms, key=lambda a: (sum(a), a))
+    return _leading_chain_row(f.ext, alpha)[terms[alpha]]
+
+
+def _leading_chain_row(A: ExtensionPresentation, alpha: tuple) -> list:
+    """Per coefficient c: whether the orbit of c under T_c(b) = c sigma^alpha(b) avoids 0.
+
+    Built on first use and cached on A.  A unit c answers True.  The orbits
+    of the other c run side by side, with Floyd's two pointers x_k and
+    x_2k, until each pair meets: then x_k lies on the orbit's cycle, which
+    holds 0 exactly when the orbit reaches 0, since T_c(0) = 0.  Each pair
+    meets within |R| steps.
+    """
+    row = A._leading.get(alpha)
+    if row is None:
+        mul, units = A.base.mul_table, A.base.units_mask
+        sigma = A.system.sigma_power(alpha)
+        out = units.copy()
+        c = np.flatnonzero(~units)
+        slow = mul[c, sigma[c]]
+        fast = mul[c, sigma[slow]]
+        while len(c):
+            met = slow == fast
+            out[c[met]] = slow[met] != 0
+            c, slow, fast = c[~met], slow[~met], fast[~met]
+            slow = mul[c, sigma[slow]]
+            fast = mul[c, sigma[mul[c, sigma[fast]]]]
+        row = out.tolist()
+        _cache_put(A._leading, alpha, row, LEADING_CACHE_CAP)
+    return row
 
 
 def nilpotency_probe(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> ProbeResult:
@@ -565,19 +589,19 @@ def coefficient_agreement(scan: BoundedScan) -> AgreementResult:
     A proved-nilpotent f with a coefficient outside N(R) exactly disproves
     N(A) <= N(R)<x>; an N(R)-coefficient f proved not nilpotent exactly
     disproves the reverse inclusion.  Unknown probes on N(R)-coefficient
-    polynomials leave the agreement undecided at this budget.
+    polynomials leave the agreement undecided at this budget.  Membership
+    is read from the scan's key rows: the empty slots hold index 0, the
+    zero element, which is nilpotent.  The witness is the first failing
+    polynomial in enumeration order.
     """
-    unknown = 0
-    for f in scan.polys:
-        member = coefficient_criterion_member(f)
-        r = scan.status[f]
-        if r.proved_nilpotent and not member:
-            return AgreementResult(False, exact_failure=True, witness={"direction": "probe->criterion", "f": f})
-        if member and r.proved_not_nilpotent:
-            return AgreementResult(False, exact_failure=True, witness={"direction": "criterion->probe", "f": f})
-        if member and r.status == UNKNOWN:
-            unknown += 1
-    return AgreementResult(True, unknown=unknown)
+    member = scan.A.base.nilpotent_mask[scan.keys].all(axis=1)
+    status = np.array([scan.status[f].status for f in scan.polys], dtype=str)
+    bad = np.flatnonzero(np.where(member, status == NOT_NILPOTENT, status == NILPOTENT))
+    if len(bad):
+        i = int(bad[0])
+        direction = "criterion->probe" if member[i] else "probe->criterion"
+        return AgreementResult(False, exact_failure=True, witness={"direction": direction, "f": scan.polys[i]})
+    return AgreementResult(True, unknown=int(np.count_nonzero(member & (status == UNKNOWN))))
 
 
 # ---------------------------------------------------------------------------
@@ -720,10 +744,15 @@ def bounded_skew_armendariz(
 
 
 def _polys_over_monomials(A: ExtensionPresentation, monos: list, support_cap: int) -> list:
-    coeffs = list(range(1, A.base.size))
-    out = []
-    for s in range(1, support_cap + 1):
-        for combo in itertools.combinations(monos, s):
-            for cs in itertools.product(coeffs, repeat=s):
-                out.append(SkewPolynomial(A, dict(zip(combo, cs))))
-    return out
+    """Every polynomial with 1..support_cap terms over `monos`, in enumeration order.
+
+    The coefficients run over 1..|R|-1, so none is zero and the constructor's
+    zero filter is skipped.
+    """
+    new, coeffs = SkewPolynomial._nonzero, range(1, A.base.size)
+    return [
+        new(A, dict(zip(combo, cs)))
+        for s in range(1, support_cap + 1)
+        for combo in itertools.combinations(monos, s)
+        for cs in itertools.product(coeffs, repeat=s)
+    ]

@@ -387,11 +387,14 @@ class FiniteRing:
 
     @property
     def units_mask(self) -> np.ndarray:
+        """a is a unit iff ab = 1 for some b: a finite ring is Dedekind-finite.
+
+        If ab = 1, then x -> bx is injective (bx = by gives x = abx = aby =
+        y), so onto R, as R is finite: bc = 1 for some c, and then
+        c = (ab)c = a(bc) = a.  So ba = 1 as well.
+        """
         if self._units_mask is None:
-            one = self.one_index
-            mt = self.mul_table
-            E = mt == one
-            self._units_mask = (E & E.T).any(axis=1)
+            self._units_mask = (self.mul_table == self.one_index).any(axis=1)
         return self._units_mask
 
     def _unit_orbit_reps(self) -> np.ndarray:
@@ -627,6 +630,12 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     return ideal
 
 
+def jacobson_index(ring: FiniteRing) -> int:
+    """The least t with J(R)^t = 0, computed once per ring by `_nilpotent_jacobson`."""
+    _nilpotent_jacobson(ring)
+    return ring._radical_cache["J_index"]
+
+
 def _nilpotent_jacobson(ring: FiniteRing) -> Ideal:
     """J(R), once `ideal_power_index` has proved it nilpotent: then it is every nilradical.
 
@@ -778,12 +787,6 @@ def _abelian(ring: FiniteRing) -> bool:
     return True
 
 
-def _dedekind_finite(ring: FiniteRing) -> bool:
-    mul = ring.mul_table
-    one = ring.one_index
-    return bool((mul.T[mul == one] == one).all())
-
-
 def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile:
     """Fill every predicate flag by exact quantifier checks.
 
@@ -796,9 +799,11 @@ def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile
     that, both before anything is allocated.
     N(R) = J(R) decides NJ, 2-primal and weakly 2-primal at once, since the
     three nilradicals equal J(R); NI is tested on its own, as closure of N(R)
-    under the ideal operations.  The ring caches the flags, and the radicals
-    as masks; the profile's ideals and nilpotent set are rebuilt from them on
-    every call.
+    under the ideal operations.  Dedekind-finite and locally finite hold in
+    every finite ring (the first by the argument at
+    `FiniteRing.units_mask`), so both are recorded, not computed.  The ring
+    caches the flags, and the radicals as masks; the profile's ideals and
+    nilpotent set are rebuilt from them on every call.
     """
     ring._require_size("classification")
     if ring.size > cap:
@@ -825,7 +830,7 @@ def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile
             right_duo=_duo(ring, right=True),
             left_duo=_duo(ring, right=False),
             abelian=_abelian(ring),
-            dedekind_finite=_dedekind_finite(ring),
+            dedekind_finite=True,  # every finite ring: see FiniteRing.units_mask
             locally_finite=True,  # recorded, not computed: finite carrier
         )
     return RingProfile(

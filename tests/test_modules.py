@@ -257,12 +257,12 @@ def test_scan_decides_its_module_stage_in_bulk(clifford2, monkeypatch):
     A = clifford2.presentation
     store = finite_modules(A)
     rows, evaluated = [], []
-    decide, not_nilpotent = FiniteModules.decide, FiniteModules._not_nilpotent
+    decide, top_power = FiniteModules.decide, FiniteModules._top_power
     monkeypatch.setattr(FiniteModules, "decide", lambda self, K, monos: rows.append(len(K)) or decide(self, K, monos))
     monkeypatch.setattr(
         FiniteModules,
-        "_not_nilpotent",
-        lambda self, k, X, monos: evaluated.append(len(X)) or not_nilpotent(self, k, X, monos),
+        "_top_power",
+        lambda self, k, R: evaluated.append(len(R)) or top_power(self, k, R),
     )
     monkeypatch.setattr(probes, "nilpotency_probe", lambda *a: pytest.fail("the scan called nilpotency_probe"))
     scan = BoundedScan(A, 2, 2, 8)
@@ -283,11 +283,11 @@ def test_module_stage_skips_the_invariant_radical(name, degree, support, count, 
     store = finite_modules(A)
     assert store.jacobson_mask is not None and store.nil_index <= CENSUS_CAP
     evaluated = []
-    not_nilpotent = FiniteModules._not_nilpotent
+    top_power = FiniteModules._top_power
     monkeypatch.setattr(
         FiniteModules,
-        "_not_nilpotent",
-        lambda self, k, X, monos: evaluated.append(len(X)) or not_nilpotent(self, k, X, monos),
+        "_top_power",
+        lambda self, k, R: evaluated.append(len(R)) or top_power(self, k, R),
     )
     in_J = [f for f in enumerate_bounded_polys(A, degree, support) if store.jacobson_mask[list(f.terms.values())].all()]
     assert len(in_J) == count  # the census probes in J<x>
@@ -311,19 +311,23 @@ def test_module_stage_needs_an_invariant_radical(weyl2):
 
 
 def test_atom_cache_is_bounded(weyl2, monkeypatch):
-    from skewpbw import modules
+    from skewpbw import modules, probes
 
     monkeypatch.setattr(modules, "ATOM_CACHE_CAP", 4)
-    A = weyl2.presentation
+    monkeypatch.setattr(probes, "LEADING_CACHE_CAP", 4)
+    P = weyl2.presentation
+    A = verify_presentation(make_extension(P.base, P.system, d=P.d, tails=P.tails, name=P.name))
     store = FiniteModules(A)
     y = weyl2.ring.el([0, 1])
     results = []
     for d in range(1, 12):
-        f = A.monomial((d,), coeff=y)
-        results.append(store.certifies(f))
-        assert len(store._atoms) <= 4
+        for c in (y, y + weyl2.ring.one):
+            f = A.monomial((d,), coeff=c)
+            results.append(store.certifies(f))
+            assert probes._leading_chain_holds(f) == (c != y)  # 1 + y is a unit
+            assert len(store._atoms) <= 4 and len(A._leading) <= 4
     # y x^d is nilpotent for even d, (y x^d)^2 = y^2 x^2d + d y y' x^(2d-1)
-    assert results == [d % 2 == 1 for d in range(1, 12)]
+    assert results[0::2] == [d % 2 == 1 for d in range(1, 12)]
 
 
 def test_catalogue_size_is_capped():

@@ -877,7 +877,21 @@ def _oracle_jacobson(ring):
     return ring.units_mask[one_minus[ring.mul_table]].all(axis=0)
 
 
+def _oracle_units(ring):
+    """Units as two-sided inverses: ab = 1 and ba = 1 for some b."""
+    E = ring.mul_table == ring.one_index
+    return (E & E.T).any(axis=1)
+
+
+def _oracle_dedekind_finite(ring):
+    """ab = 1 implies ba = 1, over every pair."""
+    mul, one = ring.mul_table, ring.one_index
+    return bool((mul.T[mul == one] == one).all())
+
+
 def _assert_predicates_match_oracles(ring):
+    assert np.array_equal(ring.units_mask, _oracle_units(ring)), ring.name
+    assert classify_ring(ring, cap=ring.size).dedekind_finite == _oracle_dedekind_finite(ring), ring.name
     assert rings._duo(ring, right=True) == _oracle_duo(ring, right=True), ring.name
     assert rings._duo(ring, right=False) == _oracle_duo(ring, right=False), ring.name
     assert rings._symmetric(ring, ring.mul_table == 0) == _oracle_symmetric(ring), ring.name
