@@ -619,18 +619,21 @@ def verify_presentation(A: ExtensionPresentation) -> ExtensionPresentation:
     (c) x_i (a b) = (x_i a) b on generator pairs -- implied by the verified map
         laws, re-checked cheaply.
     On success the multiplication is associative and Mon(A) is a left basis.
+    The generators are element indices and a b is read from the
+    multiplication table; elements are built only for a failure's message.
     """
     base = A.base
     n = A.n
-    gens = [base.generator(t) for t in range(base.m)]
+    gens = [base.generator(t).index for t in range(base.m)]
+    mul = A._mul
 
     def var_terms(i: int) -> dict:
         e = [0] * n
         e[i - 1] = 1
         return {tuple(e): A._one}
 
-    def scalar_terms(r: RingElement) -> dict:
-        return {A._zero_exp: r.index} if r.index else {}
+    def scalar_terms(r: int) -> dict:
+        return {A._zero_exp: r} if r else {}
 
     def render(terms: dict) -> str:
         return SkewPolynomial(A, terms).to_expr()
@@ -640,10 +643,11 @@ def verify_presentation(A: ExtensionPresentation) -> ExtensionPresentation:
         for a in gens:
             xa = A._mul_terms(Xi, scalar_terms(a))
             for b in gens:
-                lhs = A._mul_terms(Xi, scalar_terms(a * b))
+                lhs = A._mul_terms(Xi, scalar_terms(mul[a][b]))
                 rhs = A._mul_terms(xa, scalar_terms(b))
                 if lhs != rhs:
-                    raise OverlapFails("coefficient", (i, repr(a), repr(b)), render(lhs), render(rhs))
+                    pair = (repr(base.element_from_index(a)), repr(base.element_from_index(b)))
+                    raise OverlapFails("coefficient", (i, *pair), render(lhs), render(rhs))
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -139,8 +139,13 @@ class FiniteModule:
         return out
 
 
-def shape_module(A: ExtensionPresentation, shape: tuple) -> FiniteModule:
-    """M = sum_{alpha < m} R x^alpha with each x_i^{m_i} reduced by its rule."""
+def shape_module(A: ExtensionPresentation, shape: tuple, products: Optional[dict] = None) -> FiniteModule:
+    """M = sum_{alpha < m} R x^alpha with each x_i^{m_i} reduced by its rule.
+
+    `products` maps (i, alpha) to the engine's products x_i (e_t x^alpha),
+    one per generator e_t; it is filled on first use, so shapes that share
+    it make each product once.  Only the reduction depends on the shape.
+    """
     base = A.base
     m = base.m
     alphas = list(itertools.product(*(range(mi) for mi, _ in shape)))
@@ -149,13 +154,17 @@ def shape_module(A: ExtensionPresentation, shape: tuple) -> FiniteModule:
     orders = np.tile(np.array(base.orders, dtype=np.int64), len(alphas))
     elems = base.elements_array
     gens = [base.generator(t).index for t in range(m)]
+    products = {} if products is None else products
     ops = []
     for i in range(A.n):
         xi = {tuple(int(t == i) for t in range(A.n)): A._one}
         X = np.zeros((D, D), dtype=np.int64)
         for alpha in alphas:
-            for t, et in enumerate(gens):
-                for gamma, c in A._mul_terms(xi, {alpha: et}).items():
+            row = products.get((i, alpha))
+            if row is None:
+                row = products[(i, alpha)] = [A._mul_terms(xi, {alpha: et}) for et in gens]
+            for t, terms in enumerate(row):
+                for gamma, c in terms.items():
                     # cyclic exponents wrap; a truncated one past m_i falls outside pos, and the term is 0
                     k = pos.get(tuple(g % mi if rule == CYCLIC else g for g, (mi, rule) in zip(gamma, shape)))
                     if k is not None:
@@ -213,7 +222,8 @@ class FiniteModules:
             shapes += itertools.product(((1, TRUNCATED), (1, CYCLIC)), repeat=A.n)
         if 2**A.n * A.base.m <= DIMENSION_CAP:
             shapes.append(((2, CYCLIC),) * A.n)
-        self.modules = [M for M in (shape_module(A, shape) for shape in shapes) if is_module(A, M)]
+        products: dict = {}  # x_i (e_t x^alpha), the same for every shape
+        self.modules = [M for M in (shape_module(A, shape, products) for shape in shapes) if is_module(A, M)]
         self._elems = A.base.elements_array.astype(np.float64)
         self._m = A.base.m
         self._orders = [M.orders.astype(np.float64)[:, None] for M in self.modules]

@@ -32,7 +32,10 @@ from .errors import (
 )
 
 DEFAULT_IDEAL_CAP = 256  # classify_ring's checks take up to m |R|^2 time and memory
-TABLE_CAP = 4096
+TABLE_CAP = 4096  # the most elements of a ring whose elements are enumerated or tabled
+# the index tables are int16, which holds every element index: it is below TABLE_CAP <= 2^15
+assert TABLE_CAP <= 2**15, "element indices must fit the int16 index tables"
+TABLE_BLOCK = 1 << 16  # entries per block of the table build's temporaries
 
 
 class RingElement:
@@ -289,60 +292,94 @@ class FiniteRing:
         return self._elements_arr
 
     def _require_tables(self) -> None:
-        """Build the index tables of +, * and negation, with no n x n x m temporary.
+        """Build the int16 index tables of +, * and negation, in row blocks of their final arrays.
+
+        Int16 holds every entry: an entry is an element index, below
+        n <= TABLE_CAP <= 2^15.  So a ring keeps 4 n^2 bytes of tables.
 
         The digits are split after the digit t whose stride s_t makes
         nH + nL least, with nL = s_t and nH = n / nL, ties going to the
         smaller nL.  Every index is a = h*nL + l: the element
         h*nL has only the digits up to t (the high part H_a) and the element l
         only the digits after t (the low part L_a), and a = H_a + L_a.
+        The part with more elements is the big side, the other the small
+        side, which has at most sqrt(n) elements.
 
         Addition reduces each coordinate on its own, so no carry crosses a
-        digit: index(a + b) = index(H_a + H_b) + index(L_a + L_b).  Two small
-        tables over the nH = n / nL high and the nL low elements hold those
-        indices, built one coordinate at a time, and the full table is their
-        sum broadcast over the row and column parts.
+        digit: index(a + b) = index(H_a + H_b) + index(L_a + L_b).  The
+        table of the small side is built whole, one coordinate at a time;
+        the big side's is built for one block of its elements at a time,
+        and each block's sums with the small side's table, broadcast over
+        its rows and columns, are written straight into the int16 table.
+        A sum is index(a + b) < n, so it never wraps.
 
         Multiplication distributes: a * b = H_a * b + L_a * b.  So only the
         nH + nL rows of the pure-digit elements are contracted against the
-        constants, and row a is the addition-table lookup of rows H_a and L_a.
+        constants, and row a is the addition-table gather of rows H_a and
+        L_a at the flat index H_a b * n + L_a b, formed in intp.  The small
+        side's rows are formed once, the big side's one block at a time.
         The contraction runs in float64 and is exact: e_s * b is reduced
         modulo the orders first, so every coordinate of a pure-digit product
         is an integer sum of at most m (k - 1)^2, with k the largest order.
         Under TABLE_CAP, k <= 4096 and m <= 12, so the sums stay below 2^28:
         far below 2^53, where float64 stops holding every integer, and below
         2^31, so they are reduced in int32.
+
+        So no temporary grows with n^2.  Besides the tables, the build holds
+        the m x n x m coordinates of the products e_s b, the small side's
+        rows (at most n sqrt(n) entries) and sum table (at most n), and one
+        block: as many big-side elements as keep its products, sums and
+        gather indices within TABLE_BLOCK entries, and at least one.
         """
         if self._mul_table is not None:
             return
         self._require_size("multiplication table")
         A = self.elements_array
         ords = np.array(self.orders, dtype=np.int64)
-        n = self.size
+        n, m = self.size, self.m
         strides = self._strides.tolist()
-        t = min(range(self.m), key=lambda u: (n // strides[u] + strides[u], strides[u]))
+        t = min(range(m), key=lambda u: (n // strides[u] + strides[u], strides[u]))
         nL = strides[t]
         nH = n // nL
-        cut = t + 1
-        add_high = _digit_add_table(A[::nL, :cut], self.orders[:cut], self._strides[:cut])
-        add_low = _digit_add_table(A[:nL, cut:], self.orders[cut:], self._strides[cut:])
-        cols = np.arange(n)
-        add = (add_high[:, None, cols // nL] + add_low[None, :, cols % nL]).reshape(n, n)
+        add, mul = np.empty((n, n), dtype=np.int16), np.empty((n, n), dtype=np.int16)
+        # add4[h, l, h', l'] = index(a + b) and mul3[h, l, b] = index(a * b), a = h nL + l, b = h' nL + l'
+        add4, mul3 = add.reshape(nH, nL, nH, nL), mul.reshape(nH, nL, n)
+        # (elements, digits) of the high and the low side, the big side first
+        sides = [(A[::nL], slice(0, t + 1)), (A[:nL], slice(t + 1, m))]
+        if nL > nH:
+            sides.reverse()
+            add4, mul3 = add4.transpose(1, 0, 3, 2), mul3.transpose(1, 0, 2)
+        (big, big_digits), (small, small_digits) = sides
+
+        def sums(x: np.ndarray, y: np.ndarray, digits: slice) -> np.ndarray:
+            return _digit_add_table(x[:, digits], y[:, digits], self.orders[digits], strides[digits])
+
         # right[s, b, u]: coordinate u of e_s * b, reduced
-        right = np.einsum("bt,stu->sbu", A, self.constants) % ords
-        right = right.reshape(self.m, n * self.m).astype(np.float64)
-        pure = np.concatenate([A[::nL], A[:nL]]).astype(np.float64)
-        ords32, strides32 = ords.astype(np.int32), self._strides.astype(np.int32)
-        rows = np.empty((nH + nL, n), dtype=np.int32)
-        block = max(1, (1 << 20) // (n * self.m))  # rows per product of <= 2^20 entries
-        for lo in range(0, nH + nL, block):
-            prod = (pure[lo : lo + block] @ right).astype(np.int32).reshape(-1, n, self.m)
-            prod %= ords32
-            rows[lo : lo + block] = prod @ strides32
-        mul = add[rows[:nH, None, :], rows[None, nH:, :]].reshape(n, n)
+        right = (np.einsum("bt,stu->sbu", A, self.constants) % ords).reshape(m, n * m).astype(np.float64)
+        ords32 = ords.astype(np.int32)
+
+        def product_rows(x: np.ndarray) -> np.ndarray:
+            """[i, b] -> index of x_i * b, for coordinate rows x_i, contracted a block of rows at a time."""
+            rows = np.empty((len(x), n), dtype=np.intp)
+            step = max(1, TABLE_BLOCK // (n * m))
+            for i in range(0, len(x), step):
+                prod = (x[i : i + step].astype(np.float64) @ right).astype(np.int32).reshape(-1, n, m)
+                prod %= ords32
+                rows[i : i + step] = prod @ self._strides
+            return rows
+
+        small_sums, small_rows = sums(small, small, small_digits), product_rows(small)
+        block = max(1, TABLE_BLOCK // (n * max(m, len(small))))
+        for b in range(0, len(big), block):
+            big_sums = sums(big[b : b + block], big, big_digits)
+            np.add(big_sums[:, None, :, None], small_sums[None, :, None, :], out=add4[b : b + block])
+        flat = add.ravel()
+        for b in range(0, len(big), block):
+            index = product_rows(big[b : b + block])[:, None, :] * n + small_rows[None]
+            np.take(flat, index, out=mul3[b : b + block])
         self._mul_table = mul
         self._add_table = add
-        self._neg_arr = ((-A) % ords @ self._strides).astype(np.int32)
+        self._neg_arr = ((-A) % ords @ self._strides).astype(np.int16)
 
     @property
     def mul_table(self) -> np.ndarray:
@@ -437,12 +474,15 @@ class FiniteRing:
         )
 
 
-def _digit_add_table(coords: np.ndarray, orders: Sequence[int], strides: np.ndarray) -> np.ndarray:
-    """[x, y] -> index of x + y, for rows x, y of coords over the given digits."""
-    table = np.zeros((len(coords), len(coords)), dtype=np.int32)
-    for u, (k, stride) in enumerate(zip(orders, strides.tolist())):
-        col = coords[:, u].astype(np.int32)
-        table += (np.add.outer(col, col) % k) * np.int32(stride)
+def _digit_add_table(x: np.ndarray, y: np.ndarray, orders: Sequence[int], strides: Sequence[int]) -> np.ndarray:
+    """[i, j] -> index of x_i + y_j, for coordinate rows x_i, y_j over the given digits.
+
+    In int16, as the tables: a coordinate sum is below 2k <= 2 TABLE_CAP,
+    and each term, like the index, is below n.
+    """
+    table = np.zeros((len(x), len(y)), dtype=np.int16)
+    for u, (k, stride) in enumerate(zip(orders, strides)):
+        table += (np.add.outer(x[:, u].astype(np.int16), y[:, u].astype(np.int16)) % k) * stride
     return table
 
 

@@ -21,8 +21,9 @@ import pytest
 
 from skewpbw import cli, corpus, defio, extension, probes
 from skewpbw.errors import TooLarge
-from skewpbw.extension import AtomTable, SkewPolynomial, coefficient_keys
-from skewpbw.maps import multi_indices
+from skewpbw.corpus import matrix_upper, product_ring, trunc_poly
+from skewpbw.extension import AtomTable, SkewPolynomial, coefficient_keys, make_extension, verify_presentation
+from skewpbw.maps import SigmaSystem, identity_map, multi_indices
 from skewpbw.rings import ideal_power_index
 from skewpbw.harness import SearchBudget
 from skewpbw.probes import (
@@ -188,6 +189,74 @@ def test_dense_sums_and_keys_round_trip(euler3):
     for i, f in enumerate(polys):
         rows = table.plus(K, K[i])
         assert [table.poly(r, monos) for r in rows] == [g + f for g in polys]
+
+
+def _upper_z3_by_z9():
+    """U2(Z3) x Z3[y]/(y^2)[x]: 243 elements, so a flat index a * 243 + b past int16 reads a wrong entry.
+
+    On q8_twist (256 elements) a wrapped int16 flat index still reads the
+    right one, as negative indices count back from the end of a table of
+    2^16 entries.
+    """
+    ring = product_ring(matrix_upper(3), trunc_poly(3, 2))
+    return verify_presentation(make_extension(ring, SigmaSystem([identity_map(ring)])))
+
+
+@pytest.mark.parametrize("name", ["q8_twist", "U2(Z3)xZ3[y]/(y^2)[x]"])
+def test_index_arithmetic_runs_past_int16(name):
+    # the flat index a * |R| + b passes 2^15 - 1 once a >= top: each gather
+    # below goes wrong if its index arithmetic runs in the tables' int16, so
+    # each is compared with scalar arithmetic on such indices
+    A = corpus.q8_twist().presentation if name == "q8_twist" else _upper_z3_by_z9()
+    base = A.base
+    R = base.size
+    top = -(-(2**15) // R)
+    assert R in (243, 256) and base.mul_table.dtype == np.int16
+    monos = multi_indices(A.n, 0, 1)
+    table = AtomTable(A, monos)
+    rng = np.random.default_rng(24)
+    a = rng.integers(top, R, 2000).astype(np.int16)
+    b = rng.integers(0, R, 2000).astype(np.int16)
+    for x, y, s, p in zip(a.tolist(), b.tolist(), table.plus(a, b).tolist(), table.times(a, b).tolist()):
+        ex, ey = base.element_from_index(x), base.element_from_index(y)
+        assert (s, p) == ((ex + ey).index, (ex * ey).index), (x, y)
+    # value rows of factors whose nonzero coefficients are all >= top, at
+    # every c >= top; the zero divisors among them give zero products
+    zero_divisors = [c for c in range(top, R) if not base.units_mask[c]]
+    pairs = ((top, R - 1), (zero_divisors[0], zero_divisors[-1]), (zero_divisors[-1], 0))
+    factors = [SkewPolynomial(A, dict(zip(monos, cs))) for cs in pairs]
+    K = coefficient_keys(factors, monos).astype(np.int16)
+    VL, VR = table.left_values(K), table.right_values(K)
+    for i, f in enumerate(factors):
+        for k, alpha in enumerate(monos):
+            for c in range(top, R):
+                h = SkewPolynomial(A, {alpha: c})
+                assert table.poly(VL[i, k, c], table.out_monos) == h * f, (i, alpha, c)
+                assert table.poly(VR[i, k, c], table.out_monos) == f * h, (i, alpha, c)
+    # zero products with every h of support <= 2: a scalar add-list sum of value rows
+    add = base.index_rows()[1]
+    hs = _polys_over_monomials(A, monos, 2)
+    for V in (VL, VR):
+        rows = V.tolist()
+        want = set()
+        for i in range(len(factors)):
+            for j, h in enumerate(hs):
+                total = [0] * table.width
+                for alpha, c in h.terms.items():
+                    total = [add[t][v] for t, v in zip(total, rows[i][monos.index(alpha)][c])]
+                if not any(total):
+                    want.add((i, j))
+        F, H = probes._zero_products(table, V, 2)
+        assert set(zip(F.tolist(), H.tolist())) == want and len(want) == len(F)
+        assert any(j >= len(monos) * (R - 1) for _, j in want)  # products of support 2 among them
+
+
+def test_zero_rows_sum_past_int16():
+    # 16 * 4095 + 16 = 2^16: an int16 sum of this row of indices below
+    # TABLE_CAP wraps to 0, and the row would pass for zero
+    rows = np.array([[4095] * 16 + [16], [0] * 17], dtype=np.int16)
+    assert probes._zero_rows(rows).tolist() == [False, True]
+    assert probes._zero_rows(rows[None]).tolist() == [[False, True]]
 
 
 def test_dense_kernel_builds_from_the_engine_only(weyl2, monkeypatch):

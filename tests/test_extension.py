@@ -13,7 +13,7 @@ from skewpbw import (
     make_sigma_derivation,
     verify_presentation,
 )
-from skewpbw.corpus import product_ring, trunc_poly, weyl_like_corrupted, zn
+from skewpbw.corpus import matrix_upper, product_ring, trunc_poly, weyl_like_corrupted, zn
 from skewpbw.errors import (
     NonInjectiveSigma,
     OverlapFails,
@@ -21,6 +21,7 @@ from skewpbw.errors import (
     Unverified,
     ZeroD,
 )
+from skewpbw.maps import ENDOMORPHISM, RingMap
 
 
 def random_poly(rng, A, degree_cap=3, support=3):
@@ -100,6 +101,33 @@ def test_corrupted_fixture_fails_overlap():
     with pytest.raises(OverlapFails) as err:
         verify_presentation(weyl_like_corrupted())
     assert err.value.lhs != err.value.rhs
+
+
+@pytest.mark.parametrize(
+    "ring, matrix, message",
+    [
+        (
+            product_ring(zn(4), zn(2)),
+            [[0, 0], [1, 1]],
+            "overlap check coefficient fails at (1, '[1,0]', '[0,1]'): normal forms differ: 0 != [0,1]*x^1",
+        ),
+        (
+            matrix_upper(2),
+            [[1, 1, 1], [0, 1, 1], [0, 0, 0]],
+            "overlap check coefficient fails at (1, '[1,0,0]', '[0,0,1]'): normal forms differ: 0 != [1,1,0]*x^1",
+        ),
+    ],
+    ids=["Z4xZ2", "U2(Z2)"],
+)
+def test_coefficient_overlap_failure_is_reported_by_elements(ring, matrix, message):
+    # x (a b) against (x a) b, with a b read from the table: an additive sigma
+    # that is not multiplicative fails it, at the pair and with the text that
+    # the element arithmetic gave
+    A = make_extension(ring, SigmaSystem([identity_map(ring)]))
+    A._sig[0] = RingMap(ring, matrix, ENDOMORPHISM).index_list
+    with pytest.raises(OverlapFails) as err:
+        verify_presentation(A)
+    assert str(err.value) == message
 
 
 def test_heisenberg_verifies_and_jacobi_violation_fails(heisenberg2):

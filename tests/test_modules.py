@@ -15,6 +15,7 @@ from skewpbw.modules import (
     CYCLIC,
     DIMENSION_CAP,
     TRUNCATED,
+    FiniteModule,
     FiniteModules,
     finite_modules,
     is_module,
@@ -125,6 +126,44 @@ def test_catalogue_on_the_corpus():
     assert kept["clifford_trunc_2"] == [cyclic(2, 2)]
     assert all(shapes[-1] == cyclic(*[2] * len(shapes[-1])) for shapes in kept.values())
     assert kept["heisenberg_2"] == [(a, b, (1, TRUNCATED)) for a in ONE for b in ONE] + [cyclic(2, 2, 2)]  # c_3 = 0
+
+
+def _shape_module_alone(A, shape):
+    """shape_module as it was before the store shared its products: every shape makes its own."""
+    base = A.base
+    m = base.m
+    alphas = list(itertools.product(*(range(mi) for mi, _ in shape)))
+    pos = {alpha: k for k, alpha in enumerate(alphas)}
+    D = len(alphas) * m
+    orders = np.tile(np.array(base.orders, dtype=np.int64), len(alphas))
+    elems = base.elements_array
+    gens = [base.generator(t).index for t in range(m)]
+    ops = []
+    for i in range(A.n):
+        xi = {tuple(int(t == i) for t in range(A.n)): A._one}
+        X = np.zeros((D, D), dtype=np.int64)
+        for alpha in alphas:
+            for t, et in enumerate(gens):
+                for gamma, c in A._mul_terms(xi, {alpha: et}).items():
+                    k = pos.get(tuple(g % mi if rule == CYCLIC else g for g, (mi, rule) in zip(gamma, shape)))
+                    if k is not None:
+                        X[k * m : (k + 1) * m, pos[alpha] * m + t] += elems[c]
+        ops.append(X % orders[:, None])
+    left = np.einsum("ab,stu->saubt", np.eye(len(alphas), dtype=np.int64), base.constants).reshape(m, D, D)
+    return FiniteModule(shape, left, ops, orders)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_store_modules_equal_the_shapes_built_alone(name):
+    # the store makes each product x_i e_t once for all its shapes
+    A = corpus.BUILDERS[name]().presentation
+    shapes = list(itertools.product(ONE, repeat=A.n)) + [cyclic(*[2] * A.n)]
+    alone = [M for M in (_shape_module_alone(A, shape) for shape in shapes) if is_module(A, M)]
+    store = FiniteModules(A).modules
+    assert [M.shape for M in store] == [M.shape for M in alone], name
+    for M, N in zip(store, alone):
+        assert np.array_equal(M.left, N.left) and np.array_equal(M.orders, N.orders), (name, M.shape)
+        assert len(M.ops) == len(N.ops) and all(np.array_equal(X, Y) for X, Y in zip(M.ops, N.ops)), (name, M.shape)
 
 
 def _closed_form(A, c):

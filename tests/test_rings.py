@@ -323,7 +323,63 @@ def test_tables_match_coordinate_arithmetic(ring):
     else:
         pairs = np.random.default_rng(0).integers(0, ring.size, size=(2000, 2)).tolist()
     _assert_tables_match(ring, pairs)
-    assert all(t.dtype == np.int32 for t in (ring.mul_table, ring.add_table, ring.neg_array))
+    assert all(t.dtype == np.int16 for t in (ring.mul_table, ring.add_table, ring.neg_array))
+
+
+def _int32_tables(ring):
+    """(mul, add, neg) by the int32 build that the int16 one replaced: the oracle of the tables.
+
+    The same digit split, with the full addition table summed broadcast and
+    the multiplication table gathered from it in one step.
+    """
+    A = ring.elements_array
+    ords = np.array(ring.orders, dtype=np.int64)
+    n = ring.size
+    strides = ring._strides.tolist()
+    t = min(range(ring.m), key=lambda u: (n // strides[u] + strides[u], strides[u]))
+    nL = strides[t]
+    nH = n // nL
+    cut = t + 1
+
+    def digit_add_table(coords, orders, strides):
+        table = np.zeros((len(coords), len(coords)), dtype=np.int32)
+        for u, (k, stride) in enumerate(zip(orders, strides.tolist())):
+            col = coords[:, u].astype(np.int32)
+            table += (np.add.outer(col, col) % k) * np.int32(stride)
+        return table
+
+    add_high = digit_add_table(A[::nL, :cut], ring.orders[:cut], ring._strides[:cut])
+    add_low = digit_add_table(A[:nL, cut:], ring.orders[cut:], ring._strides[cut:])
+    cols = np.arange(n)
+    add = (add_high[:, None, cols // nL] + add_low[None, :, cols % nL]).reshape(n, n)
+    right = np.einsum("bt,stu->sbu", A, ring.constants) % ords
+    right = right.reshape(ring.m, n * ring.m).astype(np.float64)
+    pure = np.concatenate([A[::nL], A[:nL]]).astype(np.float64)
+    prod = (pure @ right).astype(np.int32).reshape(-1, n, ring.m) % ords.astype(np.int32)
+    rows = prod @ ring._strides.astype(np.int32)
+    mul = add[rows[:nH, None, :], rows[None, nH:, :]].reshape(n, n)
+    neg = ((-A) % ords @ ring._strides).astype(np.int32)
+    return mul, add, neg
+
+
+def _assert_tables_equal_the_int32_build(ring):
+    tables = (ring.mul_table, ring.add_table, ring.neg_array)
+    assert all(t.dtype == np.int16 for t in tables), ring.name
+    assert all(np.array_equal(t, o) for t, o in zip(tables, _int32_tables(ring))), ring.name
+
+
+def test_tables_equal_the_int32_build(ring_entries, corpus_entries):
+    for ring in [entry.ring for entry in ring_entries + corpus_entries] + RING_LATTICE:
+        _assert_tables_equal_the_int32_build(ring)
+
+
+def test_tables_do_not_depend_on_the_block_size(monkeypatch):
+    # the ring_lattice rings fit the product rows in one block: one-row
+    # blocks make every loop of the build take many steps
+    monkeypatch.setattr(rings, "TABLE_BLOCK", 1)
+    for ring in RING_LATTICE + [product_ring(zn(3), zn(1000))]:
+        ring._mul_table = None
+        _assert_tables_equal_the_int32_build(ring)
 
 
 # Builds the 4096-element F2[Q8] x Z4 x Z4, the largest ring under TABLE_CAP,
@@ -363,6 +419,28 @@ def test_tables_of_a_table_cap_ring_under_an_address_space_limit():
     proc = _run_child(_TABLE_CAP_RING_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ok"]
+
+
+# The table build under tracemalloc, from the finished ring, for the same
+# ring (its digits split evenly) and for Z_4096 (one digit, so one side of
+# the split holds every element): the tables take 4 n^2 bytes, and the
+# temporaries fit in the rest of 5 n^2.
+_TABLE_MEMORY_SCRIPT = """
+import tracemalloc
+from skewpbw.corpus import group_ring_q8, product_ring, zn
+for ring in (product_ring(product_ring(group_ring_q8(), zn(4)), zn(4)), zn(4096)):
+    tracemalloc.start()
+    ring._require_tables()
+    print(tracemalloc.get_traced_memory()[1] / ring.size**2)
+    tracemalloc.stop()
+"""
+
+
+def test_table_build_peak_memory_at_the_cap():
+    proc = _run_child(_TABLE_MEMORY_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    peaks = [float(line) for line in proc.stdout.split()]
+    assert len(peaks) == 2 and all(4 <= peak <= 5 for peak in peaks), peaks
 
 
 # Run in a child process under an address-space limit, so that a path that
@@ -950,6 +1028,11 @@ PRODUCT_RINGS = pytest.mark.parametrize(
     ],
     ids=["F2[Q8]", "Z3[y]/(y^3)xU2(Z2)", "CliffBase2^2", "F2^3", "M2(Z2)xZ3"],
 )
+
+
+@PRODUCT_RINGS
+def test_tables_equal_the_int32_build_on_product_rings(build):
+    _assert_tables_equal_the_int32_build(build())
 
 
 @PRODUCT_RINGS
