@@ -463,20 +463,6 @@ class ExtensionPresentation:
         return f"ExtensionPresentation({self.name}; {status}; {', '.join(tags) or 'general'})"
 
 
-def coefficient_keys(polys: Sequence[SkewPolynomial], monos: Sequence[tuple]) -> np.ndarray:
-    """Coefficient element index per monomial of `monos`, one row per poly."""
-    pos = {alpha: k for k, alpha in enumerate(monos)}
-    K = np.zeros((len(polys), len(pos)), dtype=np.int32)
-    rows, cols, vals = [], [], []
-    for r, f in enumerate(polys):
-        for alpha, c in f.terms.items():
-            rows.append(r)
-            cols.append(pos[alpha])
-            vals.append(c)
-    K[rows, cols] = vals
-    return K
-
-
 class AtomTable:
     """The element-index atom table Q[gamma][alpha][c] = x^gamma (c x^alpha).
 
@@ -550,11 +536,12 @@ class AtomTable:
                     for gamma, c in p.items():
                         T[g, a, t, col[gamma]] = elems[c]
         orders = np.array(base.orders, dtype=np.int64)
-        self.Q = np.empty((L, L, R, W), dtype=np.int32)
+        self.Q = np.empty((L, L, R, W), dtype=np.int16)
         for g in range(L):
             self.Q[g] = (np.einsum("ct,atwu->acwu", elems, T[g]) % orders) @ base._strides
         self.width = W
         self.size = R
+        self._mul_table = base.mul_table
         self._mul = base.mul_table.ravel()
         # a view in memory order: + is commutative, so either order holds a + b at a * R + b
         self._add = base.add_table.ravel(order="K")
@@ -568,28 +555,41 @@ class AtomTable:
         return self._mul[np.add(np.multiply(a, self.size, dtype=np.intp), b, dtype=np.intp)]
 
     def _slot_sum(self, K: np.ndarray, shape: tuple, term) -> np.ndarray:
-        """Per key row of K, the add-table sum over its support slots b of term(rows, b).
+        """Per key row of K, the add-table sum over its support slots b of term(rows, b), in int16.
 
         term(rows, b) is the value of slot b for the key rows `rows`, which
         all have a nonzero coefficient there; slots with coefficient 0
         contribute 0 and are skipped.
         """
-        out = np.zeros((len(K),) + shape, dtype=np.int32)
+        out = np.zeros((len(K),) + shape, dtype=np.int16)
+        written = np.zeros(len(K), dtype=bool)  # rows holding a slot's value: the others hold 0
         for b in range(len(self.monos)):
             rows = np.flatnonzero(K[:, b])
             if len(rows):
-                out[rows] = self.plus(out[rows], term(rows, b))
+                value = term(rows, b)
+                out[rows] = self.plus(out[rows], value) if written[rows].any() else value
+                written[rows] = True
         return out
 
     def left_values(self, K: np.ndarray) -> np.ndarray:
-        """VL[f][alpha][c] = c (x^alpha f) for the factors with key rows K: (len(K), L, R, W)."""
+        """VL[f][alpha][c] = c (x^alpha f) for the factors with key rows K: (len(K), L, R, W), int16.
+
+        x^alpha f is an add-table sum of rows of Q; then every c at once is
+        one column gather of the multiplication table at x^alpha f, whose
+        axis of c is moved into place as a view.
+        """
         L, W = len(self.monos), self.width
         xf = self._slot_sum(K, (L, W), lambda rows, b: self.Q[:, b, K[rows, b]].transpose(1, 0, 2))
-        return self.times(np.arange(self.size, dtype=np.int32)[None, None, :, None], xf[:, :, None, :])
+        return np.moveaxis(self._mul_table[:, xf], 0, 2)
 
     def right_values(self, K: np.ndarray) -> np.ndarray:
-        """VR[f][alpha][c] = f (c x^alpha) for the factors with key rows K: (len(K), L, R, W)."""
-        return self._slot_sum(K, self.Q.shape[1:], lambda rows, b: self.times(K[rows, b, None, None, None], self.Q[b]))
+        """VR[f][alpha][c] = f (c x^alpha) for the factors with key rows K: (len(K), L, R, W), int16.
+
+        The term f_b Q[b] of slot b is a gather from row f_b of the
+        multiplication table, for every factor with that slot at once.
+        """
+        Q = self.Q
+        return self._slot_sum(K, Q.shape[1:], lambda rows, b: self._mul_table[K[rows, b]][:, Q[b]])
 
     def products(self, V: np.ndarray, K: np.ndarray) -> np.ndarray:
         """Rows sum_alpha V[alpha][K[:, alpha]]: h f (V = VL_f) or f h (V = VR_f) per key row h."""

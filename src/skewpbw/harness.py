@@ -240,7 +240,12 @@ class Evidence:
     @cached_property
     def armendariz(self) -> TV:
         b = self.budget
-        res = bounded_skew_armendariz(self.A, min(b.degree_cap, 2), min(b.support_cap, 2), b.pair_budget)
+        # the scan only when one has been made: Armendariz meets its own
+        # budgets before anything is built
+        scan = self.__dict__.get("scan")
+        res = bounded_skew_armendariz(
+            self.A, min(b.degree_cap, 2), min(b.support_cap, 2), b.pair_budget, scan=scan
+        )
         return TV(res.holds, not res.holds, _wstr(res.witness), res.degree_cap)
 
     @cached_property

@@ -67,14 +67,16 @@ When J(R) is invariant under every sigma_i and delta_i, each f in J(R)<x>
 is nilpotent (proof at probes._probe_rows), so no module certifies it: the
 store keeps that J(R) as a mask with its t, J(R)^t = 0, and `decide`
 answers such rows before it tries any module.  The store holds arrays,
-numbers and its cache of atoms only, no reference to the presentation or
-its ring, so a presentation that keeps it is still freed by reference
-counting.
+numbers, its cache of atoms and a weak reference to the presentation, by
+which it builds its shapes on first need, and no reference to the ring, so
+a presentation that keeps it is still freed by reference counting.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -213,6 +215,14 @@ class FiniteModules:
     coordinates and the atoms of alpha, and the same squaring routine
     decides it.  The atoms are cached per store, at most ATOM_CACHE_CAP of
     them, and the cache is emptied when full.
+
+    The invariant J(R) and its t are found when the store is made; the
+    shapes are built, and checked by `is_module`, only when `decide` or
+    `certifies` first reaches them (`_module`).  Both walk the catalogue in
+    order, so the shapes built are always its first ones, and module k is
+    the same module whenever it is built.  `width` bounds the matrix entries
+    of a row over every candidate shape, built or not.  The store reaches
+    the presentation through a weak reference only.
     """
 
     def __init__(self, A: ExtensionPresentation):
@@ -222,14 +232,17 @@ class FiniteModules:
             shapes += itertools.product(((1, TRUNCATED), (1, CYCLIC)), repeat=A.n)
         if 2**A.n * A.base.m <= DIMENSION_CAP:
             shapes.append(((2, CYCLIC),) * A.n)
-        products: dict = {}  # x_i (e_t x^alpha), the same for every shape
-        self.modules = [M for M in (shape_module(A, shape, products) for shape in shapes) if is_module(A, M)]
+        self._shapes = shapes  # the candidates not built yet, in catalogue order
+        self._presentation = weakref.ref(A)
+        self._products: dict = {}  # x_i (e_t x^alpha), the same for every shape
+        self._modules: list = []  # the modules among the candidates built so far
         self._elems = A.base.elements_array.astype(np.float64)
         self._m = A.base.m
-        self._orders = [M.orders.astype(np.float64)[:, None] for M in self.modules]
-        self._steps = [(M.length - 1).bit_length() for M in self.modules]  # ceil(log2 L)
-        self.width = max((len(M.orders) ** 2 for M in self.modules), default=1)  # matrix entries per row
-        self._tops = [float(M.orders.max() - 1) for M in self.modules]  # largest reduced entry
+        self._orders: list = []
+        self._steps: list = []
+        self._tops: list = []
+        # matrix entries per row: D = prod(m_i) m for a shape
+        self.width = max((math.prod(mi for mi, _ in shape) ** 2 * self._m**2 for shape in shapes), default=1)
         self._atoms: dict = {}  # (module, alpha) -> (m, D * D) float64 L_{e_s} rho(x^alpha)
         # J(R) and the least t with J(R)^t = 0 when J(R) is Sigma-Delta-invariant, else None
         J = jacobson_radical(A.base)
@@ -237,18 +250,40 @@ class FiniteModules:
         self.jacobson_mask: Optional[np.ndarray] = J.mask if invariant else None
         self.nil_index: Optional[int] = jacobson_index(A.base) if invariant else None
 
+    def _module(self, k: int) -> Optional[FiniteModule]:
+        """Module k of the catalogue, building candidates in order until it exists; None past the last."""
+        while len(self._modules) <= k and self._shapes:
+            A = self._presentation()
+            if A is None:
+                raise ReferenceError("the presentation of this module store is gone: its shapes cannot be built")
+            M = shape_module(A, self._shapes.pop(0), self._products)
+            if is_module(A, M):
+                self._modules.append(M)
+                self._orders.append(M.orders.astype(np.float64)[:, None])
+                self._steps.append((M.length - 1).bit_length())  # ceil(log2 L)
+                self._tops.append(float(M.orders.max() - 1))  # largest reduced entry
+        if not self._shapes:
+            self._products = {}
+        return self._modules[k] if k < len(self._modules) else None
+
+    @property
+    def modules(self) -> list:
+        """Every catalogue module, each candidate built and checked."""
+        self._module(len(self._shapes) + len(self._modules))
+        return self._modules
+
     def _atom(self, k: int, alpha: tuple) -> np.ndarray:
         key = (k, alpha)
         hit = self._atoms.get(key)
         if hit is None:
-            M = self.modules[k]
+            M = self._module(k)
             hit = M.reduce(M.left @ M.monomial(alpha)).reshape(self._m, -1).astype(np.float64)
             _cache_put(self._atoms, key, hit, ATOM_CACHE_CAP)
         return hit
 
     def images(self, k: int, X: np.ndarray, monos: Sequence[tuple]) -> np.ndarray:
         """rho_k(f), reduced, for coordinate rows X over `monos`: (B, D, D)."""
-        D = len(self.modules[k].orders)
+        D = len(self._module(k).orders)
         P = np.concatenate([self._atom(k, alpha) for alpha in monos])
         # fmod is the remainder on these nonnegative integers, and far cheaper than %
         return np.fmod((X @ P).reshape(len(X), D, D), self._orders[k])
@@ -283,13 +318,13 @@ class FiniteModules:
         todo = np.arange(len(K))
         if self.jacobson_mask is not None:
             todo = np.flatnonzero(~self.jacobson_mask[K].all(axis=1))
-        for k in range(len(self.modules)):
-            if not len(todo):
-                break
+        k = 0
+        while len(todo) and self._module(k) is not None:
             power = self._top_power(k, self.images(k, X[todo], monos))
             hit = power.reshape(len(todo), -1).any(axis=1)
             out[todo[hit]] = True
             todo = todo[~hit]
+            k += 1
         return out
 
     def certifies(self, f: SkewPolynomial) -> bool:
@@ -298,7 +333,8 @@ class FiniteModules:
         if not terms or self.jacobson_mask is not None and all(self.jacobson_mask[c] for c in terms.values()):
             return False
         elems = self._elems
-        for k in range(len(self.modules)):
+        k = 0
+        while self._module(k) is not None:
             orders = self._orders[k]
             R = None
             for alpha, c in terms.items():
@@ -307,6 +343,7 @@ class FiniteModules:
             R = np.fmod(R.reshape(1, len(orders), -1), orders)
             if np.count_nonzero(self._top_power(k, R)):
                 return True
+            k += 1
         return False
 
 

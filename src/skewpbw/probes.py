@@ -27,12 +27,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent, TooLarge
-from .extension import TABLE_ENTRIES, AtomTable, ExtensionPresentation, SkewPolynomial, _cache_put, coefficient_keys
+from .extension import TABLE_ENTRIES, AtomTable, ExtensionPresentation, SkewPolynomial, _cache_put
 from .maps import DELTA_INVARIANT, invariance, multi_indices
 from .modules import finite_modules
 from .rings import Ideal
@@ -215,17 +216,34 @@ def enumerate_bounded_polys(
 
 
 class BoundedScan:
-    """Probe results for every bounded polynomial; shared by the harness checks.
+    """Probe results for every bounded polynomial, kept as arrays; shared by the harness checks.
 
-    The scan climbs the ladder of `nilpotency_probe` in bulk: the leading
-    chain per polynomial, one `FiniteModules.decide` per row block for the
-    rows it leaves open, the power chain for the rest.  `status` holds them
-    in enumeration order, then the NI closure rows that `probe` decides.
-    `keys` holds the coefficient row of each polynomial of `polys`
-    (`coefficient_keys`), one column per monomial of degree <= degree_cap in
-    `multi_indices` order: the columns of an `AtomTable` over them.
-    `certificate` is the store's invariant J(R) when its t <= exponent_cap.
+    The bounded polynomials are never built as objects.  `keys` holds one
+    element-index row per polynomial, one column per monomial of `monos`
+    (degree <= degree_cap, `multi_indices` order): the columns of an
+    `AtomTable` over them (`table`).  The rows come in enumeration order and
+    are made by combinatorics (`_bounded_keys`), so row i is the polynomial
+    whose support size, combination and coefficient digits give i
+    (`row_of`).
+
+    The scan climbs the ladder of `nilpotency_probe` in bulk.  `monos` is
+    sorted by (degree, exponents), so a row's deglex-leading term is its last
+    nonzero column, and the leading chain is one gather from the table of
+    `_leading_chain_row` at that column and coefficient.  The rows it leaves
+    open go to `FiniteModules.decide` in row blocks, and only the rows no
+    module decides become polynomials, for the power chain.  `status` holds
+    each row's outcome as a code into `RESULTS` (nilpotent, not nilpotent by
+    either certificate, unknown), and `index` the nilpotency index of the
+    nilpotent rows; `result` and `results` turn them back into `ProbeResult`s.
+    `proved_nilpotent` holds the polynomials of the nilpotent rows, whose rows
+    are `nilpotent_rows`.  The closure rows that `probe` decides outside the
+    scanned set are kept in `closure_probes`.  `certificate` is the store's
+    invariant J(R) when its t <= exponent_cap.
     """
+
+    # the codes of `status`, and the (status, reason) of the probe result each stands for
+    NILPOTENT_CODE, LEADING_CODE, MODULE_CODE, UNKNOWN_CODE = range(4)
+    RESULTS = ((NILPOTENT, None), (NOT_NILPOTENT, LEADING_CHAIN), (NOT_NILPOTENT, FINITE_MODULE), (UNKNOWN, None))
 
     def __init__(
         self,
@@ -235,38 +253,125 @@ class BoundedScan:
         exponent_cap: int = DEFAULT_EXPONENT_CAP,
         pair_budget: int = DEFAULT_PAIR_BUDGET,
     ):
+        A._require_verified()
+        total = count_bounded_polys(A, degree_cap, support_cap)
+        if total > pair_budget:
+            raise BudgetExceeded(total, pair_budget, "bounded polynomial enumeration")
         self.A = A
         self.degree_cap = degree_cap
         self.support_cap = support_cap
         self.exponent_cap = exponent_cap
         self.pair_budget = pair_budget
-        self.polys = enumerate_bounded_polys(A, degree_cap, support_cap, pair_budget)
+        self.monos = monos = multi_indices(A.n, 0, degree_cap)
+        self._col = {alpha: k for k, alpha in enumerate(monos)}
         modules = finite_modules(A)
         self.certificate: Optional[Ideal] = None
         if modules.nil_index is not None and modules.nil_index <= exponent_cap:
             self.certificate = Ideal.from_mask(A.base, modules.jacobson_mask)
-        self.status: dict[SkewPolynomial, ProbeResult] = {}
-        monos = multi_indices(A.n, 0, degree_cap)
-        K = self.keys = coefficient_keys(self.polys, monos)
+        K = self.keys = _bounded_keys(len(monos), A.base.size, support_cap)
+        self.status = np.full(len(K), self.MODULE_CODE, dtype=np.int8)
+        self.index = np.zeros(len(K), dtype=np.int32)
+        open_rows = np.arange(len(K))
+        if A.bijective and len(K):
+            # the last nonzero column is the deglex-leading one
+            lead = len(monos) - 1 - np.argmax(K[:, ::-1] != 0, axis=1)
+            chain = np.array([_leading_chain_row(A, alpha) for alpha in monos])
+            holds = chain[lead, K[open_rows, lead]]
+            self.status[holds] = self.LEADING_CODE
+            open_rows = open_rows[~holds]
         block = max(1, BLOCK_ENTRIES // modules.width)
-        for lo in range(0, len(K), block):
-            polys = self.polys[lo : lo + block]
-            reason = [LEADING_CHAIN if A.bijective and _leading_chain_holds(f) else None for f in polys]
-            todo = np.array([i for i, r in enumerate(reason) if r is None], dtype=int)
-            for i in todo[modules.decide(K[lo + todo], monos)]:
-                reason[i] = FINITE_MODULE
-            for f, r in zip(polys, reason):
-                self.status[f] = _power_chain(f, exponent_cap) if r is None else ProbeResult(NOT_NILPOTENT, reason=r)
-        self.proved_nilpotent = [f for f in self.polys if self.status[f].proved_nilpotent]
-        self.scan_unknown = sum(1 for r in self.status.values() if r.status == UNKNOWN)
+        chains = []
+        for lo in range(0, len(open_rows), block):
+            rows = open_rows[lo : lo + block]
+            chains.append(rows[~modules.decide(K[rows], monos)])
+        self.proved_nilpotent: list[SkewPolynomial] = []
+        for i in np.concatenate(chains).tolist() if chains else []:
+            f = self.poly(i)
+            r = _power_chain(f, exponent_cap)
+            if r.proved_nilpotent:
+                self.status[i], self.index[i] = self.NILPOTENT_CODE, r.index
+                self.proved_nilpotent.append(f)
+            else:
+                self.status[i] = self.UNKNOWN_CODE
+        self.nilpotent_rows = np.flatnonzero(self.status == self.NILPOTENT_CODE)
+        self.scan_unknown = int(np.count_nonzero(self.status == self.UNKNOWN_CODE))
+        self.closure_probes: dict[SkewPolynomial, ProbeResult] = {}
         self.ni_result: Optional["NICheckResult"] = None
+
+    @cached_property
+    def table(self) -> AtomTable:
+        """The atom table over the scan's monomials, shared by the NI check and Armendariz."""
+        return AtomTable(self.A, self.monos)
+
+    def poly(self, i: int) -> SkewPolynomial:
+        """The polynomial of row i."""
+        return SkewPolynomial(self.A, dict(zip(self.monos, self.keys[i].tolist())))
+
+    def result(self, i: int) -> ProbeResult:
+        """The probe result of row i."""
+        status, reason = self.RESULTS[self.status[i]]
+        if status == NILPOTENT:
+            return ProbeResult(status, index=int(self.index[i]))
+        return ProbeResult(status, reason=reason, cap=self.exponent_cap if status == UNKNOWN else None)
+
+    def results(self):
+        """(polynomial, probe result) of every row, in enumeration order."""
+        for i in range(len(self.keys)):
+            yield self.poly(i), self.result(i)
+
+    def row_of(self, cols: list, coefs: list) -> Optional[int]:
+        """The row of the polynomial with nonzero coefficients `coefs` at the ascending columns `cols`.
+
+        Rows run by support size s, then by the rank of the combination of
+        columns in lexicographic order, then by the coefficient digits
+        c - 1 in base |R| - 1, the first column's the most significant: the
+        order of `_bounded_keys`.  None when the polynomial is not scanned.
+        """
+        s, L, r = len(cols), len(self.monos), self.A.base.size - 1
+        if not 0 < s <= self.support_cap:
+            return None
+        i = sum(math.comb(L, t) * r**t for t in range(1, s))
+        rank, prev = 0, -1
+        for j, c in enumerate(cols):
+            rank += sum(math.comb(L - 1 - v, s - 1 - j) for v in range(prev + 1, c))
+            prev = c
+        digits = 0
+        for c in coefs:
+            digits = digits * r + c - 1
+        return i + rank * r**s + digits
 
     def probe(self, f: SkewPolynomial) -> ProbeResult:
         """nilpotency_probe of f at the scan's exponent cap, computed once."""
-        r = self.status.get(f)
+        cols = [self._col.get(alpha, -1) for alpha in f.terms]
+        if -1 not in cols:
+            order = sorted(range(len(cols)), key=cols.__getitem__)
+            coefs = list(f.terms.values())
+            i = self.row_of([cols[k] for k in order], [coefs[k] for k in order])
+            if i is not None:
+                return self.result(i)
+        r = self.closure_probes.get(f)
         if r is None:
-            r = self.status[f] = nilpotency_probe(f, self.exponent_cap)
+            r = self.closure_probes[f] = nilpotency_probe(f, self.exponent_cap)
         return r
+
+
+def _bounded_keys(L: int, R: int, support_cap: int) -> np.ndarray:
+    """The key row of every polynomial with 1..support_cap terms over L monomials, in enumeration order.
+
+    Support s, then the combinations of s columns in lexicographic order,
+    then the coefficient vectors over 1..R-1 in lexicographic order: the
+    order of `_polys_over_monomials`, built without a polynomial.
+    """
+    r = R - 1
+    blocks = [np.zeros((0, L), dtype=np.int32)]
+    for s in range(1, min(support_cap, L) + 1):
+        combos = np.array(list(itertools.combinations(range(L), s)), dtype=np.intp)
+        digits = 1 + np.arange(r**s)[:, None] // r ** np.arange(s - 1, -1, -1) % r
+        K = np.zeros((len(combos), r**s, L), dtype=np.int32)
+        shape = (len(combos), r**s, s)
+        np.put_along_axis(K, np.broadcast_to(combos[:, None, :], shape), np.broadcast_to(digits, shape), axis=2)
+        blocks.append(K.reshape(-1, L))
+    return np.concatenate(blocks)
 
 
 @dataclass
@@ -306,7 +411,8 @@ def bounded_NI_check(
     if scan.ni_result is not None:
         return scan.ni_result
     pn = scan.proved_nilpotent
-    ops = len(scan.polys) + len(pn) * len(pn) + 2 * len(pn) * len(scan.polys)
+    H = len(scan.keys)
+    ops = H + len(pn) * len(pn) + 2 * len(pn) * H
     if ops > pair_budget:
         raise BudgetExceeded(ops, pair_budget, "NI closure check")
     checks = unknown_checks = 0
@@ -320,10 +426,9 @@ def bounded_NI_check(
         return scan.ni_result
 
     if pn:
-        table = AtomTable(scan.A, multi_indices(scan.A.n, 0, scan.degree_cap))
+        table = scan.table
         K = scan.keys
-        K_pn = K[[scan.status[f].proved_nilpotent for f in scan.polys]]
-        H = len(scan.polys)
+        K_pn = K[scan.nilpotent_rows]
         certified = np.zeros(len(pn), dtype=bool)
         if scan.certificate is not None:
             certified = scan.certificate.mask[K_pn].all(axis=1)
@@ -331,7 +436,7 @@ def bounded_NI_check(
         # live in the multiplication face.  Per f the rows are
         # [h0 f, f h0, h1 f, ...], the order of the scalar scan this replaces.
         seen_products: dict = {}
-        factors = _factor_block(table, scan.support_cap, H)
+        factors = _factor_block(table, scan.support_cap)
         block = max(1, ROW_ENTRIES // (2 * table.width))
         cuts = [0, *(np.flatnonzero(np.diff(certified)) + 1).tolist(), len(pn)]
         for first, end in zip(cuts, cuts[1:]):  # runs of factors in J<x> or outside it
@@ -340,13 +445,13 @@ def bounded_NI_check(
                 for lo in range(first, end, factors):
                     Kf = K_pn[lo : min(end, lo + factors)]
                     for values in (table.left_values, table.right_values):
-                        checks += len(Kf) * H - len(_zero_products(table, values(Kf), scan.support_cap)[0])
+                        checks += len(Kf) * H - _count_zero_products(table, values(Kf), scan.support_cap)
                 continue
             for i in range(first, end):
                 left, right = table.left_values(K_pn[i : i + 1])[0], table.right_values(K_pn[i : i + 1])[0]
                 for lo in range(0, H, block):
                     Kh = K[lo : lo + block]
-                    rows = np.empty((2 * len(Kh), table.width), dtype=np.int32)
+                    rows = np.empty((2 * len(Kh), table.width), dtype=np.int16)
                     rows[0::2] = table.products(left, Kh)
                     rows[1::2] = table.products(right, Kh)
                     c, u, hit = _probe_rows(scan, table, rows, table.out_monos, seen_products)
@@ -354,7 +459,7 @@ def bounded_NI_check(
                     unknown_checks += u
                     if hit is not None:
                         kind = "left_product" if hit[0] % 2 == 0 else "right_product"
-                        return verdict(kind, pn[i], scan.polys[lo + hit[0] // 2], hit)
+                        return verdict(kind, pn[i], scan.poly(lo + hit[0] // 2), hit)
         # sums f + g over the pairs i <= j of proved nilpotents, i-major;
         # row i starts at flat pair index i n - i (i - 1) / 2
         seen_sums: dict = {}
@@ -395,14 +500,16 @@ def _probe_rows(
     in J for c in J.  As the not-nilpotent certificates of
     `nilpotency_probe` are sound, `scan.probe` would return nilpotent(k)
     with k <= t <= cap.  So one mask test counts
-    such rows as nilpotent checks; none becomes a polynomial or enters
-    `scan.status`.  Each distinct remaining row is looked up in `seen` (row
-    bytes -> probe result, shared by all blocks of one face) in order of
-    first occurrence; only a row not seen before becomes a polynomial and
-    goes through `scan.probe`.  The walk stops at the first row proved not
-    nilpotent; `hit` is (row, polynomial, probe) for that row, whose first
-    occurrence is then the first failing check.  Counts cover the rows up
-    to and including it.
+    such rows as nilpotent checks; none becomes a polynomial.  The distinct
+    remaining rows are walked in order of first occurrence.  A row whose
+    support lies in the scanned monomials, within the support cap, is
+    answered from the scan's arrays at its row (`BoundedScan.row_of`); any
+    other is looked up in `seen` (row bytes -> probe result, shared by all
+    blocks of one face), and only a row not seen before becomes a
+    polynomial and goes through `scan.probe`.  The walk stops at the first
+    row proved not nilpotent; `hit` is (row, polynomial, probe) for that
+    row, whose first occurrence is then the first failing check.  Counts
+    cover the rows up to and including it.
     """
     nonzero = ~_zero_rows(rows)
     open_rows = nonzero
@@ -414,14 +521,20 @@ def _probe_rows(
     sub = np.ascontiguousarray(rows[todo])
     view = sub.view(np.dtype((np.void, sub.dtype.itemsize * sub.shape[1])))
     _, first, inverse = np.unique(view.ravel(), return_index=True, return_inverse=True)
+    cols = np.array([scan._col.get(alpha, -1) for alpha in monos])
     unknown = np.zeros(len(first), dtype=bool)
     hit = None
     for u in np.argsort(first):
         row = int(todo[first[u]])
-        key = rows[row].tobytes()
-        r = seen.get(key)
-        if r is None:
-            r = seen[key] = scan.probe(table.poly(rows[row], monos))
+        support = np.flatnonzero(rows[row])
+        i = None if (cols[support] < 0).any() else scan.row_of(cols[support].tolist(), rows[row, support].tolist())
+        if i is not None:
+            r = scan.result(i)
+        else:
+            key = rows[row].tobytes()
+            r = seen.get(key)
+            if r is None:
+                r = seen[key] = scan.probe(table.poly(rows[row], monos))
         if r.proved_not_nilpotent:
             hit = (row, table.poly(rows[row], monos), r)
             break
@@ -437,23 +550,28 @@ def _probe_rows(
 def _zero_rows(rows: np.ndarray) -> np.ndarray:
     """Whether each row of element indices (the last axis) is all 0.
 
-    The entries are nonnegative, so a row is 0 exactly when its sum is, and
-    einsum sums a row of a few entries several times faster than `any`
-    reduces it.  The sum runs in int32, never in the tables' int16: a row
-    of an `AtomTable` has at most W entries below R, with R W <=
-    TABLE_ENTRIES = 2^24 (the table has L^2 R W entries), so it stays
-    below 2^31.
+    The entries are nonnegative, so a row is 0 exactly when the bitwise or
+    of its entries is.  The or runs column by column, one vector operation
+    per column over all rows: rows are a few entries wide, where that is
+    several times faster than a sum or `any` reduced along the row, and an
+    or, unlike a sum, cannot wrap in the tables' int16.
     """
-    return np.einsum("...w->...", rows, dtype=np.int32, casting="same_kind") == 0
+    acc = rows[..., 0].copy()
+    for w in range(1, rows.shape[-1]):
+        acc |= rows[..., w]
+    return acc == 0
 
 
-def _row_ids(labels: np.ndarray, rows: np.ndarray, radix: int) -> np.ndarray:
+def _row_ids(labels: np.ndarray, rows: np.ndarray, radix: int, tail=None, tail_radix: int = 1) -> np.ndarray:
     """Integers that are equal exactly where the pairs (label, row) are equal.
 
     Every row entry is below `radix`.  The columns are folded in base radix
     after the label, as many at a time as keep the ids below 2^63; when not
     one more fits, the ids are first replaced by their ranks, which keeps
-    them exact.
+    them exact.  A `tail` of entries below `tail_radix` is folded in last,
+    as the least significant digit: then the id of (label, row, t) is the
+    id of (label, row, 0) plus t, and the ids of one (label, row) are
+    contiguous in sorted order.
     """
     ids = labels.astype(np.int64)
     bound = int(ids.max()) + 1 if len(ids) else 1
@@ -470,85 +588,147 @@ def _row_ids(labels: np.ndarray, rows: np.ndarray, radix: int) -> np.ndarray:
         ids = ids * radix**k + rows[:, j : j + k] @ powers
         bound *= radix**k
         j += k
+    if tail is not None:
+        if bound * tail_radix >= 1 << 63:
+            _, ids = np.unique(ids, return_inverse=True)
+        ids = ids * tail_radix + tail
     return ids
 
 
-def _factor_block(table: AtomTable, support_cap: int, n_polys: int) -> int:
-    """Factors per block of value rows: a value table, the largest partial sums and the pairs of each."""
+def _factor_block(table: AtomTable, support_cap: int) -> int:
+    """Factors per block of value rows: a value table and the largest partial sums of each, 4 ROW_ENTRIES in all.
+
+    No block holds a factor's pairs: a count is a sum of range lengths, and
+    listed pairs come in chunks (`_zero_products`).
+    """
     L, r = len(table.monos), table.size - 1
     partials = max(math.comb(L, s) * r**s for s in range(support_cap))
-    per_factor = table.Q[0].size + partials * table.width + n_polys
+    per_factor = table.Q[0].size + partials * table.width
     if per_factor > TABLE_ENTRIES:
         raise TooLarge(per_factor, TABLE_ENTRIES, "value rows of one factor")
-    return max(1, ROW_ENTRIES // per_factor)
+    return max(1, 4 * ROW_ENTRIES // per_factor)
 
 
-def _zero_products(table: AtomTable, V: np.ndarray, support_cap: int) -> tuple:
-    """The zero products of a block of factors with the bounded polynomials.
+def _zero_ranges(table: AtomTable, V: np.ndarray, support_cap: int, pairs: bool) -> tuple:
+    """The range join behind the zero products of a block of factors with the bounded polynomials.
 
     V[f][alpha][c] is a value table of each factor f (`AtomTable.left_values`
-    or `right_values`), and the h are `_polys_over_monomials(table.monos,
-    support_cap)`, numbered in that order.  The product of f with
-    h = sum_k c_k x^alpha_k (alpha_1 < ... < alpha_s, every c_k != 0) is the
-    add-table sum of the rows V[f][alpha_k][c_k], so it is 0 exactly when
-    the last slot's row V[f][alpha_s][c_s] equals the negated partial sum
-    -(V[f][alpha_1][c_1] + ... + V[f][alpha_(s-1)][c_(s-1)]).  So support
-    by support, the rows of every slot are joined with the negated partial
-    sums of every prefix, on exact ids of (factor, row) (`_row_ids`), and a
-    match counts when its slot comes after the prefix.  Support 1 has the
-    one partial sum 0, so its join is a zero test.  No product row is
-    formed.  Returns (factor, h) index arrays, sorted factor-major, h-minor.
+    or `right_values`), and the h are the bounded polynomials over
+    `table.monos` with at most support_cap terms, numbered in enumeration
+    order (`_bounded_keys`).  The product of f with h = sum_k c_k x^alpha_k
+    (alpha_1 < ... < alpha_s, every c_k != 0) is the add-table sum of the
+    rows V[f][alpha_k][c_k], so it is 0 exactly when the last slot's row
+    V[f][alpha_s][c_s] equals the negated partial sum
+    -(V[f][alpha_1][c_1] + ... + V[f][alpha_(s-1)][c_(s-1)]) of its prefix.
+
+    Support 1 has the one partial sum 0: its zero products are the zero
+    rows, returned as the mask `zero` (nF, L, R - 1).  For s >= 2, each
+    negated partial sum of a prefix with a later slot gets the key
+    (id, alpha_(s-1)), id exact for (factor, row) (`_row_ids`) and the
+    prefix's last slot its least significant digit, and the keys are sorted
+    once.  A slot row (f, alpha, c) with id i completes exactly the prefixes
+    with its row whose last slot is below alpha: every such prefix extends
+    by alpha to an h of support s, and no other prefix does.  Their keys are
+    the contiguous range [(i, 0), (i, alpha)) of the sorted keys, found by
+    two binary searches, so no match outside it is ever formed.  Each level
+    is (offset, lo, hits, order, rank, shape): the first h of support s,
+    per slot row the range's start and length in the sorted keys, and, with
+    `pairs`, the sort order of the keys, the rank of prefix + (alpha,) among
+    the combinations of s slots, and the shape (nF, prefixes, digits) of the
+    partial sums.
     """
     nF, L, R, W = V.shape
     r = R - 1  # nonzero coefficients per slot
     neg = table.A.base.neg_array
     rows = V[:, :, 1:]  # (nF, L, r, W): row (f, alpha, c) for every nonzero c
-    f, a, c = np.nonzero(_zero_rows(rows))
-    found_f, found_h = [f], [a * r + c]
+    zero = _zero_rows(rows)
+    levels = []
     offset = L * r  # index of the first h of the next support
     prefixes = [(a,) for a in range(L - 1)]  # those with a later slot
     partial = rows[:, :-1]  # (nF, prefixes, r^(s-1), W): their partial sums
+    alpha = np.tile(np.repeat(np.arange(L), r), nF)  # the slot of each slot row
+    slot_labels = np.repeat(np.arange(nF), L * r)
     for s in range(2, support_cap + 1):
         if not prefixes:  # no h has s slots
             break
-        combos = list(itertools.combinations(range(L), s))
-        where = {prefix: k for k, prefix in enumerate(prefixes)}
-        rank = np.full((len(prefixes), L), -1)  # rank of prefix + (alpha,) among the combos
-        for k, combo in enumerate(combos):
-            rank[where[combo[:-1]], combo[-1]] = k
-        nN = partial.shape[0] * partial.shape[1] * partial.shape[2]
+        P, digits = partial.shape[1], partial.shape[2]
+        nN = nF * P * digits
+        last = np.broadcast_to(np.array([prefix[-1] for prefix in prefixes])[None, :, None], partial.shape[:3])
         ids = _row_ids(
-            np.concatenate([np.repeat(np.arange(nF), nN // nF), np.repeat(np.arange(nF), L * r)]),
+            np.concatenate([np.repeat(np.arange(nF), P * digits), slot_labels]),
             np.concatenate([neg[partial].reshape(-1, W), rows.reshape(-1, W)]),
             R,
+            np.concatenate([last.ravel(), np.zeros(nF * L * r, dtype=np.int64)]),
+            L,
         )
-        order = np.argsort(ids[:nN], kind="stable")
-        sorted_ids = ids[:nN][order]
-        lo = np.searchsorted(sorted_ids, ids[nN:], "left")
-        count = np.searchsorted(sorted_ids, ids[nN:], "right") - lo
-        v = np.repeat(np.arange(len(count)), count)  # each match, by its slot row
-        matched = order[lo[v] + np.arange(len(v)) - (np.cumsum(count) - count)[v]]
-        _, pre, p = np.unravel_index(matched, partial.shape[:3])
-        f, a, c = np.unravel_index(v, (nF, L, r))
-        k = rank[pre, a]
-        keep = k >= 0
-        found_f.append(f[keep])
-        found_h.append(offset + (k[keep] * partial.shape[2] + p[keep]) * r + c[keep])
+        order = rank = None
+        if pairs:
+            order = np.argsort(ids[:nN], kind="stable")
+            keys = ids[:nN][order]
+        else:
+            keys = np.sort(ids[:nN])
+        lo = np.searchsorted(keys, ids[nN:], "left")
+        hits = np.searchsorted(keys, ids[nN:] + alpha, "left") - lo
+        combos = list(itertools.combinations(range(L), s))
+        where = {prefix: k for k, prefix in enumerate(prefixes)}
+        if pairs:
+            rank = np.full((P, L), -1)
+            for k, combo in enumerate(combos):
+                rank[where[combo[:-1]], combo[-1]] = k
+        levels.append((offset, lo, hits, order, rank, partial.shape[:3]))
         offset += len(combos) * r**s
-        prefixes = [combo for combo in combos if combo[-1] < L - 1]
-        if s < support_cap and prefixes:
-            parent = [where[combo[:-1]] for combo in prefixes]
-            slot = [combo[-1] for combo in prefixes]
+        later = [k for k, combo in enumerate(combos) if combo[-1] < L - 1]
+        if s < support_cap and later:
+            parent = [where[combos[k][:-1]] for k in later]
+            slot = [combos[k][-1] for k in later]
             partial = table.plus(partial[:, parent, :, None, :], rows[:, slot, None, :, :])
-            partial = partial.reshape(nF, len(prefixes), -1, W)
-    f, h = np.concatenate(found_f), np.concatenate(found_h)
-    order = np.lexsort((h, f))
-    return f[order], h[order]
+            partial = partial.reshape(nF, len(later), -1, W)
+        prefixes = [combos[k] for k in later]
+    return zero, levels
+
+
+def _count_zero_products(table: AtomTable, V: np.ndarray, support_cap: int) -> int:
+    """How many products of the factors of V with the bounded polynomials are 0: the range lengths (`_zero_ranges`)."""
+    zero, levels = _zero_ranges(table, V, support_cap, pairs=False)
+    return int(np.count_nonzero(zero)) + sum(int(hits.sum()) for _, _, hits, _, _, _ in levels)
+
+
+def _zero_products(table: AtomTable, V: np.ndarray, support_cap: int):
+    """The zero products of the factors of V, as (factor, h) index arrays, factor-major and h-minor.
+
+    The ranges of `_zero_ranges` are expanded in chunks of whole factors,
+    at most ROW_ENTRIES pairs each unless one factor has more, and each
+    chunk is sorted by (factor, h).
+    """
+    zero, levels = _zero_ranges(table, V, support_cap, pairs=True)
+    nF, L, r = zero.shape
+    per_factor = zero.reshape(nF, -1).sum(axis=1)
+    for _, _, hits, _, _, _ in levels:
+        per_factor += hits.reshape(nF, -1).sum(axis=1)
+    ends = np.cumsum(per_factor)
+    f0 = 0
+    while f0 < nF:
+        f1 = max(f0 + 1, int(np.searchsorted(ends, (ends[f0 - 1] if f0 else 0) + ROW_ENTRIES, "right")))
+        f, a, c = np.nonzero(zero[f0:f1])
+        found_f, found_h = [f0 + f], [a * r + c]
+        for offset, lo, hits, order, rank, shape in levels:
+            first, last = f0 * L * r, f1 * L * r
+            count = hits[first:last]
+            v = first + np.repeat(np.arange(len(count)), count)  # each match, by its slot row
+            matched = order[lo[v] + np.arange(len(v)) - (np.cumsum(count) - count)[v - first]]
+            _, pre, p = np.unravel_index(matched, shape)
+            f, a, c = np.unravel_index(v, (nF, L, r))
+            found_f.append(f)
+            found_h.append(offset + (rank[pre, a] * shape[2] + p) * r + c)
+        f, h = np.concatenate(found_f), np.concatenate(found_h)
+        order = np.lexsort((h, f))
+        yield f[order], h[order]
+        f0 = f1
 
 
 def _scan_stats(scan: BoundedScan, checks: int, unknown_checks: int) -> dict:
     return {
-        "enumerated": len(scan.polys),
+        "enumerated": len(scan.keys),
         "proved_nilpotent": len(scan.proved_nilpotent),
         "scan_unknown": scan.scan_unknown,
         "closure_checks": checks,
@@ -608,13 +788,14 @@ def coefficient_agreement(scan: BoundedScan) -> AgreementResult:
     polynomial in enumeration order.
     """
     member = scan.A.base.nilpotent_mask[scan.keys].all(axis=1)
-    status = np.array([scan.status[f].status for f in scan.polys], dtype=str)
-    bad = np.flatnonzero(np.where(member, status == NOT_NILPOTENT, status == NILPOTENT))
+    status = scan.status
+    nilpotent = status == BoundedScan.NILPOTENT_CODE
+    bad = np.flatnonzero(np.where(member, ~nilpotent & (status != BoundedScan.UNKNOWN_CODE), nilpotent))
     if len(bad):
         i = int(bad[0])
         direction = "criterion->probe" if member[i] else "probe->criterion"
-        return AgreementResult(False, exact_failure=True, witness={"direction": direction, "f": scan.polys[i]})
-    return AgreementResult(True, unknown=int(np.count_nonzero(member & (status == UNKNOWN))))
+        return AgreementResult(False, exact_failure=True, witness={"direction": direction, "f": scan.poly(i)})
+    return AgreementResult(True, unknown=int(np.count_nonzero(member & (status == BoundedScan.UNKNOWN_CODE))))
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +879,16 @@ def bounded_skew_armendariz(
     support_cap: int,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     weak: bool = False,
+    scan: Optional[BoundedScan] = None,
 ) -> ArmendarizResult:
     """fg = 0 must force every cross-product a_i sigma^{alpha_i}(b_j) = 0.
 
     The weak variant restricts both factors to the shape a_0 + a_1 x_1 + ... +
     a_n x_n, on which sigma^{alpha_i} is sigma_i for the x_i term and the
-    identity for a_0.
+    identity for a_0.  The polynomials are key rows in enumeration order
+    (`_bounded_keys`).  When `scan` is a scan of A at the same degree cap
+    and at least this support cap, they are the first rows of its keys, as
+    enumeration runs by support size, and its atom table is the one used.
     """
     A._require_verified()
     # both budgets are checked on the counts, before anything is enumerated
@@ -718,9 +903,10 @@ def bounded_skew_armendariz(
         raise BudgetExceeded(total, pair_budget, "bounded polynomial enumeration")
     if total**2 > pair_budget:
         raise BudgetExceeded(total**2, pair_budget, "Armendariz pair enumeration")
-    polys = _polys_over_monomials(A, monos, support_cap)
-    table = AtomTable(A, monos)
-    K = coefficient_keys(polys, monos)  # total**2 <= pair_budget keeps this small
+    if not weak and scan is not None and scan.A is A and scan.degree_cap == degree_cap and scan.support_cap >= support_cap:
+        K, table = scan.keys[:total], scan.table
+    else:
+        K, table = _bounded_keys(len(monos), A.base.size, support_cap), AtomTable(A, monos)
     # each polynomial's support slots in order, padded with coefficient 0,
     # and images[g, alpha, j] = sigma^alpha(b_j) of the j-th coefficient of g
     slots = np.argsort(K == 0, axis=1, kind="stable")[:, :support_cap]
@@ -729,30 +915,30 @@ def bounded_skew_armendariz(
     images = sigma_pow[:, coefs].transpose(1, 0, 2)
     # the zero products f g from the join of the right values of f; the cross
     # products are tested only on those pairs, in f-major, g-minor order
-    factors = _factor_block(table, support_cap, len(polys))
+    factors = _factor_block(table, support_cap)
     chunk = max(1, ROW_ENTRIES // slots.shape[1] ** 2)
-    for lo in range(0, len(polys), factors):
-        F, G = _zero_products(table, table.right_values(K[lo : lo + factors]), support_cap)
-        for at in range(0, len(F), chunk):
-            f, g = lo + F[at : at + chunk], G[at : at + chunk]
-            # cross[k, i, j] = a_i sigma^alpha_i(b_j), 0 on padding
-            cross = table.times(coefs[f][:, :, None], images[g[:, None], slots[f]])
-            bad = np.flatnonzero(cross.any(axis=(1, 2)))
-            if len(bad):
-                k = int(bad[0])
-                i, j = divmod(int(np.flatnonzero(cross[k])[0]), slots.shape[1])
-                return ArmendarizResult(
-                    False,
-                    witness={
-                        "f": polys[f[k]],
-                        "g": polys[g[k]],
-                        "alpha": monos[slots[f[k], i]],
-                        "beta": monos[slots[g[k], j]],
-                    },
-                    degree_cap=degree_cap,
-                    support_cap=support_cap,
-                    weak=weak,
-                )
+    for lo in range(0, len(K), factors):
+        for F, G in _zero_products(table, table.right_values(K[lo : lo + factors]), support_cap):
+            for at in range(0, len(F), chunk):
+                f, g = lo + F[at : at + chunk], G[at : at + chunk]
+                # cross[k, i, j] = a_i sigma^alpha_i(b_j), 0 on padding
+                cross = table.times(coefs[f][:, :, None], images[g[:, None], slots[f]])
+                bad = np.flatnonzero(cross.any(axis=(1, 2)))
+                if len(bad):
+                    k = int(bad[0])
+                    i, j = divmod(int(np.flatnonzero(cross[k])[0]), slots.shape[1])
+                    return ArmendarizResult(
+                        False,
+                        witness={
+                            "f": table.poly(K[f[k]], monos),
+                            "g": table.poly(K[g[k]], monos),
+                            "alpha": monos[slots[f[k], i]],
+                            "beta": monos[slots[g[k], j]],
+                        },
+                        degree_cap=degree_cap,
+                        support_cap=support_cap,
+                        weak=weak,
+                    )
     return ArmendarizResult(True, degree_cap=degree_cap, support_cap=support_cap, weak=weak)
 
 

@@ -170,13 +170,13 @@ def test_acceptance_06_weak_compat_ni_transfer(corpus):
     assert result.stats["closure_unknown"] == 0
     nil = nilpotent_set(entry.ring)
     mismatches = 0
-    for f in scan.polys:
+    for f, r in scan.results():
         member = all(c in nil for c in f.coefficients().values())
-        probe_nilpotent = scan.status[f].proved_nilpotent
+        probe_nilpotent = r.proved_nilpotent
         if member != probe_nilpotent:
             mismatches += 1
     assert mismatches == 0
-    ok(6, f"euler_like(2): ConsistentWithNI; criterion == probe on all {len(scan.polys)} elements")
+    ok(6, f"euler_like(2): ConsistentWithNI; criterion == probe on all {len(scan.keys)} elements")
 
 
 def test_acceptance_07_derivation_negative_face(corpus):

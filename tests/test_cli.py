@@ -141,7 +141,7 @@ def test_nilpotent_verb_agrees_with_the_scan(tmp_path, capsys):
     scan = BoundedScan(A, 1, 1, 8)
     bounded_NI_check(A, 1, 1, 8, scan=scan)
     f = parse_poly(A, "[1,0,1,0,0,0,0,0]")
-    assert scan.status[f] == nilpotency_probe(f, 8) == ProbeResult("nilpotent", index=4)
+    assert scan.probe(f) == nilpotency_probe(f, 8) == ProbeResult("nilpotent", index=4)
 
 
 @pytest.mark.parametrize("argv", [

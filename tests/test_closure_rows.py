@@ -5,7 +5,7 @@ J(R)^t = 0 for some t within the exponent cap), `_probe_rows` counts every
 nonzero row whose coefficients all lie in J as a nilpotent check and
 sends only the other rows through `scan.probe`.  A factor in J<x> has all
 its rows there, and `bounded_NI_check` counts them by the zero products
-that `_zero_products` finds.  On the corpus a block holds either certified
+that `_count_zero_products` counts.  On the corpus a block holds either certified
 rows only or none, and the proved nilpotents are all certified or none, so
 the property tests below mix both and compare them with the plain per-row
 walk and the scalar scan.
@@ -23,6 +23,7 @@ from skewpbw.probes import (
     BoundedScan,
     NICheckResult,
     _probe_rows,
+    _count_zero_products,
     _row_ids,
     _zero_products,
     bounded_NI_check,
@@ -53,8 +54,8 @@ def certified(request):
     scan = BoundedScan(A, *caps)
     assert scan.certificate is not None and scan.certificate.mask[1:].any()
     table = AtomTable(A, multi_indices(A.n, 0, caps[0]))
-    order = sorted(range(len(scan.polys)), key=lambda i: scan.status[scan.polys[i]].status != UNKNOWN)
-    assert scan.status[scan.polys[order[0]]].status == UNKNOWN
+    order = np.argsort(scan.status != BoundedScan.UNKNOWN_CODE, kind="stable")
+    assert scan.status[order[0]] == BoundedScan.UNKNOWN_CODE
     scanned = np.zeros((len(order), len(table.out_monos)), dtype=np.int32)
     scanned[:, [table.out_monos.index(a) for a in table.monos]] = scan.keys[order]
     return scan, table, scanned, scan.scan_unknown
@@ -193,13 +194,14 @@ def test_join_matches_row_walk(certified, data):
     sample = data.draw(st.lists(st.integers(0, len(K) - 1), min_size=1, max_size=4))
     for values, left in ((table.left_values, True), (table.right_values, False)):
         V = values(Kf)
-        F, G = _zero_products(table, V, 3)
+        F, G = map(np.concatenate, zip(*_zero_products(table, V, 3)))
+        assert len(F) == _count_zero_products(table, V, 3)
         walk = [(i, int(j)) for i in range(len(Kf)) for j in np.flatnonzero(~table.products(V[i], K).any(axis=1))]
         assert list(zip(F.tolist(), G.tolist())) == walk
         for i, key in enumerate(Kf):
             f = table.poly(key, table.monos)
             for j in sample:
-                h = scan.polys[j]
+                h = scan.poly(j)
                 row = table.products(V[i], K[j : j + 1])[0]
                 assert table.poly(row, table.out_monos) == (h * f if left else f * h)
 
@@ -246,7 +248,7 @@ def test_partly_certified_factors_match_scalar_scan(name, data):
     A = entry.presentation
     caps = _caps(entry)
     scan = BoundedScan(A, *caps)
-    scan.status.update(ref_scan.status)
+    scan.closure_probes.update(ref_scan.closure_probes)
     J = np.flatnonzero(scan.certificate.mask)
     kept = data.draw(st.sets(st.sampled_from(J[1:].tolist())))
     mask = np.zeros_like(scan.certificate.mask)

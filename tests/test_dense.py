@@ -22,10 +22,11 @@ import pytest
 from skewpbw import cli, corpus, defio, extension, probes
 from skewpbw.errors import TooLarge
 from skewpbw.corpus import matrix_upper, product_ring, trunc_poly
-from skewpbw.extension import AtomTable, SkewPolynomial, coefficient_keys, make_extension, verify_presentation
+from skewpbw.extension import AtomTable, SkewPolynomial, make_extension, verify_presentation
 from skewpbw.maps import SigmaSystem, identity_map, multi_indices
 from skewpbw.rings import ideal_power_index
 from skewpbw.harness import SearchBudget
+from scan_oracles import coefficient_keys
 from skewpbw.probes import (
     UNKNOWN,
     BoundedScan,
@@ -58,10 +59,11 @@ def _weak_monos(A):
 
 def oracle_NI_check(scan: BoundedScan) -> NICheckResult:
     pn = scan.proved_nilpotent
+    hs = [h for h, _ in scan.results()]
     unknown_checks = 0
     checks = 0
     for f in pn:
-        for h in scan.polys:
+        for h in hs:
             for kind, p in (("left_product", h * f), ("right_product", f * h)):
                 if p.is_zero:
                     continue
@@ -246,7 +248,7 @@ def test_index_arithmetic_runs_past_int16(name):
                     total = [add[t][v] for t, v in zip(total, rows[i][monos.index(alpha)][c])]
                 if not any(total):
                     want.add((i, j))
-        F, H = probes._zero_products(table, V, 2)
+        F, H = map(np.concatenate, zip(*probes._zero_products(table, V, 2)))
         assert set(zip(F.tolist(), H.tolist())) == want and len(want) == len(F)
         assert any(j >= len(monos) * (R - 1) for _, j in want)  # products of support 2 among them
 
@@ -312,13 +314,15 @@ def test_atom_table_refuses_past_its_cap_before_allocating(clifford2, monkeypatc
 
 
 def _assert_status_matches(scan, ref_scan):
-    """The table check's probes are the scalar scan's, less certified closure rows.
+    """The table check's closure probes are the scalar scan's, less certified closure rows.
 
-    Rows in J<x> are decided by the certificate's mask test and never enter
-    `scan.status`; everything else is probed exactly as the scalar scan did.
+    Both scans answer a scanned polynomial from their arrays and keep the
+    other closure rows they probe in `closure_probes`.  Rows in J<x> are
+    decided by the certificate's mask test and never probed; everything
+    else is probed exactly as the scalar scan did.
     """
-    assert scan.status.items() <= ref_scan.status.items()
-    left_out = ref_scan.status.keys() - scan.status.keys()
+    assert scan.closure_probes.items() <= ref_scan.closure_probes.items()
+    left_out = ref_scan.closure_probes.keys() - scan.closure_probes.keys()
     if scan.certificate is None:
         assert not left_out
         return
@@ -326,7 +330,7 @@ def _assert_status_matches(scan, ref_scan):
     t = ideal_power_index(J)
     for f in left_out:
         assert extended_ideal_membership(J, f), f
-        r = ref_scan.status[f]
+        r = ref_scan.closure_probes[f]
         assert r.proved_nilpotent and r.index <= t, (f, r)
 
 
@@ -338,7 +342,7 @@ def test_ni_check_matches_scalar_scan(name):
     scan = BoundedScan(A, *caps)
     # the scan's key rows are its polynomials over the table's columns
     table = AtomTable(A, multi_indices(A.n, 0, caps[0]))
-    assert [table.poly(row, table.monos) for row in scan.keys] == scan.polys
+    assert [table.poly(row, table.monos) for row in scan.keys] == _polys_over_monomials(A, table.monos, caps[1])
     got = bounded_NI_check(A, *caps, scan=scan)
     assert got.status == ref.status
     assert got.stats == ref.stats

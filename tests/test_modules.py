@@ -122,7 +122,8 @@ def test_changed_operator_is_rejected(name):
 def test_catalogue_on_the_corpus():
     # no m_i = 1 shape gives a module on clifford_trunc_2: x2 x1 = x1 x2 + y1
     # needs operators that do not commute; cyclic m_i = 2 passes everywhere
-    kept = {name: [M.shape for M in finite_modules(b().presentation).modules] for name, b in corpus.BUILDERS.items()}
+    entries = {name: b() for name, b in corpus.BUILDERS.items()}  # the store holds its presentation weakly
+    kept = {name: [M.shape for M in finite_modules(e.presentation).modules] for name, e in entries.items()}
     assert kept["clifford_trunc_2"] == [cyclic(2, 2)]
     assert all(shapes[-1] == cyclic(*[2] * len(shapes[-1])) for shapes in kept.values())
     assert kept["heisenberg_2"] == [(a, b, (1, TRUNCATED)) for a in ONE for b in ONE] + [cyclic(2, 2, 2)]  # c_3 = 0
@@ -259,12 +260,12 @@ def test_power_chain_nilpotents_are_never_certified(corpus_entries):
     for entry in corpus_entries:
         b = entry.budget
         scan = BoundedScan(entry.presentation, b["degree_cap"], b["support_cap"], b["exponent_cap"])
-        for f in scan.polys:
+        for f, r in scan.results():
             power = f
             for _ in range(b["exponent_cap"]):
                 power = f * power
                 if power.is_zero:
-                    assert scan.status[f].proved_nilpotent, (entry.name, f)
+                    assert r.proved_nilpotent, (entry.name, f)
                     break
 
 
@@ -307,7 +308,7 @@ def test_scan_decides_its_module_stage_in_bulk(clifford2, monkeypatch):
     scan = BoundedScan(A, 2, 2, 8)
     assert rows == [333]  # one block: the rows that the leading chain leaves open
     assert sum(evaluated) == 180  # of them, the rows outside J<x>
-    assert sum(r.reason == FINITE_MODULE for r in scan.status.values()) == 180
+    assert sum(r.reason == FINITE_MODULE for _, r in scan.results()) == 180
     assert store is finite_modules(A)
 
 

@@ -71,7 +71,7 @@ def test_probe_checks_accept_nilpotency_probe(name, caps):
 def test_probe_checks_accept_scan_results(name, caps):
     # the scan runs the ladder itself, so its results must replay the same way
     A = corpus.BUILDERS[name]().presentation
-    results = list(BoundedScan(A, *caps, 8).status.items())
+    results = list(BoundedScan(A, *caps, 8).results())
     assert any(r.proved_nilpotent for _, r in results)
     assert _load("checks").check_probes(name, results, 8) == []
 

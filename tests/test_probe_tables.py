@@ -128,8 +128,8 @@ def test_probes_match_the_scalar_ladder_at_the_recorded_budget(name):
         assert nilpotency_probe(f, cap) == scalar_probe(f, cap), f
     # the scan climbs the same ladder in bulk
     scan = BoundedScan(fresh(name), degree, support, cap)
-    for f in scan.polys:
-        assert scan.status[f] == scalar_probe(f, cap), f
+    for f, r in scan.results():
+        assert r == scalar_probe(f, cap), f
 
 
 def frobenius_twist():
@@ -191,9 +191,8 @@ def test_no_module_certifies_zero(name):
 
 def scalar_agreement(scan):
     unknown = 0
-    for f in scan.polys:
+    for f, r in scan.results():
         member = coefficient_criterion_member(f)
-        r = scan.status[f]
         if r.proved_nilpotent and not member:
             return (False, "probe->criterion", f, 0)
         if member and r.proved_not_nilpotent:

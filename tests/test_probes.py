@@ -241,7 +241,7 @@ def test_scan_probes_are_nilpotency_probes(name):
     caps = (b["degree_cap"], b["support_cap"], b["exponent_cap"])
     scan = BoundedScan(A, *caps)
     bounded_NI_check(A, *caps, scan=scan)
-    for f, r in scan.status.items():
+    for f, r in [*scan.results(), *scan.closure_probes.items()]:
         assert r == nilpotency_probe(f, scan.exponent_cap), (name, f, r)
         assert isinstance(r.index, int) == r.proved_nilpotent, (name, f, r)
 
@@ -267,7 +267,7 @@ def test_ideal_power_certificate_against_power_iteration():
         t = ideal_power_index(J)
         assert J == jacobson_radical(entry.ring) and t <= scan.exponent_cap
         assert extended_ideal_closure_report(J, A).holds, entry.name
-        for f, r in scan.status.items():
+        for f, r in [*scan.results(), *scan.closure_probes.items()]:
             if not extended_ideal_membership(J, f):
                 continue
             certified += 1
@@ -301,12 +301,11 @@ def test_ideal_power_certificate_needs_cap_at_least_t(q8_twisted):
     scan = BoundedScan(A, 1, 1, 4)  # J^5 = 0 but J^4 != 0
     bounded_NI_check(A, 1, 1, 4, scan=scan)
     assert scan.certificate is None
-    assert scan.status == {f: nilpotency_probe(f, 4) for f in scan.status}
+    results = [*scan.results(), *scan.closure_probes.items()]
+    assert all(r == nilpotency_probe(f, 4) for f, r in results)
     # some members of J<x> are left unknown at cap 4: certifying them would
     # change the report
-    assert any(
-        r.status == UNKNOWN and extended_ideal_membership(J, f) for f, r in scan.status.items()
-    )
+    assert any(r.status == UNKNOWN and extended_ideal_membership(J, f) for f, r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +486,9 @@ def test_agreement_euler_zero_mismatches(euler2):
     assert agr.holds and agr.unknown == 0
     # cross-check by hand: proved nilpotent <=> all coefficients in N(R)
     nil = nilpotent_set(euler2.ring)
-    for f in scan.polys:
+    for f, r in scan.results():
         member = all(c in nil for c in f.coefficients().values())
-        assert member == scan.status[f].proved_nilpotent
+        assert member == r.proved_nilpotent
 
 
 def test_agreement_weyl_fails_exactly(weyl2):
