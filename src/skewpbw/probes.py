@@ -596,14 +596,19 @@ def _row_ids(labels: np.ndarray, rows: np.ndarray, radix: int, tail=None, tail_r
 
 
 def _factor_block(table: AtomTable, support_cap: int) -> int:
-    """Factors per block of value rows: a value table and the largest partial sums of each, 4 ROW_ENTRIES in all.
+    """Factors per block of value rows, 4 ROW_ENTRIES entries in all.
 
-    No block holds a factor's pairs: a count is a sum of range lengths, and
-    listed pairs come in chunks (`_zero_products`).
+    A factor takes its value table, its largest partial sums and, when
+    there is a join (support_cap >= 2), the ids and sort keys of its
+    partial sums and slot rows, two int64 (8 index entries) each.  No block
+    holds a factor's pairs: a count is a sum of range lengths, and listed
+    pairs come in chunks (`_zero_products`).
     """
     L, r = len(table.monos), table.size - 1
     partials = max(math.comb(L, s) * r**s for s in range(support_cap))
     per_factor = table.Q[0].size + partials * table.width
+    if support_cap > 1:
+        per_factor += 8 * (partials + L * r)
     if per_factor > TABLE_ENTRIES:
         raise TooLarge(per_factor, TABLE_ENTRIES, "value rows of one factor")
     return max(1, 4 * ROW_ENTRIES // per_factor)
@@ -721,8 +726,9 @@ def _zero_products(table: AtomTable, V: np.ndarray, support_cap: int):
             found_f.append(f)
             found_h.append(offset + (rank[pre, a] * shape[2] + p) * r + c)
         f, h = np.concatenate(found_f), np.concatenate(found_h)
-        order = np.lexsort((h, f))
-        yield f[order], h[order]
+        if len(f):
+            order = np.lexsort((h, f))
+            yield f[order], h[order]
         f0 = f1
 
 

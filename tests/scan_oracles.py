@@ -47,8 +47,11 @@ def coefficient_keys(polys, monos) -> np.ndarray:
     return K
 
 
-def oracle_scan(A, degree_cap, support_cap, exponent_cap):
-    """(polys, keys, leading-chain answers, status dict) of the scan's old loops, in enumeration order."""
+def oracle_scan(A, degree_cap, support_cap, exponent_cap, power_chain=_power_chain):
+    """(polys, keys, leading-chain answers, status dict) of the scan's old loops, in enumeration order.
+
+    `power_chain(f, exponent_cap)` decides the rows that no certificate decides.
+    """
     monos = multi_indices(A.n, 0, degree_cap)
     polys = _polys_over_monomials(A, monos, support_cap)
     K = coefficient_keys(polys, monos)
@@ -62,7 +65,7 @@ def oracle_scan(A, degree_cap, support_cap, exponent_cap):
         for i in todo[modules.decide(K[lo + todo], monos)]:
             reason[i] = FINITE_MODULE
         for f, r in zip(polys[lo : lo + block], reason):
-            status[f] = _power_chain(f, exponent_cap) if r is None else ProbeResult(NOT_NILPOTENT, reason=r)
+            status[f] = power_chain(f, exponent_cap) if r is None else ProbeResult(NOT_NILPOTENT, reason=r)
     return polys, K, leading, status
 
 
@@ -141,3 +144,10 @@ def oracle_zero_products(table: AtomTable, V, support_cap):
     f, h = np.concatenate(found_f), np.concatenate(found_h)
     order = np.lexsort((h, f))
     return f[order], h[order]
+
+
+def listed_pairs(chunks):
+    """The (factor, h) chunks of `_zero_products`, concatenated: empty arrays when there is none."""
+    chunks = list(chunks)
+    empty = np.zeros(0, dtype=np.intp)
+    return np.concatenate([empty, *(f for f, _ in chunks)]), np.concatenate([empty, *(h for _, h in chunks)])

@@ -30,6 +30,7 @@ from skewpbw.probes import (
 )
 from skewpbw.rings import Ideal
 
+from scan_oracles import listed_pairs
 from test_dense import oracle_NI_check, scalar_reference
 
 MAX_NONZERO = 3  # coefficients per generated row: keeps each probe cheap
@@ -194,7 +195,7 @@ def test_join_matches_row_walk(certified, data):
     sample = data.draw(st.lists(st.integers(0, len(K) - 1), min_size=1, max_size=4))
     for values, left in ((table.left_values, True), (table.right_values, False)):
         V = values(Kf)
-        F, G = map(np.concatenate, zip(*_zero_products(table, V, 3)))
+        F, G = listed_pairs(_zero_products(table, V, 3))
         assert len(F) == _count_zero_products(table, V, 3)
         walk = [(i, int(j)) for i in range(len(Kf)) for j in np.flatnonzero(~table.products(V[i], K).any(axis=1))]
         assert list(zip(F.tolist(), G.tolist())) == walk

@@ -26,7 +26,7 @@ from skewpbw.extension import AtomTable, SkewPolynomial, make_extension, verify_
 from skewpbw.maps import SigmaSystem, identity_map, multi_indices
 from skewpbw.rings import ideal_power_index
 from skewpbw.harness import SearchBudget
-from scan_oracles import coefficient_keys
+from scan_oracles import coefficient_keys, listed_pairs
 from skewpbw.probes import (
     UNKNOWN,
     BoundedScan,
@@ -248,7 +248,7 @@ def test_index_arithmetic_runs_past_int16(name):
                     total = [add[t][v] for t, v in zip(total, rows[i][monos.index(alpha)][c])]
                 if not any(total):
                     want.add((i, j))
-        F, H = map(np.concatenate, zip(*probes._zero_products(table, V, 2)))
+        F, H = listed_pairs(probes._zero_products(table, V, 2))
         assert set(zip(F.tolist(), H.tolist())) == want and len(want) == len(F)
         assert any(j >= len(monos) * (R - 1) for _, j in want)  # products of support 2 among them
 
