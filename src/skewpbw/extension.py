@@ -482,16 +482,23 @@ class AtomTable:
     So `_mul_terms` stays the only definition of the multiplication.
 
     Everything a scan does with a factor f is then a gather from the ring's
-    index tables, with no coordinates and no modulus:
+    int16 index tables, with no coordinates and no modulus, and every value
+    row is int16, as the tables are:
 
       - left values  VL_f[alpha][c] = c (x^alpha f), since a left scalar
         acts on a normal form coefficient by coefficient, and
-        x^alpha f = sum_beta Q[alpha][beta][f_beta];
+        x^alpha f = sum_beta Q[alpha][beta][f_beta]: the rows for every c
+        at once are one column gather of the multiplication table at
+        x^alpha f;
       - right values VR_f[alpha][c] = f (c x^alpha)
-        = sum_beta f_beta Q[beta][alpha][c].
+        = sum_beta f_beta Q[beta][alpha][c]: each term f_beta Q[beta] is a
+        gather from row f_beta of the multiplication table.
 
-    For h = sum_alpha h_alpha x^alpha, h f = sum_alpha VL_f[alpha][h_alpha]
-    and f h = sum_alpha VR_f[alpha][h_alpha]: the add-table sum of one value
+    Neither forms a flat index over the whole output; only the slot sums of
+    factors with two or more terms go through the addition table's flat
+    index (`plus`).  For h = sum_alpha h_alpha x^alpha,
+    h f = sum_alpha VL_f[alpha][h_alpha] and
+    f h = sum_alpha VR_f[alpha][h_alpha]: the add-table sum of one value
     row per support slot of h.
 
     The scans need few of those sums.  When J = J(R) is invariant under
@@ -499,11 +506,10 @@ class AtomTable:
     are nilpotent (proof at probes._probe_rows), so every product of a
     factor f in J<x> is a nilpotent closure check unless it is 0.  And
     h f = 0 exactly when the value row of h's last slot is the negated sum
-    of the rows of its other slots: `probes._zero_products` finds those h
-    by joining the rows of each slot with the negated partial sums of each
-    prefix, and no product row is formed.  Q, and every block of value rows
-    the scans allocate, is checked against TABLE_ENTRIES before it is
-    allocated.
+    of the rows of its other slots: `probes._zero_ranges` finds those h as
+    ranges of sorted keys of the negated partial sums of each prefix, and
+    no product row is formed.  Q, and every block of value rows the scans
+    allocate, is checked against TABLE_ENTRIES before it is allocated.
     """
 
     def __init__(self, A: "ExtensionPresentation", monos: Sequence[tuple]):

@@ -402,9 +402,12 @@ def bounded_NI_check(
     the value rows of f in an `AtomTable`.  When f lies in J<x>, J the
     scan's certificate, every h f and f h lies in that two-sided ideal of
     nilpotents (proof at `_probe_rows`), so f adds one nilpotent check per
-    nonzero product, and only its zero products are found, by the join of
-    `_zero_products`.  The rows of any other f are formed and go through
-    `_probe_rows` in the scalar scan's order, [h0 f, f h0, h1 f, ...].
+    nonzero product, and only its zero products are counted, as the range
+    lengths of the join (`_count_zero_products`): no pair is formed, so a
+    block of such factors is bounded by their value rows alone.  The rows
+    of any other f are formed and go through `_probe_rows` in the scalar
+    scan's order, [h0 f, f h0, h1 f, ...].  The table, the key rows and the
+    statuses are the scan's.
     """
     if scan is None:
         scan = BoundedScan(A, degree_cap, support_cap, exponent_cap, pair_budget)
