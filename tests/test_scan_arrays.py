@@ -99,7 +99,7 @@ def test_rows_of_the_scanned_polynomials(name):
         cols = sorted(scan._col[alpha] for alpha in f.terms)
         coefs = [f.terms[scan.monos[c]] for c in cols]
         assert scan.row_of(cols, coefs) == i
-        assert scan.probe(f) is not r and scan.probe(f) == r
+        assert scan.probe(f) == r
     assert scan.closure_probes == {}
     outside = A.monomial((scan.degree_cap + 1,) + (0,) * (A.n - 1))
     scan.probe(outside)
@@ -160,9 +160,10 @@ def test_listed_zero_products_match_the_pair_join(name, which, monkeypatch):
     monos = multi_indices(A.n, 0, degree_cap)
     table = AtomTable(A, monos)
     K = probes._bounded_keys(len(monos), A.base.size, support_cap)
+    blocks = list(_factor_blocks(table, K, support_cap))
     for entries in (probes.ROW_ENTRIES, 1):
         monkeypatch.setattr(probes, "ROW_ENTRIES", entries)
-        for Kf in _factor_blocks(table, K, support_cap):
+        for Kf in blocks:
             V = table.right_values(Kf)
             chunks = list(_zero_products(table, V, support_cap))
             got, want = listed_pairs(chunks), oracle_zero_products(table, V, support_cap)
@@ -171,10 +172,12 @@ def test_listed_zero_products_match_the_pair_join(name, which, monkeypatch):
             assert all(len(f) <= entries or len(np.unique(f)) == 1 for f, _ in chunks)
 
 
-def test_zero_products_cross_the_tail_ranking():
-    # ids too wide for one int64 are ranked before the last slot is folded in
-    ids = probes._row_ids(np.zeros(4, dtype=np.int64), np.array([[7] * 30, [7] * 30, [1] * 30, [0] * 30]), 8, np.array([2, 0, 1, 2]), 3)
-    assert ids[0] == ids[1] + 2 and ids[3] < ids[2] < ids[1]
+def test_row_ids_rank_before_the_tail_would_pass_int64():
+    # 3 (2^63 - 2) / 3 + 2 = 2^63: without the ranks, the tail of the first
+    # label would wrap to the most negative key and sort before label 0
+    big = (2**63 - 1) // 3
+    ids = probes._row_ids(np.array([big, big, 0]), np.zeros((3, 0), dtype=np.int16), 2, np.array([0, 2, 1]), 3)
+    assert ids[1] == ids[0] + 2 and ids[2] < ids[0] < ids[1]
 
 
 # ---------------------------------------------------------------------------
