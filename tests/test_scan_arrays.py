@@ -25,7 +25,7 @@ from skewpbw.corpus import field4, matrix_upper, product_ring, trunc_poly, zn
 from skewpbw.errors import LeibnizFails, NotMultiplicative, SkewPBWError
 from skewpbw.extension import AtomTable, make_extension, verify_presentation
 from skewpbw.harness import SearchBudget
-from skewpbw.maps import SigmaSystem, identity_map, make_endomorphism, make_sigma_derivation, multi_indices
+from skewpbw.maps import identity_map, make_endomorphism, make_sigma_derivation, multi_indices
 from skewpbw.modules import FiniteModules, finite_modules
 from skewpbw.probes import (
     BoundedScan,
