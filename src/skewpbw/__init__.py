@@ -22,10 +22,7 @@ from .maps import (
 from .probes import (
     bounded_NI_check,
     bounded_skew_armendariz,
-    coefficient_criterion_member,
     enumerate_bounded_polys,
-    extended_ideal_closure_report,
-    extended_ideal_membership,
     nilpotency_probe,
     quasi_regularity_witness,
 )
@@ -35,7 +32,6 @@ from .rings import (
     RingElement,
     RingProfile,
     classify_ring,
-    ideal_generated_by,
     ideal_power_index,
     jacobson_radical,
     levitzki_radical,

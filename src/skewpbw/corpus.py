@@ -281,23 +281,6 @@ def euler_like(p: int) -> CorpusEntry:
     )
 
 
-def weyl_like_corrupted() -> ExtensionPresentation:
-    """A deliberately inconsistent two-variable Weyl variant.
-
-    delta_1 = d/dy over Z_2[y]/(y^2) with the inter-variable relation
-    x_2 x_1 = x_1 x_2 + y x_1: the linear tail breaks the overlap
-    (x_2 x_1) y = x_2 (x_1 y), so verify_presentation must fail.
-    """
-    ring = trunc_poly(2, 2)
-    ident = identity_map(ring)
-    ddy = make_sigma_derivation(ring, ident, _ddy_matrix(ring), name="d/dy")
-    zero = None
-    system = SigmaSystem([ident, ident], [ddy, zero])
-    y = ring.el([0, 1])
-    tails = {(1, 2): (ring.zero, (y, ring.zero))}
-    return make_extension(ring, system, tails=tails, name="weyl_like_corrupted")
-
-
 def clifford_trunc(n: int, ms: Optional[list] = None, p: int = 2) -> CorpusEntry:
     """Graded extension x_j x_i = -x_i x_j + sum_k (M_k)_{ij} y_k over the
     truncated base with the y_k in degree 2.

@@ -30,11 +30,12 @@ input and gets normalized through the commutation rules on parse, so
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 
 from .corpus import CorpusEntry
-from .errors import DefinitionError
+from .errors import DefinitionError, SkewPBWError
 from .extension import ExtensionPresentation, SkewPolynomial, make_extension
 from .graded import attach_grading
 from .maps import RingMap, SigmaSystem, make_endomorphism, make_sigma_derivation
@@ -96,6 +97,17 @@ def _objects(value, path: str) -> list:
     return [(f"{path}[{i}]", _expect(v, dict, f"{path}[{i}]")) for i, v in enumerate(_expect(value, list, path))]
 
 
+@contextlib.contextmanager
+def _block(path: str):
+    """Re-raise an engine error from building the block at path as a DefinitionError that names it."""
+    try:
+        yield
+    except DefinitionError:
+        raise
+    except SkewPBWError as exc:
+        raise DefinitionError(f"{path}: {exc}") from exc
+
+
 def _build(doc: dict) -> CorpusEntry:
     if not isinstance(doc, dict):
         raise DefinitionError("top level must be an object")
@@ -103,15 +115,17 @@ def _build(doc: dict) -> CorpusEntry:
     name = _expect(doc.get("name", "unnamed"), str, "name")
     orders = _integers(_require(rblock, "orders", "ring"), "ring.orders")
     m = len(orders)
-    ring = make_ring(
-        orders,
-        _integers(_require(rblock, "constants", "ring"), "ring.constants", (m, m, m)),
-        _integers(_require(rblock, "one", "ring"), "ring.one", (m,)),
-        name=name,
-    )
+    with _block("ring"):
+        ring = make_ring(
+            orders,
+            _integers(_require(rblock, "constants", "ring"), "ring.constants", (m, m, m)),
+            _integers(_require(rblock, "one", "ring"), "ring.one", (m,)),
+            name=name,
+        )
     grading = None
     if rblock.get("degrees") is not None:
-        grading = attach_grading(ring, _integers(rblock["degrees"], "ring.degrees", (m,)))
+        with _block("ring.degrees"):
+            grading = attach_grading(ring, _integers(rblock["degrees"], "ring.degrees", (m,)))
 
     maps: dict[str, RingMap] = {}
     for at, mb in _objects(doc.get("maps", []), "maps"):
@@ -120,15 +134,16 @@ def _build(doc: dict) -> CorpusEntry:
             raise DefinitionError(f"{at}.name must be unique, and {mname!r} is taken")
         kind = _require(mb, "kind", at)
         matrix = _integers(_require(mb, "matrix", at), f"{at}.matrix", (m, m))
-        if kind == "endomorphism":
-            maps[mname] = make_endomorphism(ring, matrix, name=mname)
-        elif kind == "sigma_derivation":
-            partner = _expect(_require(mb, "partner", at), str, f"{at}.partner")
-            if partner not in maps:
-                raise DefinitionError(f"{at}.partner must be the name of an earlier map, not {partner!r}")
-            maps[mname] = make_sigma_derivation(ring, maps[partner], matrix, name=mname)
-        else:
-            raise DefinitionError(f"{at}.kind must be 'endomorphism' or 'sigma_derivation'")
+        with _block(at):
+            if kind == "endomorphism":
+                maps[mname] = make_endomorphism(ring, matrix, name=mname)
+            elif kind == "sigma_derivation":
+                partner = _expect(_require(mb, "partner", at), str, f"{at}.partner")
+                if partner not in maps:
+                    raise DefinitionError(f"{at}.partner must be the name of an earlier map, not {partner!r}")
+                maps[mname] = make_sigma_derivation(ring, maps[partner], matrix, name=mname)
+            else:
+                raise DefinitionError(f"{at}.kind must be 'endomorphism' or 'sigma_derivation'")
 
     presentation = None
     eblock = doc.get("extension")
@@ -159,17 +174,18 @@ def _build(doc: dict) -> CorpusEntry:
 
         sigmas = [lookup(sn, f"extension.sigmas[{i}]") for i, sn in enumerate(signames)]
         deltas = [None if dn is None else lookup(dn, f"extension.deltas[{i}]") for i, dn in enumerate(deltanames)]
-        system = SigmaSystem(sigmas, deltas)
-        d = {}
-        for at, db in _objects(eblock.get("d", []), "extension.d"):
-            d[pair(db, at, d)] = ring.el(_integers(_require(db, "value", at), f"{at}.value", (m,)))
-        tails = {}
-        for at, tb in _objects(eblock.get("tails", []), "extension.tails"):
-            key = pair(tb, at, tails)
-            constant = _integers(tb.get("constant", [0] * m), f"{at}.constant", (m,))
-            linear = _integers(tb.get("linear", [[0] * m] * nvars), f"{at}.linear", (nvars, m))
-            tails[key] = (ring.el(constant), tuple(ring.el(v) for v in linear))
-        presentation = make_extension(ring, system, d=d, tails=tails, name=name)
+        with _block("extension"):
+            system = SigmaSystem(sigmas, deltas)
+            d = {}
+            for at, db in _objects(eblock.get("d", []), "extension.d"):
+                d[pair(db, at, d)] = ring.el(_integers(_require(db, "value", at), f"{at}.value", (m,)))
+            tails = {}
+            for at, tb in _objects(eblock.get("tails", []), "extension.tails"):
+                key = pair(tb, at, tails)
+                constant = _integers(tb.get("constant", [0] * m), f"{at}.constant", (m,))
+                linear = _integers(tb.get("linear", [[0] * m] * nvars), f"{at}.linear", (nvars, m))
+                tails[key] = (ring.el(constant), tuple(ring.el(v) for v in linear))
+            presentation = make_extension(ring, system, d=d, tails=tails, name=name)
     return CorpusEntry(name, ring, presentation, grading, maps=maps)
 
 

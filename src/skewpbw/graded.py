@@ -39,10 +39,6 @@ class Grading:
         if any(x < 0 for x in self.labels):
             raise BadShape("degree labels must be natural numbers")
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(x == 0 for x in self.labels)
-
     def component_generators(self, p: int) -> list[int]:
         return [t for t, lab in enumerate(self.labels) if lab == p]
 

@@ -260,18 +260,18 @@ class Evidence:
 
     def _flag(self, flag: str) -> TV:
         """A ring flag; a failed one names an element of N(R) xor J(R), every nilradical of a finite ring."""
-        value, nil = getattr(self.profile, flag), self.profile.nilpotents
-        apart = () if value else nil ^ self.profile.jacobson_radical.carrier
-        if not apart:
+        value, nil = getattr(self.profile, flag), self.ring.nilpotent_mask
+        apart = nil ^ self.profile.jacobson_radical.mask
+        if value or not apart.any():
             return TV(value, True)
-        sep = min(apart, key=lambda e: e.index)
-        side = "N(R)" if sep in nil else "radical"
+        sep = self.ring.element_from_index(int(apart.argmax()))  # the first element of N(R) xor J(R)
+        side = "N(R)" if nil[sep.index] else "radical"
         return TV(value, True, f"{sep!r} separates N(R) from the comparison set (in {side})")
 
     def _N_invariance(self, mode: str) -> TV:
         if not self.profile.NI:
             return TV(False, True, "N(R) is not an ideal")
-        return _tv_compat(invariance(Ideal(self.ring, self.profile.nilpotents), self.system, mode))
+        return _tv_compat(invariance(Ideal.from_mask(self.ring, self.ring.nilpotent_mask), self.system, mode))
 
     R_NI = cached_property(lambda self: self._flag("NI"))  # N(R) is an ideal
     two_primal = cached_property(lambda self: self._flag("two_primal"))
@@ -284,7 +284,7 @@ class Evidence:
     N_sigma_ideal = cached_property(lambda self: self._N_invariance(SIGMA_IDEAL))
     N_delta_invariant = cached_property(lambda self: self._N_invariance(DELTA_INVARIANT))
     N_sigma_rigid = cached_property(
-        lambda self: _tv_compat(is_sigma_rigid_subset(self.ring, self.system, self.profile.nilpotents))
+        lambda self: _tv_compat(is_sigma_rigid_subset(self.ring, self.system, self.ring.nilpotent_mask))
     )
     Nstar_eq_N = cached_property(lambda self: TV(self.profile.NJ, True))
 

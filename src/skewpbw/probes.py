@@ -1,4 +1,4 @@
-"""Bounded searches over skew polynomials: nilpotency, NI closure, ideals.
+"""Bounded searches over skew polynomials: nilpotency, NI closure, Armendariz.
 
 Nilpotency in A is only semi-decidable by power iteration, so probes return a
 three-valued verdict instead of a boolean:
@@ -32,9 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotAnIdeal, NotProvedNilpotent, TooLarge
+from .errors import BudgetExceeded, NotProvedNilpotent, TooLarge
 from .extension import TABLE_ENTRIES, AtomTable, ExtensionPresentation, SkewPolynomial, _cache_put
-from .maps import DELTA_INVARIANT, invariance, multi_indices
+from .maps import multi_indices
 from .modules import finite_modules
 from .rings import Ideal
 
@@ -173,12 +173,6 @@ def quasi_regularity_witness(f: SkewPolynomial, exponent_cap: int = DEFAULT_EXPO
     if one_plus_f * g != A.one_poly() or g * one_plus_f != A.one_poly():
         raise NotProvedNilpotent("witness verification failed")  # engine bug if ever hit
     return g
-
-
-def coefficient_criterion_member(f: SkewPolynomial) -> bool:
-    """True iff every coefficient of f lies in N(R): membership in N(R)<x_1..x_n>."""
-    nil = f.ext.base.nilpotent_mask
-    return all(bool(nil[c]) for c in f.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -808,67 +802,6 @@ def coefficient_agreement(scan: BoundedScan) -> AgreementResult:
 
 
 # ---------------------------------------------------------------------------
-# extended ideals
-# ---------------------------------------------------------------------------
-
-
-def extended_ideal_membership(ideal: Ideal, f: SkewPolynomial) -> bool:
-    """f in I<x_1..x_n>: every coefficient of f lies in I."""
-    if ideal.ring is not f.ext.base:
-        raise NotAnIdeal("ideal does not live in the base ring of f")
-    return all(bool(ideal.mask[c]) for c in f.terms.values())
-
-
-@dataclass
-class IdealClosureReport:
-    holds: bool
-    witness: Optional[dict] = None
-    delta_invariant: Optional[bool] = None
-    agrees: Optional[bool] = None  # closure outcome vs the invariance criterion
-
-
-CLOSURE_DEGREE_CAP = 2  # the largest monomial degree of the members the closure report tries
-
-
-def extended_ideal_closure_report(ideal: Ideal, A: ExtensionPresentation) -> IdealClosureReport:
-    """Bounded check that I<x> absorbs generator and base-element products.
-
-    For a derivation-type A this is the executable face of: I<x_1..x_n> is an
-    ideal of A iff I is a Delta-invariant ideal of R.
-    """
-    if ideal.ring is not A.base:
-        raise NotAnIdeal("ideal does not live in the base ring")
-    A._require_verified()
-    monos = multi_indices(A.n, 0, CLOSURE_DEGREE_CAP)
-    members = [
-        A.monomial(alpha, coeff=r)
-        for alpha in monos
-        for r in ideal.sorted_elements()
-        if not r.is_zero
-    ]
-    multipliers = [A.variable(i) for i in range(1, A.n + 1)]
-    multipliers += [A.scalar(r) for r in A.base.elements() if not r.is_zero]
-    witness = next(
-        (
-            {"kind": kind, "member": f, "multiplier": h, "product": p}
-            for f in members
-            for h in multipliers
-            for kind, p in (("left", h * f), ("right", f * h))
-            if not extended_ideal_membership(ideal, p)
-        ),
-        None,
-    )
-    holds = witness is None
-    inv = invariance(ideal, A.system, DELTA_INVARIANT)
-    return IdealClosureReport(
-        holds=holds,
-        witness=witness,
-        delta_invariant=inv.holds,
-        agrees=(holds == inv.holds) if A.derivation_type else None,
-    )
-
-
-# ---------------------------------------------------------------------------
 # bounded Armendariz checks
 # ---------------------------------------------------------------------------
 
@@ -879,7 +812,6 @@ class ArmendarizResult:
     witness: Optional[dict] = None
     degree_cap: int = 0
     support_cap: int = 0
-    weak: bool = False
 
 
 def bounded_skew_armendariz(
@@ -887,32 +819,24 @@ def bounded_skew_armendariz(
     degree_cap: int,
     support_cap: int,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    weak: bool = False,
     scan: Optional[BoundedScan] = None,
 ) -> ArmendarizResult:
     """fg = 0 must force every cross-product a_i sigma^{alpha_i}(b_j) = 0.
 
-    The weak variant restricts both factors to the shape a_0 + a_1 x_1 + ... +
-    a_n x_n, on which sigma^{alpha_i} is sigma_i for the x_i term and the
-    identity for a_0.  The polynomials are key rows in enumeration order
-    (`_bounded_keys`).  When `scan` is a scan of A at the same degree cap
-    and at least this support cap, they are the first rows of its keys, as
-    enumeration runs by support size, and its atom table is the one used.
+    The polynomials are key rows in enumeration order (`_bounded_keys`).
+    When `scan` is a scan of A at the same degree cap and at least this
+    support cap, they are the first rows of its keys, as enumeration runs by
+    support size, and its atom table is the one used.
     """
     A._require_verified()
     # both budgets are checked on the counts, before anything is enumerated
-    if weak:
-        monos = [A._zero_exp] + [
-            tuple(1 if t == i else 0 for t in range(A.n)) for i in range(A.n)
-        ]
-    else:
-        monos = multi_indices(A.n, 0, degree_cap)
+    monos = multi_indices(A.n, 0, degree_cap)
     total = _count_over_monomials(A, len(monos), support_cap)
-    if not weak and total > pair_budget:
+    if total > pair_budget:
         raise BudgetExceeded(total, pair_budget, "bounded polynomial enumeration")
     if total**2 > pair_budget:
         raise BudgetExceeded(total**2, pair_budget, "Armendariz pair enumeration")
-    if not weak and scan is not None and scan.A is A and scan.degree_cap == degree_cap and scan.support_cap >= support_cap:
+    if scan is not None and scan.A is A and scan.degree_cap == degree_cap and scan.support_cap >= support_cap:
         K, table = scan.keys[:total], scan.table
     else:
         K, table = _bounded_keys(len(monos), A.base.size, support_cap), AtomTable(A, monos)
@@ -946,9 +870,8 @@ def bounded_skew_armendariz(
                         },
                         degree_cap=degree_cap,
                         support_cap=support_cap,
-                        weak=weak,
                     )
-    return ArmendarizResult(True, degree_cap=degree_cap, support_cap=support_cap, weak=weak)
+    return ArmendarizResult(True, degree_cap=degree_cap, support_cap=support_cap)
 
 
 def _polys_over_monomials(A: ExtensionPresentation, monos: list, support_cap: int) -> list:

@@ -594,28 +594,6 @@ def _additive_closure(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
         mask = merged
 
 
-def _ideal_closure(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
-    """Smallest two-sided ideal containing the masked set (closure iteration)."""
-    mul = ring.mul_table
-    mask = _additive_closure(ring, mask)
-    while True:
-        idx = np.nonzero(mask)[0]
-        new = np.zeros_like(mask)
-        new[mul[:, idx].ravel()] = True
-        new[mul[idx, :].ravel()] = True
-        merged = mask | new
-        if (merged == mask).all():
-            return mask
-        mask = _additive_closure(ring, merged)
-
-
-def ideal_generated_by(ring: FiniteRing, elements: Iterable[RingElement]) -> Ideal:
-    mask = ring.mask_of(elements)
-    mask[0] = True
-    closed = _ideal_closure(ring, mask)
-    return Ideal.from_mask(ring, closed)
-
-
 def ideal_power_index(ideal: Ideal) -> Optional[int]:
     """The least t with I^t = 0, or None if no power of I is zero.
 

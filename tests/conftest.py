@@ -1,6 +1,8 @@
 import pytest
 
 from skewpbw import corpus
+from skewpbw.extension import make_extension
+from skewpbw.maps import SigmaSystem, identity_map, make_sigma_derivation
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +53,23 @@ def heisenberg2():
 @pytest.fixture(scope="session")
 def q8_twisted():
     return corpus.q8_twist()
+
+
+@pytest.fixture(scope="session")
+def weyl_corrupted():
+    """A deliberately inconsistent two-variable Weyl variant, never verified.
+
+    delta_1 = d/dy over Z_2[y]/(y^2) with the inter-variable relation
+    x_2 x_1 = x_1 x_2 + y x_1: the linear tail breaks the overlap
+    (x_2 x_1) y = x_2 (x_1 y), so verify_presentation must fail.
+    """
+    ring = corpus.trunc_poly(2, 2)
+    ident = identity_map(ring)
+    ddy = make_sigma_derivation(ring, ident, corpus._ddy_matrix(ring), name="d/dy")
+    system = SigmaSystem([ident, ident], [ddy, None])
+    y = ring.el([0, 1])
+    tails = {(1, 2): (ring.zero, (y, ring.zero))}
+    return make_extension(ring, system, tails=tails, name="weyl_like_corrupted")
 
 
 @pytest.fixture(scope="session")

@@ -12,13 +12,13 @@ import pytest
 import skewpbw
 from skewpbw import cli
 from skewpbw.cli import main
-from skewpbw.corpus import CorpusEntry, q8_twist, weyl_like_corrupted
+from skewpbw.corpus import CorpusEntry, q8_twist
 from skewpbw.defio import definition_to_text, entry_to_definition, parse_poly
 from skewpbw.probes import BoundedScan, ProbeResult, bounded_NI_check, nilpotency_probe
 
 
 @pytest.fixture(scope="module")
-def files(tmp_path_factory):
+def files(tmp_path_factory, weyl_corrupted):
     """Exported definition files for the fixtures the CLI tests drive."""
     base = tmp_path_factory.mktemp("defs")
     out = {}
@@ -46,8 +46,8 @@ def files(tmp_path_factory):
         path.write_text(definition_to_text(entry_to_definition(entry)))
         out[name] = str(path)
 
-    corrupted = CorpusEntry(name="corrupted", ring=weyl_like_corrupted().base)
-    corrupted.presentation = weyl_like_corrupted()
+    corrupted = CorpusEntry(name="corrupted", ring=weyl_corrupted.base)
+    corrupted.presentation = weyl_corrupted
     path = base / "corrupted.json"
     path.write_text(definition_to_text(entry_to_definition(corrupted)))
     out["corrupted"] = str(path)

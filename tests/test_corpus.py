@@ -12,7 +12,6 @@ from skewpbw.corpus import (
     standard_corpus,
     trunc_poly,
     weyl_like,
-    weyl_like_corrupted,
     zn,
 )
 from skewpbw.defio import definition_to_text, entry_to_definition, parse_definition
@@ -25,8 +24,8 @@ def test_all_presentations_verify(corpus_entries):
         assert entry.presentation.verified, entry.name
 
 
-def test_corrupted_fixture_constructs_but_fails_verification():
-    bad = weyl_like_corrupted()
+def test_corrupted_fixture_constructs_but_fails_verification(weyl_corrupted):
+    bad = weyl_corrupted
     assert not bad.verified
     with pytest.raises(OverlapFails):
         verify_presentation(bad)

@@ -13,7 +13,7 @@ from skewpbw import (
     make_sigma_derivation,
     verify_presentation,
 )
-from skewpbw.corpus import matrix_upper, product_ring, trunc_poly, weyl_like_corrupted, zn
+from skewpbw.corpus import matrix_upper, product_ring, trunc_poly, zn
 from skewpbw.errors import (
     NonInjectiveSigma,
     OverlapFails,
@@ -97,9 +97,9 @@ def test_verify_quasi_commutative_two_vars(quasi_z3):
     assert quasi_z3.presentation.verified
 
 
-def test_corrupted_fixture_fails_overlap():
+def test_corrupted_fixture_fails_overlap(weyl_corrupted):
     with pytest.raises(OverlapFails) as err:
-        verify_presentation(weyl_like_corrupted())
+        verify_presentation(weyl_corrupted)
     assert err.value.lhs != err.value.rhs
 
 

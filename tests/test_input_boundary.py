@@ -4,7 +4,8 @@ Mutated files: each example exports a corpus entry, then replaces, deletes or
 duplicates one or two JSON nodes, and runs the result in-process through
 verify, classify, radicals and a check at the smallest budget.  Malformed
 input must exit 2, a failed verification 1; an exception that escapes `main`
-fails the test.
+fails the test.  Well-typed fields that the engine rejects exit 2 naming
+their block.
 
 Valid files: random small extensions outside the corpus export, parse and
 export back to the same text, and the parsed presentation verifies.
@@ -18,6 +19,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewpbw import corpus
@@ -84,6 +86,42 @@ def test_mutated_definitions_exit_with_a_documented_code(data):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([verb, str(path), *flags])
             assert code in (0, 1, 2, 3), (verb, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "block, edit, message",
+    [
+        pytest.param(
+            "extension", lambda doc: doc["extension"]["d"][0].update(value=[0]), "d_{1,2} must be nonzero", id="zero-d"
+        ),
+        pytest.param(
+            "maps[0]",
+            lambda doc: doc["maps"][0].update(matrix=[[2]]),
+            "map is not multiplicative on generator pair (e1, e1)",
+            id="not-multiplicative",
+        ),
+        pytest.param(
+            "ring.degrees",
+            lambda doc: doc["ring"].update(degrees=[1]),
+            "identity has a component of positive degree",
+            id="graded-one",
+        ),
+        pytest.param(
+            "extension",
+            lambda doc: doc["extension"].update(deltas=["sigma1", None]),
+            "every delta must be a verified sigma-derivation",
+            id="endomorphism-as-delta",
+        ),
+    ],
+)
+def test_engine_errors_name_their_block(tmp_path, capsys, block, edit, message):
+    # well-typed fields that define no valid ring, map or extension
+    doc = json.loads(exported("poly_z4_2v"))
+    edit(doc)
+    path = tmp_path / "def.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {block}: {message}\n"
 
 
 # commutative bases as (size, builder), and the products of two of them with

@@ -29,7 +29,6 @@ from skewpbw.probes import (
     BoundedScan,
     ProbeResult,
     coefficient_agreement,
-    coefficient_criterion_member,
     enumerate_bounded_polys,
     nilpotency_probe,
 )
@@ -192,7 +191,7 @@ def test_no_module_certifies_zero(name):
 def scalar_agreement(scan):
     unknown = 0
     for f, r in scan.results():
-        member = coefficient_criterion_member(f)
+        member = f.ext.base.nilpotent_mask[list(f.terms.values())].all()
         if r.proved_nilpotent and not member:
             return (False, "probe->criterion", f, 0)
         if member and r.proved_not_nilpotent:
