@@ -489,10 +489,6 @@ class SearchOutcome:
     witness: Optional[str] = None
     tried: int = 0
 
-    @property
-    def exhausted(self) -> bool:
-        return not self.found
-
 
 def _failure(tv: Optional[TV]) -> Optional[str]:
     return tv.witness if tv is not None and not tv.value else None

@@ -260,13 +260,13 @@ def test_search_not_ni_over_swap_family():
 
 def test_search_not_ni_exhausted_on_delta_invariant_family():
     outcome = counterexample_search("not-NI", "delta-invariant-derivation")
-    assert outcome.exhausted
+    assert not outcome.found
     assert outcome.tried == 2
 
 
 def test_search_not_weak_compatible_exhausted_on_identity_systems():
     outcome = counterexample_search("not-weak-compatible", "identity-systems")
-    assert outcome.exhausted
+    assert not outcome.found
 
 
 def test_search_reduced_base_not_ni(swap_entry):
@@ -276,7 +276,7 @@ def test_search_reduced_base_not_ni(swap_entry):
 
 def test_search_not_delta_invariant(weyl2, euler2):
     assert counterexample_search("not-delta-invariant-nilradical", [weyl2]).found
-    assert counterexample_search("not-delta-invariant-nilradical", [euler2]).exhausted
+    assert not counterexample_search("not-delta-invariant-nilradical", [euler2]).found
 
 
 def test_report_schema_is_stable(euler2):
