@@ -6,10 +6,12 @@ the Leibniz rule on all generator pairs extends to the whole ring by
 biadditivity.
 
 The sigma-words sigma^alpha form a finite monoid (maps on a finite set), so
-compatibility and rigidity over all alpha are decided exactly by closing the
-generating set under composition.  Composite delta-words do not close up in
-general, so every delta-quantified predicate is bounded by a word-length cap
-and says so in its result.
+rigidity over all alpha is decided exactly by closing the generating set
+under composition.  Sigma- and Delta-compatibility are closed under
+composition themselves, so they are decided exactly on the generators
+(`_compatible`, `_delta_compatible`).  A Delta-compatibility result still
+carries the word-length cap that bounded it when composite delta-words were
+tried one by one, as reports print it.
 
 The weak predicates are the exact ones with N(R) in place of 0: each exact/weak
 pair (Sigma-compatibility, Delta-compatibility, rigidity of a subset S) is one
@@ -33,7 +35,7 @@ from .errors import (
 )
 from .rings import FiniteRing, Ideal, RingElement
 
-DELTA_WORD_CAP = 4  # the longest delta-word the Delta-quantified predicates try
+DELTA_WORD_CAP = 4  # the word cap a Delta-compatibility result reports
 
 ENDOMORPHISM = "endomorphism"
 SIGMA_DERIVATION = "sigma_derivation"
@@ -211,7 +213,6 @@ class SigmaSystem:
                 raise BadShape(f"delta_{i + 1} is not a derivation for sigma_{i + 1}")
             self.deltas.append(d)
         self._closure: Optional[list[tuple[tuple, np.ndarray]]] = None
-        self._delta_words: Optional[list[tuple[tuple, np.ndarray]]] = None
 
     @property
     def has_nontrivial_delta(self) -> bool:
@@ -254,19 +255,6 @@ class SigmaSystem:
                 arr = self.sigmas[i].index_array[arr]
         return arr
 
-    def delta_words(self) -> list[tuple[tuple, np.ndarray]]:
-        """Composites delta^beta = delta_1^b1 o ... o delta_n^bn, 1 <= |beta| <= DELTA_WORD_CAP."""
-        if self._delta_words is None:
-            out = []
-            for beta in multi_indices(self.n, 1, DELTA_WORD_CAP):
-                arr = np.arange(self.ring.size, dtype=np.int64)
-                for i in range(self.n - 1, -1, -1):
-                    for _ in range(beta[i]):
-                        arr = self.deltas[i].index_array[arr]
-                out.append((beta, arr))
-            self._delta_words = out
-        return self._delta_words
-
 
 def multi_indices(n: int, lo: int, hi: int) -> list:
     """All beta in N^n with lo <= |beta| <= hi, graded lexicographic."""
@@ -301,7 +289,7 @@ def is_sigma_compatible(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
 
 
 def is_delta_compatible(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
-    """a*b = 0 implies a*delta^beta(b) = 0, for |beta| up to the word cap."""
+    """a*b = 0 implies a*delta^beta(b) = 0, for all a, b and all beta."""
     return _delta_compatible(ring, system, _zero_mask(ring))
 
 
@@ -311,7 +299,7 @@ def is_weak_sigma_compatible(ring: FiniteRing, system: SigmaSystem) -> CompatRes
 
 
 def is_weak_delta_compatible(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
-    """a*b in N(R) implies a*delta^beta(b) in N(R), bounded by the word cap."""
+    """a*b in N(R) implies a*delta^beta(b) in N(R)."""
     return _delta_compatible(ring, system, ring.nilpotent_mask)
 
 
@@ -330,24 +318,49 @@ def _zero_mask(ring: FiniteRing) -> np.ndarray:
 
 
 def _compatible(ring: FiniteRing, system: SigmaSystem, Z: np.ndarray) -> CompatResult:
-    """a*sigma^alpha(b) in Z  iff  a*b in Z; the first failure in closure order, then (a, b)."""
+    """a*sigma^alpha(b) in Z  iff  a*b in Z; the first failure in closure order, then (a, b).
+
+    Column b of Z[mul] holds, for every a, whether a*b lies in Z, so the
+    condition on one word tau reads: column tau(b) equals column b, for
+    every b.  If it holds for sigma_i and for tau, it holds for sigma_i o
+    tau: column sigma_i(tau(b)) equals column tau(b), which equals column b.
+    The identity satisfies it, so it holds on the whole closure iff it holds
+    on each sigma_i, and only the generators are tested.  The first failing
+    word is the one the closure would give: a word fails only if some
+    generator does, the closure lists its words of length 1 first, sigma_1
+    first, and the first failing sigma_i is among them (the identity and
+    the generators before it pass, so none equals it).  Within that word
+    Z[mul[:, tau]] is the same array, so the row-major first (a, b) is too.
+    """
     mul = ring.mul_table
     base = Z[mul]
-    for word, arr in system.sigma_closure():
-        differ = Z[mul[:, arr]] != base  # [a, b] -> a * tau(b) in Z, against a * b in Z
+    for i, sigma in enumerate(system.sigmas):
+        differ = Z[mul[:, sigma.index_array]] != base  # [a, b] -> a * sigma_i(b) in Z, against a * b in Z
         if differ.any():
             a, b = map(int, np.argwhere(differ)[0])
-            return CompatResult(False, (ring.element_from_index(a), ring.element_from_index(b), _word_name("sigma", word)))
+            return CompatResult(False, (ring.element_from_index(a), ring.element_from_index(b), _word_name("sigma", (i + 1,))))
     return CompatResult(True)
 
 
 def _delta_compatible(ring: FiniteRing, system: SigmaSystem, Z: np.ndarray) -> CompatResult:
-    """a*b in Z implies a*delta^beta(b) in Z, for |beta| up to the word cap."""
+    """a*b in Z implies a*delta^beta(b) in Z, for all a, b and all beta; the first failure, then (a, b).
+
+    Column b of Z[mul] holds, for every a, whether a*b lies in Z, so the
+    condition on one word d reads: column b is contained in column d(b),
+    for every b.  If it holds for delta_i and for d, it holds for delta_i o
+    d: column b lies in column d(b), which lies in column delta_i(d(b)).  So
+    every delta^beta passes iff each delta_i does, and only the delta_i are
+    tested, in `multi_indices` order, delta_n first.  That order lists the
+    words of length 1 before any longer word, so the first failing word,
+    and its row-major first (a, b), are those that testing every word up to
+    DELTA_WORD_CAP in that order gives.  The result still reports that cap
+    as `bounded` when some delta_i is nonzero.
+    """
     mul = ring.mul_table
     base = Z[mul]
     bounded = DELTA_WORD_CAP if system.has_nontrivial_delta else None
-    for beta, arr in system.delta_words():
-        bad = base & ~Z[mul[:, arr]]
+    for beta in multi_indices(system.n, 1, 1):
+        bad = base & ~Z[mul[:, system.deltas[beta.index(1)].index_array]]
         if bad.any():
             a, b = map(int, np.argwhere(bad)[0])
             return CompatResult(False, (ring.element_from_index(a), ring.element_from_index(b), f"delta^{beta}"), bounded)
@@ -355,7 +368,7 @@ def _delta_compatible(ring: FiniteRing, system: SigmaSystem, Z: np.ndarray) -> C
 
 
 def _rigid(ring: FiniteRing, system: SigmaSystem, S: np.ndarray) -> CompatResult:
-    """r*sigma^alpha(r) in S implies r in S."""
+    """r*sigma^alpha(r) in S implies r in S, on the whole closure: unlike compatibility, not closed under composition."""
     mul = ring.mul_table
     idx = np.arange(ring.size)
     for word, arr in system.sigma_closure():

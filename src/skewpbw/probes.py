@@ -224,15 +224,21 @@ class BoundedScan:
     sorted by (degree, exponents), so a row's deglex-leading term is its last
     nonzero column, and the leading chain is one gather from the table of
     `_leading_chain_row` at that column and coefficient.  The rows it leaves
-    open go to `FiniteModules.decide` in row blocks, and only the rows no
-    module decides become polynomials, for the power chain.  `status` holds
-    each row's outcome as a code into `RESULTS` (nilpotent, not nilpotent by
-    either certificate, unknown), and `index` the nilpotency index of the
-    nilpotent rows; `result` and `results` turn them back into `ProbeResult`s.
-    `proved_nilpotent` holds the polynomials of the nilpotent rows, whose rows
-    are `nilpotent_rows`.  The closure rows that `probe` decides outside the
-    scanned set are kept in `closure_probes`.  `certificate` is the store's
-    invariant J(R) when its t <= exponent_cap.
+    open go to `FiniteModules.decide` in row blocks.  `certificate` is the
+    store's invariant J(R) when its t = `nil_index` <= exponent_cap.  Every
+    row that no module decides and whose coefficients all lie in J(R) is
+    then an f in J(R)<x> with f^t = 0 (proof at `_probe_rows`), and as the
+    certificates of the ladder are sound, `nilpotency_probe(f)` is
+    nilpotent(k) with k <= t: one mask gather marks all such rows
+    nilpotent.  Only the remaining rows become polynomials, for the power
+    chain.  `status` holds each row's outcome as a code into `RESULTS`
+    (nilpotent, not nilpotent by either certificate, unknown), and `index`
+    the nilpotency index of the nilpotent rows, 0 for a row certified in
+    J(R)<x> until `result` first reads it; `result` and `results` turn them
+    back into `ProbeResult`s.  `nilpotent_rows` are the nilpotent rows, in
+    order, and `poly` builds a row's polynomial when a witness needs it.
+    The closure rows that `probe` decides outside the scanned set are kept
+    in `closure_probes`.
     """
 
     # the codes of `status`, and the (status, reason) of the probe result each stands for
@@ -260,8 +266,10 @@ class BoundedScan:
         self._col = {alpha: k for k, alpha in enumerate(monos)}
         modules = finite_modules(A)
         self.certificate: Optional[Ideal] = None
+        self.nil_index: Optional[int] = None
         if modules.nil_index is not None and modules.nil_index <= exponent_cap:
             self.certificate = Ideal.from_mask(A.base, modules.jacobson_mask)
+            self.nil_index = modules.nil_index
         K = self.keys = _bounded_keys(len(monos), A.base.size, support_cap)
         self.status = np.full(len(K), self.MODULE_CODE, dtype=np.int8)
         self.index = np.zeros(len(K), dtype=np.int32)
@@ -274,17 +282,19 @@ class BoundedScan:
             self.status[holds] = self.LEADING_CODE
             open_rows = open_rows[~holds]
         block = max(1, BLOCK_ENTRIES // modules.width)
-        chains = []
+        chains = [np.zeros(0, dtype=np.intp)]
         for lo in range(0, len(open_rows), block):
             rows = open_rows[lo : lo + block]
             chains.append(rows[~modules.decide(K[rows], monos)])
-        self.proved_nilpotent: list[SkewPolynomial] = []
-        for i in np.concatenate(chains).tolist() if chains else []:
-            f = self.poly(i)
-            r = _power_chain(f, exponent_cap)
+        open_rows = np.concatenate(chains)
+        if self.certificate is not None:
+            certified = self.certificate.mask[K[open_rows]].all(axis=1)
+            self.status[open_rows[certified]] = self.NILPOTENT_CODE
+            open_rows = open_rows[~certified]
+        for i in open_rows.tolist():
+            r = _power_chain(self.poly(i), exponent_cap)
             if r.proved_nilpotent:
                 self.status[i], self.index[i] = self.NILPOTENT_CODE, r.index
-                self.proved_nilpotent.append(f)
             else:
                 self.status[i] = self.UNKNOWN_CODE
         self.nilpotent_rows = np.flatnonzero(self.status == self.NILPOTENT_CODE)
@@ -302,9 +312,22 @@ class BoundedScan:
         return SkewPolynomial(self.A, dict(zip(self.monos, self.keys[i].tolist())))
 
     def result(self, i: int) -> ProbeResult:
-        """The probe result of row i."""
+        """The probe result of row i.
+
+        A row certified in J(R)<x> has f^t = 0 with t = `nil_index`, and
+        every nonzero row has index at least 2, so index 0 marks a row whose
+        index is not computed yet.  The first read computes it by the power
+        chain of f, within t steps, and stores it.  A chain that does not
+        vanish by then would contradict the certificate: that is an engine
+        error, raised, never an unknown result.
+        """
         status, reason = self.RESULTS[self.status[i]]
         if status == NILPOTENT:
+            if not self.index[i]:
+                r = _power_chain(self.poly(i), self.nil_index)
+                if not r.proved_nilpotent:
+                    raise NotProvedNilpotent(f"row {i} is in J(R)<x> but its power {self.nil_index} is not 0")
+                self.index[i] = r.index
             return ProbeResult(status, index=int(self.index[i]))
         return ProbeResult(status, reason=reason, cap=self.exponent_cap if status == UNKNOWN else None)
 
@@ -407,7 +430,7 @@ def bounded_NI_check(
         scan = BoundedScan(A, degree_cap, support_cap, exponent_cap, pair_budget)
     if scan.ni_result is not None:
         return scan.ni_result
-    pn = scan.proved_nilpotent
+    pn = scan.nilpotent_rows
     H = len(scan.keys)
     ops = H + len(pn) * len(pn) + 2 * len(pn) * H
     if ops > pair_budget:
@@ -422,10 +445,10 @@ def bounded_NI_check(
         )
         return scan.ni_result
 
-    if pn:
+    if len(pn):
         table = scan.table
         K = scan.keys
-        K_pn = K[scan.nilpotent_rows]
+        K_pn = K[pn]
         certified = np.zeros(len(pn), dtype=bool)
         if scan.certificate is not None:
             certified = scan.certificate.mask[K_pn].all(axis=1)
@@ -456,7 +479,7 @@ def bounded_NI_check(
                     unknown_checks += u
                     if hit is not None:
                         kind = "left_product" if hit[0] % 2 == 0 else "right_product"
-                        return verdict(kind, pn[i], scan.poly(lo + hit[0] // 2), hit)
+                        return verdict(kind, scan.poly(pn[i]), scan.poly(lo + hit[0] // 2), hit)
         # sums f + g over the pairs i <= j of proved nilpotents, i-major;
         # row i starts at flat pair index i n - i (i - 1) / 2
         seen_sums: dict = {}
@@ -471,7 +494,7 @@ def bounded_NI_check(
             checks += c
             unknown_checks += u
             if hit is not None:
-                return verdict("sum", pn[I[hit[0]]], pn[J[hit[0]]], hit)
+                return verdict("sum", scan.poly(pn[I[hit[0]]]), scan.poly(pn[J[hit[0]]]), hit)
     status = NICheckResult.CONSISTENT if unknown_checks == 0 else NICheckResult.INCONCLUSIVE
     scan.ni_result = NICheckResult(status, stats=_scan_stats(scan, checks, unknown_checks))
     return scan.ni_result
@@ -732,7 +755,7 @@ def _zero_products(table: AtomTable, V: np.ndarray, support_cap: int):
 def _scan_stats(scan: BoundedScan, checks: int, unknown_checks: int) -> dict:
     return {
         "enumerated": len(scan.keys),
-        "proved_nilpotent": len(scan.proved_nilpotent),
+        "proved_nilpotent": len(scan.nilpotent_rows),
         "scan_unknown": scan.scan_unknown,
         "closure_checks": checks,
         "closure_unknown": unknown_checks,

@@ -713,7 +713,6 @@ class RingProfile:
     abelian: bool
     dedekind_finite: bool
     locally_finite: bool
-    nilpotents: frozenset = field(repr=False)
     prime_radical: Ideal = field(repr=False)
     levitzki_radical: Ideal = field(repr=False)
     upper_nilradical: Ideal = field(repr=False)
@@ -722,6 +721,12 @@ class RingProfile:
     def flags(self) -> dict:
         """The boolean predicates: the fields shown in the repr."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+
+    @cached_property
+    def nilpotents(self) -> frozenset:
+        """N(R) as a set of elements, built on first read from the ring's cached mask."""
+        ring = self.jacobson_radical.ring
+        return ring.set_of(ring.nilpotent_mask)
 
 
 def _symmetric(ring: FiniteRing, zero: np.ndarray) -> bool:
@@ -820,8 +825,8 @@ def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile
     under the ideal operations.  Dedekind-finite and locally finite hold in
     every finite ring (the first by the argument at
     `FiniteRing.units_mask`), so both are recorded, not computed.  The ring
-    caches the flags, and the radicals as masks; the profile's ideals and
-    nilpotent set are rebuilt from them on every call.
+    caches the flags, and the radicals as masks; the profile's ideals are
+    rebuilt from them on every call, and its nilpotent set on first read.
     """
     ring._require_size("classification")
     if ring.size > cap:
@@ -853,7 +858,6 @@ def classify_ring(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> RingProfile
         )
     return RingProfile(
         **ring._profile,
-        nilpotents=ring.set_of(nil),
         prime_radical=Nlower,
         levitzki_radical=L,
         upper_nilradical=Nupper,

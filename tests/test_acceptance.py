@@ -226,7 +226,8 @@ def test_acceptance_09_ni_iff_nj_bounded_face(corpus):
     scan = BoundedScan(A, 2, 3, 8)
     one = A.one_poly()
     witnessed = 0
-    for f in scan.proved_nilpotent:
+    for i in scan.nilpotent_rows:
+        f = scan.poly(i)
         g = quasi_regularity_witness(f, 8)
         assert (one + f) * g == one and g * (one + f) == one
         witnessed += 1

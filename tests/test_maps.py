@@ -1,7 +1,10 @@
 """Endomorphisms, sigma-derivations, closures, compatibility predicates."""
 
+import functools
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from skewpbw import (
@@ -21,15 +24,27 @@ from skewpbw import (
     nilpotent_set,
     zero_derivation,
 )
-from skewpbw.corpus import field4, product_ring, trunc_poly, zn
+from skewpbw.corpus import field4, matrix_upper, product_ring, trunc_poly, zn
 from skewpbw.errors import (
     DeltaOneNonzero,
     DoesNotFixOne,
     LeibnizFails,
     NotAdditiveWellDefined,
     NotMultiplicative,
+    SkewPBWError,
 )
-from skewpbw.maps import DELTA_INVARIANT, SIGMA_IDEAL, SIGMA_INVARIANT
+from skewpbw.maps import (
+    DELTA_INVARIANT,
+    DELTA_WORD_CAP,
+    SIGMA_IDEAL,
+    SIGMA_INVARIANT,
+    CompatResult,
+    _compatible,
+    _delta_compatible,
+    _word_name,
+    _zero_mask,
+    multi_indices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +222,7 @@ def test_delta_compatible_examples(dual_numbers):
 
     euler_sys = SigmaSystem([ident], [yddy(dual_numbers, ident)])
     res = is_delta_compatible(dual_numbers, euler_sys)
-    assert res.holds and res.bounded == 4  # semi-decision, word cap recorded
+    assert res.holds and res.bounded == 4  # decided on the generators; the word cap is still reported
 
 
 def test_weak_compat_examples(z2z2, dual_numbers):
@@ -414,3 +429,130 @@ def test_predicates_match_definitional_oracle(corpus_entries):
             if not res.holds:
                 failing.add(pred)
     assert len(failing) == 6  # every predicate fails somewhere, so witnesses are compared
+
+
+# ---------------------------------------------------------------------------
+# compatibility on the generators against the per-word loops
+# ---------------------------------------------------------------------------
+
+
+def word_loop_compatible(ring, system, Z):
+    """Sigma-compatibility as it was tested before: one pass per word of the closure, in closure order."""
+    mul = ring.mul_table
+    base = Z[mul]
+    for word, arr in system.sigma_closure():
+        differ = Z[mul[:, arr]] != base
+        if differ.any():
+            a, b = map(int, np.argwhere(differ)[0])
+            return CompatResult(False, (ring.element_from_index(a), ring.element_from_index(b), _word_name("sigma", word)))
+    return CompatResult(True)
+
+
+def word_loop_delta_words(system):
+    """delta^beta = delta_1^b1 o ... o delta_n^bn for 1 <= |beta| <= DELTA_WORD_CAP, in `multi_indices` order."""
+    out = []
+    for beta in multi_indices(system.n, 1, DELTA_WORD_CAP):
+        arr = np.arange(system.ring.size, dtype=np.int64)
+        for i in range(system.n - 1, -1, -1):
+            for _ in range(beta[i]):
+                arr = system.deltas[i].index_array[arr]
+        out.append((beta, arr))
+    return out
+
+
+def word_loop_delta_compatible(ring, system, Z):
+    """Delta-compatibility as it was tested before: one pass per delta-word up to the cap."""
+    mul = ring.mul_table
+    base = Z[mul]
+    bounded = DELTA_WORD_CAP if system.has_nontrivial_delta else None
+    for beta, arr in word_loop_delta_words(system):
+        bad = base & ~Z[mul[:, arr]]
+        if bad.any():
+            a, b = map(int, np.argwhere(bad)[0])
+            return CompatResult(False, (ring.element_from_index(a), ring.element_from_index(b), f"delta^{beta}"), bounded)
+    return CompatResult(True, bounded=bounded)
+
+
+def _failures_against_word_loops(ring, system) -> int:
+    """Both kernels against the word loops under {0} and N(R), witness included; how many cases fail."""
+    failures = 0
+    for Z in (_zero_mask(ring), ring.nilpotent_mask):
+        for kernel, loop in ((_compatible, word_loop_compatible), (_delta_compatible, word_loop_delta_compatible)):
+            got, want = kernel(ring, system, Z), loop(ring, system, Z)
+            assert (got.holds, got.witness, got.bounded) == (want.holds, want.witness, want.bounded), kernel.__name__
+            failures += not got.holds
+    return failures
+
+
+def test_generator_tests_match_word_loops_on_corpus(corpus_entries):
+    failures = sum(_failures_against_word_loops(e.ring, e.system) for e in corpus_entries)
+    assert 0 < failures < 4 * len(corpus_entries)
+
+
+SMALL_RINGS = {
+    "Z4": lambda: zn(4),
+    "Z8": lambda: zn(8),
+    "Z9": lambda: zn(9),
+    "Z2xZ2": lambda: product_ring(zn(2), zn(2)),
+    "F4": field4,
+    "Z2[y]/(y^2)": lambda: trunc_poly(2, 2),
+    "Z3[y]/(y^2)": lambda: trunc_poly(3, 2),
+    "Z2[y]/(y^3)": lambda: trunc_poly(2, 3),
+    "U2(Z2)": lambda: matrix_upper(2),
+    "Z4xZ2": lambda: product_ring(zn(4), zn(2)),
+    "Z2[y]/(y^2)xZ2": lambda: product_ring(trunc_poly(2, 2), zn(2)),
+}
+
+
+def _matrices(ring):
+    m = ring.m
+    for entries in itertools.product(*(range(ring.orders[s]) for s in range(m) for _ in range(m))):
+        yield [list(entries[s * m : (s + 1) * m]) for s in range(m)]
+
+
+@functools.cache
+def _small_family():
+    """(ring, [(sigma, delta), ...]): every endomorphism and every sigma-derivation for it, per small ring."""
+    out = []
+    for name in sorted(SMALL_RINGS):
+        ring = SMALL_RINGS[name]()
+        pairs = []
+        for M in _matrices(ring):
+            try:
+                sigma = make_endomorphism(ring, M)
+            except SkewPBWError:
+                continue
+            for D in _matrices(ring):
+                try:
+                    pairs.append((sigma, make_sigma_derivation(ring, sigma, D)))
+                except SkewPBWError:
+                    pass
+        out.append((ring, pairs))
+    return out
+
+
+def test_generator_tests_match_word_loops_on_small_rings():
+    # every (sigma, delta) as a 1-variable system, and a seeded sample of the
+    # 2-variable systems, on rings of at most 9 elements
+    family = _small_family()
+    two = [(ring, [p, q]) for ring, pairs in family for p in pairs for q in pairs]
+    systems = [(ring, [p]) for ring, pairs in family for p in pairs] + random.Random(27).sample(two, 2400)
+    failures = 0
+    for ring, pairs in systems:
+        failures += _failures_against_word_loops(ring, SigmaSystem([s for s, _ in pairs], [d for _, d in pairs]))
+    assert 0 < failures < 4 * len(systems)
+
+
+def test_first_failing_delta_is_delta_n(z2z2):
+    # both deltas fail, on different pairs: delta_2 is the word tried first
+    swap = make_endomorphism(z2z2, [[0, 1], [1, 0]])
+    d1 = make_sigma_derivation(z2z2, swap, [[0, 0], [1, 1]])
+    d2 = make_sigma_derivation(z2z2, swap, [[1, 1], [0, 0]])
+    first = is_delta_compatible(z2z2, SigmaSystem([swap], [d1])).witness
+    second = is_delta_compatible(z2z2, SigmaSystem([swap], [d2])).witness
+    assert first[:2] != second[:2]
+    system = SigmaSystem([swap, swap], [d1, d2])
+    res = is_delta_compatible(z2z2, system)
+    assert not res.holds and res.witness == (*second[:2], "delta^(0, 1)") and res.bounded == 4
+    want = word_loop_delta_compatible(z2z2, system, _zero_mask(z2z2))
+    assert (res.holds, res.witness, res.bounded) == (want.holds, want.witness, want.bounded)

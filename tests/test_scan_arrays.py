@@ -69,10 +69,11 @@ def _scan(name, which):
 @pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
 def test_scan_matches_the_old_loops(name, which):
     # the same key rows, the same leading-chain answers, the same rows sent
-    # on to the power chain, and the same statuses.  At doubled budgets the
-    # old loops take the power-chain results of the new scan for the rows
-    # both send there: `_power_chain` is one function, run on equal
-    # polynomials, and the rows that reach it are compared on their own.
+    # on to the power chain or decided by the J(R)<x> mask, and the same
+    # statuses.  At doubled budgets the old loops take the power-chain
+    # results of the new scan for the rows both send there: `_power_chain`
+    # is one function, run on equal polynomials, and the rows that reach it
+    # are compared on their own.
     A, scan = _scan(name, which)
     b = _budget(name, which)
     chained = {}
@@ -87,7 +88,7 @@ def test_scan_matches_the_old_loops(name, which):
     reached = np.isin(scan.status, [BoundedScan.NILPOTENT_CODE, BoundedScan.UNKNOWN_CODE])
     assert [polys[i] for i in np.flatnonzero(reached)] == list(chained)
     assert [scan.result(i) for i in range(len(polys))] == [status[f] for f in polys]
-    assert scan.proved_nilpotent == [f for f in polys if status[f].proved_nilpotent]
+    assert [scan.poly(i) for i in scan.nilpotent_rows] == [f for f in polys if status[f].proved_nilpotent]
     assert scan.scan_unknown == sum(r.status == probes.UNKNOWN for r in status.values())
 
 
@@ -113,6 +114,64 @@ def test_keys_are_the_enumeration_past_the_monomials():
         monos = multi_indices(A.n, 0, degree)
         keys = probes._bounded_keys(len(monos), A.base.size, support)
         assert np.array_equal(keys, coefficient_keys(_polys_over_monomials(A, monos, support), monos))
+
+
+def _certified_rows(scan):
+    """The nilpotent rows with every coefficient in the certificate J(R): the rows one mask gather decides."""
+    rows = scan.nilpotent_rows
+    if scan.certificate is None:
+        return rows[:0]
+    return rows[scan.certificate.mask[scan.keys[rows]].all(axis=1)]
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_check_builds_no_certified_row(name, tmp_path, monkeypatch):
+    # during a whole `check`, no row certified in J(R)<x> becomes a
+    # polynomial or runs a power chain
+    entry = corpus.BUILDERS[name]()
+    path = tmp_path / f"{name}.json"
+    path.write_text(defio.definition_to_text(defio.entry_to_definition(entry)), encoding="utf-8")
+    b = _budget(name, "recorded")
+    scans, built, chained = [], [], []
+    init, poly, power_chain = BoundedScan.__init__, BoundedScan.poly, probes._power_chain
+    monkeypatch.setattr(BoundedScan, "__init__", lambda self, *a: scans.append(self) or init(self, *a))
+    monkeypatch.setattr(BoundedScan, "poly", lambda self, i: built.append((self, int(i))) or poly(self, i))
+    monkeypatch.setattr(probes, "_power_chain", lambda f, cap: chained.append(f) or power_chain(f, cap))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["check", str(path), "--json", "--degree", str(b.degree_cap), "--support", str(b.support_cap),
+                  "--exponent", str(b.exponent_cap), "--pairs", str(b.pair_budget)])
+    monkeypatch.undo()
+    (scan,) = scans
+    certified = set(_certified_rows(scan).tolist())
+    assert not certified & {i for owner, i in built if owner is scan}
+    assert not {scan.poly(i) for i in certified} & set(chained)
+    assert not scan.index[list(certified)].any()  # no index read either
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_certified_rows_read_the_probe_index(name):
+    # the index computed on first read is nilpotency_probe's, at most t
+    A = corpus.BUILDERS[name]().presentation
+    scan = BoundedScan(A, *_budget(name, "recorded").caps())
+    rows = _certified_rows(scan)
+    assert not scan.index[rows].any()
+    for i in rows.tolist():
+        want = probes.nilpotency_probe(scan.poly(i), scan.exponent_cap)
+        assert scan.result(i) == want and 2 <= want.index <= scan.nil_index, (name, i)
+        assert scan.index[i] == want.index
+    if name in ("clifford_trunc_2", "euler_like_2", "euler_like_3", "poly_z4_2v", "q8_twist"):
+        assert len(rows)
+
+
+def test_certified_row_past_its_index_raises(q8_twisted):
+    # a chain that outlasts t contradicts the certificate: an engine error, not unknown
+    scan = BoundedScan(q8_twisted.presentation, 1, 1, 8)
+    i = int(_certified_rows(scan)[-1])
+    index = probes._power_chain(scan.poly(i), scan.nil_index).index
+    scan.nil_index = index - 1
+    with pytest.raises(probes.NotProvedNilpotent):
+        scan.result(i)
+    assert scan.index[i] == 0
 
 
 # ---------------------------------------------------------------------------
