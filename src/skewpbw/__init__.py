@@ -20,6 +20,7 @@ from .maps import (
     zero_derivation,
 )
 from .probes import (
+    BoundedScan,
     bounded_NI_check,
     bounded_skew_armendariz,
     enumerate_bounded_polys,

@@ -221,7 +221,7 @@ class Evidence:
         return entry.evidence.setdefault(budget.caps(), Evidence(entry, budget))
 
     scan = cached_property(lambda self: BoundedScan(self.A, *self.budget.caps()))
-    ni = cached_property(lambda self: bounded_NI_check(self.A, *self.budget.caps(), scan=self.scan))
+    ni = cached_property(lambda self: bounded_NI_check(scan=self.scan))
 
     @cached_property
     def A_NI(self) -> Optional[TV]:

@@ -308,9 +308,9 @@ def is_sigma_rigid(ring: FiniteRing, system: SigmaSystem) -> CompatResult:
     return _rigid(ring, system, _zero_mask(ring))
 
 
-def is_sigma_rigid_subset(ring: FiniteRing, system: SigmaSystem, subset) -> CompatResult:
-    """r*sigma^alpha(r) in S implies r in S."""
-    return _rigid(ring, system, _as_mask(ring, subset))
+def is_sigma_rigid_subset(ring: FiniteRing, system: SigmaSystem, mask: np.ndarray) -> CompatResult:
+    """r*sigma^alpha(r) in S implies r in S, for S given by its boolean mask over the element indices."""
+    return _rigid(ring, system, mask)
 
 
 def _zero_mask(ring: FiniteRing) -> np.ndarray:
@@ -407,11 +407,3 @@ def invariance(ideal: Ideal, system: SigmaSystem, mode: str) -> CompatResult:
             # sigma_i(I) is a proper subset of I
             return CompatResult(False, (None, None, f"sigma{i + 1} shrinks the ideal"))
     return CompatResult(True)
-
-
-def _as_mask(ring: FiniteRing, subset) -> np.ndarray:
-    if isinstance(subset, np.ndarray):
-        return subset
-    if isinstance(subset, Ideal):
-        return subset.mask
-    return ring.mask_of(subset)

@@ -186,8 +186,17 @@ def _count_over_monomials(A: ExtensionPresentation, n_monos: int, support_cap: i
     return sum(math.comb(n_monos, s) * nz**s for s in range(1, support_cap + 1))
 
 
-def count_bounded_polys(A: ExtensionPresentation, degree_cap: int, support_cap: int) -> int:
-    return _count_over_monomials(A, len(multi_indices(A.n, 0, degree_cap)), support_cap)
+def _admit_bounded_polys(A: ExtensionPresentation, monos: list, support_cap: int, budget: int) -> int:
+    """How many polynomials a bounded search over `monos` enumerates, checked before any is made.
+
+    Raises when A is not verified, and BudgetExceeded when the count is
+    over the budget: every bounded enumeration is admitted here.
+    """
+    A._require_verified()
+    total = _count_over_monomials(A, len(monos), support_cap)
+    if total > budget:
+        raise BudgetExceeded(total, budget, "bounded polynomial enumeration")
+    return total
 
 
 def enumerate_bounded_polys(
@@ -197,11 +206,9 @@ def enumerate_bounded_polys(
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> list[SkewPolynomial]:
     """All nonzero f with degree <= degree_cap and <= support_cap terms."""
-    A._require_verified()
-    total = count_bounded_polys(A, degree_cap, support_cap)
-    if total > budget:
-        raise BudgetExceeded(total, budget, "bounded polynomial enumeration")
-    return _polys_over_monomials(A, multi_indices(A.n, 0, degree_cap), support_cap)
+    monos = multi_indices(A.n, 0, degree_cap)
+    _admit_bounded_polys(A, monos, support_cap, budget)
+    return _polys_over_monomials(A, monos, support_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +260,13 @@ class BoundedScan:
         exponent_cap: int = DEFAULT_EXPONENT_CAP,
         pair_budget: int = DEFAULT_PAIR_BUDGET,
     ):
-        A._require_verified()
-        total = count_bounded_polys(A, degree_cap, support_cap)
-        if total > pair_budget:
-            raise BudgetExceeded(total, pair_budget, "bounded polynomial enumeration")
+        self.monos = monos = multi_indices(A.n, 0, degree_cap)
+        _admit_bounded_polys(A, monos, support_cap, pair_budget)
         self.A = A
         self.degree_cap = degree_cap
         self.support_cap = support_cap
         self.exponent_cap = exponent_cap
         self.pair_budget = pair_budget
-        self.monos = monos = multi_indices(A.n, 0, degree_cap)
         self._col = {alpha: k for k, alpha in enumerate(monos)}
         modules = finite_modules(A)
         self.certificate: Optional[Ideal] = None
@@ -358,7 +362,11 @@ class BoundedScan:
         return i + rank * r**s + digits
 
     def probe(self, f: SkewPolynomial) -> ProbeResult:
-        """nilpotency_probe of f at the scan's exponent cap, computed once."""
+        """nilpotency_probe of f at the scan's exponent cap, computed once.
+
+        A scanned f is answered from the arrays at its row (`row_of`); any
+        other f is probed on first use and kept in `closure_probes`.
+        """
         cols = [self._col.get(alpha, -1) for alpha in f.terms]
         if -1 not in cols:
             order = sorted(range(len(cols)), key=cols.__getitem__)
@@ -402,18 +410,13 @@ class NICheckResult:
     INCONCLUSIVE = "inconclusive"
 
 
-def bounded_NI_check(
-    A: ExtensionPresentation,
-    degree_cap: int,
-    support_cap: int,
-    exponent_cap: int = DEFAULT_EXPONENT_CAP,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    scan: Optional[BoundedScan] = None,
-) -> NICheckResult:
-    """Is the set of proved-nilpotent elements closed under + and *, at bounds?
+def bounded_NI_check(scan: BoundedScan) -> NICheckResult:
+    """Is the set of proved-nilpotent elements closed under + and *, at the scan's bounds?
 
     A proved-nilpotent pair whose sum or product is proved NOT nilpotent is a
-    genuine witness that N(A) is not an ideal, hence that A is not NI.
+    genuine witness that N(A) is not an ideal, hence that A is not NI.  The
+    caps and the operation budget are the scan's, and the result is kept in
+    `scan.ni_result`, so a second call returns it.
 
     The products of each proved nilpotent f with every scanned h come from
     the value rows of f in an `AtomTable`.  When f lies in J<x>, J the
@@ -426,15 +429,13 @@ def bounded_NI_check(
     scan's order, [h0 f, f h0, h1 f, ...].  The table, the key rows and the
     statuses are the scan's.
     """
-    if scan is None:
-        scan = BoundedScan(A, degree_cap, support_cap, exponent_cap, pair_budget)
     if scan.ni_result is not None:
         return scan.ni_result
     pn = scan.nilpotent_rows
     H = len(scan.keys)
     ops = H + len(pn) * len(pn) + 2 * len(pn) * H
-    if ops > pair_budget:
-        raise BudgetExceeded(ops, pair_budget, "NI closure check")
+    if ops > scan.pair_budget:
+        raise BudgetExceeded(ops, scan.pair_budget, "NI closure check")
     checks = unknown_checks = 0
 
     def verdict(kind: str, f, g, hit) -> NICheckResult:
@@ -455,7 +456,6 @@ def bounded_NI_check(
         # products first: the canonical witnesses (x*y on the Weyl-like fixture)
         # live in the multiplication face.  Per f the rows are
         # [h0 f, f h0, h1 f, ...], the order of the scalar scan this replaces.
-        seen_products: dict = {}
         factors = _factor_block(table, scan.support_cap)
         block = max(1, ROW_ENTRIES // (2 * table.width))
         cuts = [0, *(np.flatnonzero(np.diff(certified)) + 1).tolist(), len(pn)]
@@ -474,7 +474,7 @@ def bounded_NI_check(
                     rows = np.empty((2 * len(Kh), table.width), dtype=np.int16)
                     rows[0::2] = table.products(left, Kh)
                     rows[1::2] = table.products(right, Kh)
-                    c, u, hit = _probe_rows(scan, table, rows, table.out_monos, seen_products)
+                    c, u, hit = _probe_rows(scan, table, rows, table.out_monos)
                     checks += c
                     unknown_checks += u
                     if hit is not None:
@@ -482,7 +482,6 @@ def bounded_NI_check(
                         return verdict(kind, scan.poly(pn[i]), scan.poly(lo + hit[0] // 2), hit)
         # sums f + g over the pairs i <= j of proved nilpotents, i-major;
         # row i starts at flat pair index i n - i (i - 1) / 2
-        seen_sums: dict = {}
         n = len(pn)
         starts = np.arange(n) * n - np.arange(n) * (np.arange(n) - 1) // 2
         block = max(1, ROW_ENTRIES // K_pn.shape[1])
@@ -490,7 +489,7 @@ def bounded_NI_check(
             k = np.arange(lo, min(lo + block, n * (n + 1) // 2))
             I = np.searchsorted(starts, k, "right") - 1
             J = I + k - starts[I]
-            c, u, hit = _probe_rows(scan, table, table.plus(K_pn[J], K_pn[I]), table.monos, seen_sums)
+            c, u, hit = _probe_rows(scan, table, table.plus(K_pn[J], K_pn[I]), table.monos)
             checks += c
             unknown_checks += u
             if hit is not None:
@@ -500,9 +499,7 @@ def bounded_NI_check(
     return scan.ni_result
 
 
-def _probe_rows(
-    scan: BoundedScan, table: AtomTable, rows: np.ndarray, monos: list, seen: dict
-) -> tuple:
+def _probe_rows(scan: BoundedScan, table: AtomTable, rows: np.ndarray, monos: list) -> tuple:
     """Closure checks on element-index rows, in row order: (checks, unknown, hit).
 
     Zero rows are skipped, as the scalar scan skipped zero results.  When
@@ -521,15 +518,12 @@ def _probe_rows(
     `nilpotency_probe` are sound, `scan.probe` would return nilpotent(k)
     with k <= t <= cap.  So one mask test counts
     such rows as nilpotent checks; none becomes a polynomial.  The distinct
-    remaining rows are walked in order of first occurrence.  A row whose
-    support lies in the scanned monomials, within the support cap, is
-    answered from the scan's arrays at its row (`BoundedScan.row_of`); any
-    other is looked up in `seen` (row bytes -> probe result, shared by all
-    blocks of one face), and only a row not seen before becomes a
-    polynomial and goes through `scan.probe`.  The walk stops at the first
-    row proved not nilpotent; `hit` is (row, polynomial, probe) for that
-    row, whose first occurrence is then the first failing check.  Counts
-    cover the rows up to and including it.
+    remaining rows are walked in order of first occurrence, each as its
+    polynomial through `scan.probe`, as the scalar scan probed it.  The walk
+    stops at the first row proved not nilpotent; `hit` is (row, polynomial,
+    probe) for that row, whose first occurrence is then the first failing
+    check.  Counts cover the rows up to and including it, unknowns once per
+    occurrence.
     """
     nonzero = ~_zero_rows(rows)
     open_rows = nonzero
@@ -541,22 +535,14 @@ def _probe_rows(
     sub = np.ascontiguousarray(rows[todo])
     view = sub.view(np.dtype((np.void, sub.dtype.itemsize * sub.shape[1])))
     _, first, inverse = np.unique(view.ravel(), return_index=True, return_inverse=True)
-    cols = np.array([scan._col.get(alpha, -1) for alpha in monos])
     unknown = np.zeros(len(first), dtype=bool)
     hit = None
     for u in np.argsort(first):
         row = int(todo[first[u]])
-        support = np.flatnonzero(rows[row])
-        i = None if (cols[support] < 0).any() else scan.row_of(cols[support].tolist(), rows[row, support].tolist())
-        if i is not None:
-            r = scan.result(i)
-        else:
-            key = rows[row].tobytes()
-            r = seen.get(key)
-            if r is None:
-                r = seen[key] = scan.probe(table.poly(rows[row], monos))
+        f = table.poly(rows[row], monos)
+        r = scan.probe(f)
         if r.proved_not_nilpotent:
-            hit = (row, table.poly(rows[row], monos), r)
+            hit = (row, f, r)
             break
         unknown[u] = r.status == UNKNOWN
     end = len(rows) if hit is None else hit[0] + 1
@@ -851,12 +837,9 @@ def bounded_skew_armendariz(
     support cap, they are the first rows of its keys, as enumeration runs by
     support size, and its atom table is the one used.
     """
-    A._require_verified()
     # both budgets are checked on the counts, before anything is enumerated
     monos = multi_indices(A.n, 0, degree_cap)
-    total = _count_over_monomials(A, len(monos), support_cap)
-    if total > pair_budget:
-        raise BudgetExceeded(total, pair_budget, "bounded polynomial enumeration")
+    total = _admit_bounded_polys(A, monos, support_cap, pair_budget)
     if total**2 > pair_budget:
         raise BudgetExceeded(total**2, pair_budget, "Armendariz pair enumeration")
     if scan is not None and scan.A is A and scan.degree_cap == degree_cap and scan.support_cap >= support_cap:

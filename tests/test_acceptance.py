@@ -165,7 +165,7 @@ def test_acceptance_05_presentation_gate(corpus, weyl_corrupted):
 def test_acceptance_06_weak_compat_ni_transfer(corpus):
     entry = _by_name(corpus, "euler_like(2)")
     scan = BoundedScan(entry.presentation, 2, 3, 8)
-    result = bounded_NI_check(entry.presentation, 2, 3, 8, scan=scan)
+    result = bounded_NI_check(scan)
     assert result.status == NICheckResult.CONSISTENT
     assert result.stats["closure_unknown"] == 0
     nil = nilpotent_set(entry.ring)
@@ -181,7 +181,7 @@ def test_acceptance_06_weak_compat_ni_transfer(corpus):
 
 def test_acceptance_07_derivation_negative_face(corpus):
     entry = _by_name(corpus, "weyl_like(2)")
-    result = bounded_NI_check(entry.presentation, 2, 2, 8)
+    result = bounded_NI_check(BoundedScan(entry.presentation, 2, 2, 8))
     assert result.status == NICheckResult.VIOLATION
     w = result.witness
     A = entry.presentation
@@ -201,7 +201,7 @@ def test_acceptance_07_derivation_negative_face(corpus):
 
 def test_acceptance_08_hypothesis_not_vacuous(corpus):
     entry = _by_name(corpus, "swap_extension")
-    result = bounded_NI_check(entry.presentation, 2, 2, 8)
+    result = bounded_NI_check(BoundedScan(entry.presentation, 2, 2, 8))
     assert result.status == NICheckResult.VIOLATION
     w = result.witness
     A = entry.presentation

@@ -139,7 +139,7 @@ def test_nilpotent_verb_agrees_with_the_scan(tmp_path, capsys):
     assert (report["status"], report["index"], report["reason"], report["cap"]) == ("nilpotent", 4, None, None)
     A = entry.presentation
     scan = BoundedScan(A, 1, 1, 8)
-    bounded_NI_check(A, 1, 1, 8, scan=scan)
+    bounded_NI_check(scan)
     f = parse_poly(A, "[1,0,1,0,0,0,0,0]")
     assert scan.probe(f) == nilpotency_probe(f, 8) == ProbeResult("nilpotent", index=4)
 

@@ -27,6 +27,7 @@ from skewpbw.probes import (
     _row_ids,
     _zero_products,
     bounded_NI_check,
+    replay_violation,
 )
 from skewpbw.rings import Ideal
 
@@ -118,36 +119,37 @@ def test_bulk_decision_matches_per_row_walk(certified, data):
     scan, table, scanned, n_unknown = certified
     mask = scan.certificate.mask
     rows, cut = data.draw(_blocks(scanned, n_unknown, mask))
-    seen: dict = {}
+    scan.closure_probes.clear()  # the walk below probes rows in J<x> too
     checks = unknown = 0
     hit = None
     for lo, hi in ((0, cut), (cut, len(rows))):
-        c, u, h = _probe_rows(scan, table, rows[lo:hi], table.out_monos, seen)
+        c, u, h = _probe_rows(scan, table, rows[lo:hi], table.out_monos)
         checks += c
         unknown += u
         if h is not None:
             hit = (lo + h[0], h[1], h[2])
             break
+    # only rows outside J<x> were probed and remembered
+    assert all(not mask[list(f.terms.values())].all() for f in scan.closure_probes)
     assert (checks, unknown, None if hit is None else hit[0]) == _walk(scan, table, rows)
     if hit is not None:
         f = table.poly(rows[hit[0]], table.out_monos)
         assert hit[1] == f and hit[2] == scan.probe(f)
-    # only rows outside J<x> were remembered
-    assert all(not mask[np.frombuffer(key, dtype=np.int32)].all() for key in seen)
 
 
 def test_counts_stop_at_the_hit(certified):
-    # certified, unknown, not nilpotent, unknown again: the repeat after the
-    # hit is not a check, though it is a row of the same sub-block
+    # certified, unknown twice, not nilpotent, unknown again: each occurrence
+    # before the hit is an unknown check; the repeat after the hit is not a
+    # check, though it is a row of the same sub-block
     scan, table, scanned, _ = certified
     J_row = np.zeros(scanned.shape[1], dtype=np.int32)
     J_row[0] = np.flatnonzero(scan.certificate.mask)[1]
     statuses = [scan.probe(table.poly(row, table.out_monos)) for row in scanned]
     unknown_row = scanned[0]
     hit_row = scanned[next(i for i, r in enumerate(statuses) if r.proved_not_nilpotent)]
-    rows = np.array([J_row, unknown_row, hit_row, unknown_row])
-    c, u, hit = _probe_rows(scan, table, rows, table.out_monos, {})
-    assert (c, u, hit[0]) == _walk(scan, table, rows) == (3, 1, 2)
+    rows = np.array([J_row, unknown_row, unknown_row, hit_row, unknown_row])
+    c, u, hit = _probe_rows(scan, table, rows, table.out_monos)
+    assert (c, u, hit[0]) == _walk(scan, table, rows) == (4, 2, 3)
 
 
 def test_certified_closure_builds_no_polynomial(q8_twisted, monkeypatch):
@@ -162,7 +164,7 @@ def test_certified_closure_builds_no_polynomial(q8_twisted, monkeypatch):
         return real(self, key, monos)
 
     monkeypatch.setattr(AtomTable, "poly", counting)
-    result = bounded_NI_check(A, *caps, scan=scan)
+    result = bounded_NI_check(scan)
     assert result.status == NICheckResult.CONSISTENT
     assert result.stats["closure_checks"] == 281_987
     assert calls == []
@@ -230,10 +232,58 @@ def test_mixed_certified_factors_match_scalar_scan(swap_z4, caps, entries, monke
     certified = [bool(J[list(scan.poly(i).terms.values())].all()) for i in scan.nilpotent_rows]
     assert any(certified) and not all(certified)
     ref = oracle_NI_check(BoundedScan(swap_z4, *caps))
-    got = bounded_NI_check(swap_z4, *caps, scan=scan)
+    got = bounded_NI_check(scan)
     assert got.status == ref.status == NICheckResult.VIOLATION
     assert got.stats == ref.stats
     assert got.witness == ref.witness
+
+
+@pytest.mark.parametrize("name, caps", [("poly_z4_2v", (2, 2, 8)), ("euler_like_3", (2, 1, 8))])
+def test_uncertified_walk_matches_scalar_scan(name, caps):
+    # with the certificate off, every open closure row is walked through
+    # scan.probe, as the scalar scan probes it: the same polynomials are
+    # probed outside the scanned set (185 and 344 of them)
+    A = corpus.BUILDERS[name]().presentation
+    scan = BoundedScan(A, *caps)
+    scan.certificate = None
+    ref_scan = BoundedScan(A, *caps)
+    ref = oracle_NI_check(ref_scan)
+    got = bounded_NI_check(scan)
+    assert (got.status, got.stats, got.witness) == (ref.status, ref.stats, ref.witness)
+    assert scan.closure_probes == ref_scan.closure_probes
+    assert len(scan.closure_probes) == {"poly_z4_2v": 185, "euler_like_3": 344}[name]
+
+
+@pytest.fixture(scope="module")
+def cycle_z2_cubed():
+    """sigma(R)<x> over R = Z_2^3, sigma shifting the three coordinates cyclically.
+
+    For c != 1, (c x^a)^k has the coefficient c sigma^a(c) ... sigma^((k-1)a)(c),
+    which is 0 by k = 3 when a is 1 or 2, so every product of a proved
+    nilpotent c x with a polynomial of degree <= 1 and one term is
+    nilpotent or 0.  Yet e_1 x + e_2 x + e_3 x = x is not nilpotent: at
+    (1, 1, 8) the NI check first fails in the sum face.
+    """
+    z2 = corpus.zn(2)
+    ring = corpus.product_ring(corpus.product_ring(z2, z2), z2)
+    shift = make_endomorphism(ring, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], name="cyclic shift")
+    return verify_presentation(make_extension(ring, SigmaSystem([shift]), name="cycle_z2_cubed"))
+
+
+@pytest.mark.parametrize("entries", [probes.ROW_ENTRIES, 1])
+def test_sum_witness_is_the_first_failing_pair(cycle_z2_cubed, entries, monkeypatch):
+    monkeypatch.setattr(probes, "ROW_ENTRIES", entries)
+    caps = (1, 1, 8)
+    ref = oracle_NI_check(BoundedScan(cycle_z2_cubed, *caps))
+    got = bounded_NI_check(BoundedScan(cycle_z2_cubed, *caps))
+    assert got.status == ref.status == NICheckResult.VIOLATION
+    assert got.witness["kind"] == ref.witness["kind"] == "sum"
+    # (f, g) in the order of the scalar sum loop: f before g among the proved nilpotents
+    assert (got.witness["f"], got.witness["g"]) == (ref.witness["f"], ref.witness["g"])
+    assert got.witness["f"] != got.witness["g"]
+    assert got.witness == ref.witness and got.stats == ref.stats
+    assert got.witness["result"] == got.witness["f"] + got.witness["g"]
+    assert replay_violation(got.witness, exponent_cap=caps[2])
 
 
 @settings(max_examples=8, deadline=None)
@@ -255,7 +305,7 @@ def test_partly_certified_factors_match_scalar_scan(name, data):
     mask = np.zeros_like(scan.certificate.mask)
     mask[[0, *kept]] = True
     scan.certificate = Ideal.from_mask(A.base, mask)
-    got = bounded_NI_check(A, *caps, scan=scan)
+    got = bounded_NI_check(scan)
     assert (got.status, got.stats, got.witness) == (ref.status, ref.stats, ref.witness)
 
 

@@ -337,7 +337,7 @@ def test_ni_check_matches_scalar_scan(name):
     # the scan's key rows are its polynomials over the table's columns
     table = AtomTable(A, multi_indices(A.n, 0, caps[0]))
     assert [table.poly(row, table.monos) for row in scan.keys] == _polys_over_monomials(A, table.monos, caps[1])
-    got = bounded_NI_check(A, *caps, scan=scan)
+    got = bounded_NI_check(scan)
     assert got.status == ref.status
     assert got.stats == ref.stats
     assert (got.witness is None) == (ref.witness is None)
@@ -375,7 +375,7 @@ def test_scans_match_scalar_scans_past_the_monomials(name, caps):
     for shared in (None, scan):
         got = bounded_skew_armendariz(A, degree_cap, support_cap, scan=shared)
         assert (got.holds, got.witness) == oracle_armendariz(A, degree_cap, support_cap)
-    got = bounded_NI_check(A, degree_cap, support_cap, 8, scan=scan)
+    got = bounded_NI_check(scan)
     ref = oracle_NI_check(BoundedScan(A, degree_cap, support_cap, 8))
     assert (got.status, got.stats, got.witness) == (ref.status, ref.stats, ref.witness)
 
@@ -391,7 +391,7 @@ def test_scans_agree_across_row_blocks(name, monkeypatch):
         monkeypatch.setattr(probes, "BLOCK_ENTRIES", entries)
         monkeypatch.setattr(probes, "ROW_ENTRIES", entries)
         scan = BoundedScan(A, *caps)
-        got = bounded_NI_check(A, *caps, scan=scan)
+        got = bounded_NI_check(scan)
         assert (got.status, got.stats, got.witness) == (ref.status, ref.stats, ref.witness)
         _assert_status_matches(scan, ref_scan)
         small = bounded_skew_armendariz(A, min(caps[0], 2), min(caps[1], 2))

@@ -22,7 +22,7 @@ from skewpbw.harness import (
     run_check,
     shape_compatible,
 )
-from skewpbw.probes import NICheckResult, bounded_NI_check, replay_violation
+from skewpbw.probes import BoundedScan, NICheckResult, bounded_NI_check, replay_violation
 
 
 def check(tid, entry, budget=None):
@@ -54,7 +54,7 @@ def test_t1_swap_precondition_failed_with_witness(swap_entry):
     failed = [p for p in report.preconditions if p["holds"] is False]
     assert failed and all(p["witness"] for p in failed)
     # the hypothesis is not vacuous: the same instance violates NI closure
-    ni = bounded_NI_check(swap_entry.presentation, 2, 2, 8)
+    ni = bounded_NI_check(BoundedScan(swap_entry.presentation, 2, 2, 8))
     assert ni.status == NICheckResult.VIOLATION
 
 
@@ -241,7 +241,7 @@ def test_budget_monotonicity_spot_checks(euler2, quasi_z3, weyl2):
 def test_violation_witnesses_replay(swap_entry, weyl2, matrix_poly2):
     for entry in (swap_entry, weyl2, matrix_poly2):
         budget = SearchBudget(**entry.budget)
-        ni = bounded_NI_check(entry.presentation, *budget.caps())
+        ni = bounded_NI_check(BoundedScan(entry.presentation, *budget.caps()))
         assert ni.status == NICheckResult.VIOLATION, entry.name
         assert replay_violation(ni.witness), entry.name
 

@@ -261,8 +261,7 @@ def test_rigid_examples(z2z2):
     swap = make_endomorphism(z2z2, [[0, 1], [1, 0]])
     assert not is_sigma_rigid(z2z2, SigmaSystem([swap])).holds
 
-    subset = nilpotent_set(z4)
-    assert is_sigma_rigid_subset(z4, SigmaSystem([identity_map(z4)]), subset).holds
+    assert is_sigma_rigid_subset(z4, SigmaSystem([identity_map(z4)]), z4.nilpotent_mask).holds
 
 
 def test_compatible_implies_nilpotents_rigid(corpus_entries):
@@ -270,8 +269,7 @@ def test_compatible_implies_nilpotents_rigid(corpus_entries):
         sc = is_sigma_compatible(entry.ring, entry.system)
         dc = is_delta_compatible(entry.ring, entry.system)
         if sc.holds and dc.holds:
-            nil = nilpotent_set(entry.ring)
-            assert is_sigma_rigid_subset(entry.ring, entry.system, nil).holds, entry.name
+            assert is_sigma_rigid_subset(entry.ring, entry.system, entry.ring.nilpotent_mask).holds, entry.name
 
 
 def test_reduced_rigid_iff_compatible(corpus_entries):
@@ -422,7 +420,7 @@ def test_predicates_match_definitional_oracle(corpus_entries):
             "is_delta_compatible": is_delta_compatible(ring, system),
             "is_weak_delta_compatible": is_weak_delta_compatible(ring, system),
             "is_sigma_rigid": is_sigma_rigid(ring, system),
-            "is_sigma_rigid_subset": is_sigma_rigid_subset(ring, system, nilpotent_set(ring)),
+            "is_sigma_rigid_subset": is_sigma_rigid_subset(ring, system, ring.nilpotent_mask),
         }
         for pred, res in observed.items():
             assert _observed(res) == expected[pred], (name, pred)

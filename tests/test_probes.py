@@ -236,7 +236,7 @@ def test_scan_probes_are_nilpotency_probes(name):
     b = entry.budget
     caps = (b["degree_cap"], b["support_cap"], b["exponent_cap"])
     scan = BoundedScan(A, *caps)
-    bounded_NI_check(A, *caps, scan=scan)
+    bounded_NI_check(scan)
     for f, r in [*scan.results(), *scan.closure_probes.items()]:
         assert r == nilpotency_probe(f, scan.exponent_cap), (name, f, r)
         assert isinstance(r.index, int) == r.proved_nilpotent, (name, f, r)
@@ -284,7 +284,7 @@ def test_ideal_power_certificate_needs_delta_invariance(weyl2):
     assert invariance(J, A.system, SIGMA_INVARIANT).holds
     assert not invariance(J, A.system, DELTA_INVARIANT).holds  # d/dy(y) = 1
     scan = BoundedScan(A, 2, 2, 8)
-    bounded_NI_check(A, 2, 2, 8, scan=scan)
+    bounded_NI_check(scan)
     assert scan.certificate is None
     # y x lies in J<x>, yet (yx)^2 = y(yx + 1)x = yx: not nilpotent
     f = A.scalar(weyl2.ring.el([0, 1])) * A.variable(1)
@@ -299,7 +299,7 @@ def test_ideal_power_certificate_needs_cap_at_least_t(q8_twisted):
     assert invariance(J, A.system, SIGMA_INVARIANT).holds
     assert invariance(J, A.system, DELTA_INVARIANT).holds
     scan = BoundedScan(A, 1, 1, 4)  # J^5 = 0 but J^4 != 0
-    bounded_NI_check(A, 1, 1, 4, scan=scan)
+    bounded_NI_check(scan)
     assert scan.certificate is None
     results = [*scan.results(), *scan.closure_probes.items()]
     assert all(r == nilpotency_probe(f, 4) for f, r in results)
@@ -385,6 +385,10 @@ def test_enumeration_counts(euler2):
 def test_enumeration_budget_guard(euler2):
     with pytest.raises(BudgetExceeded):
         enumerate_bounded_polys(euler2.presentation, 2, 3, budget=10)
+    # the budget bounds the count of polynomials, 63 here, inclusively
+    assert len(enumerate_bounded_polys(euler2.presentation, 2, 3, budget=63)) == 63
+    with pytest.raises(BudgetExceeded):
+        enumerate_bounded_polys(euler2.presentation, 2, 3, budget=62)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +397,13 @@ def test_enumeration_budget_guard(euler2):
 
 
 def test_bounded_ni_euler_consistent(euler2):
-    res = bounded_NI_check(euler2.presentation, 2, 3, 8)
+    res = bounded_NI_check(BoundedScan(euler2.presentation, 2, 3, 8))
     assert res.status == NICheckResult.CONSISTENT
     assert res.stats["closure_unknown"] == 0
 
 
 def test_bounded_ni_weyl_violation_canonical_witness(weyl2):
-    res = bounded_NI_check(weyl2.presentation, 2, 2, 8)
+    res = bounded_NI_check(BoundedScan(weyl2.presentation, 2, 2, 8))
     assert res.status == NICheckResult.VIOLATION
     w = res.witness
     assert w["kind"] == "left_product"
@@ -414,7 +418,7 @@ def test_bounded_ni_weyl_violation_canonical_witness(weyl2):
 def test_finite_module_witness_replays(weyl2):
     # the golden weyl_like_2 witness: y * x = yx + 1 is idempotent, and a
     # finite module proves it not nilpotent
-    w = bounded_NI_check(weyl2.presentation, 2, 2, 8).witness
+    w = bounded_NI_check(BoundedScan(weyl2.presentation, 2, 2, 8)).witness
     assert w["probe"] == ProbeResult(NOT_NILPOTENT, reason=FINITE_MODULE)
     assert replay_violation(w, exponent_cap=8)
     assert nilpotency_probe(w["result"], 8).reason == FINITE_MODULE
@@ -422,7 +426,7 @@ def test_finite_module_witness_replays(weyl2):
 
 def test_replay_violation_uses_the_scan_cap(weyl2):
     # the witness is found at cap 8; y has index 2, so at cap 1 nothing is proved
-    res = bounded_NI_check(weyl2.presentation, 2, 2, 8)
+    res = bounded_NI_check(BoundedScan(weyl2.presentation, 2, 2, 8))
     w = res.witness
     assert replay_violation(w, exponent_cap=8)
     assert not replay_violation(w, exponent_cap=1)
@@ -438,14 +442,14 @@ def test_replay_violation_probes_at_the_given_cap(weyl2, monkeypatch):
         caps.append(exponent_cap)
         return real(f, exponent_cap)
 
-    w = bounded_NI_check(weyl2.presentation, 2, 2, 8).witness
+    w = bounded_NI_check(BoundedScan(weyl2.presentation, 2, 2, 8)).witness
     monkeypatch.setattr(probes, "nilpotency_probe", spy)
     assert replay_violation(w, exponent_cap=8)
     assert caps == [8, 8]
 
 
 def test_bounded_ni_swap_violation(swap_entry):
-    res = bounded_NI_check(swap_entry.presentation, 2, 2, 8)
+    res = bounded_NI_check(BoundedScan(swap_entry.presentation, 2, 2, 8))
     assert res.status == NICheckResult.VIOLATION
     w = res.witness
     A = swap_entry.presentation
@@ -464,7 +468,7 @@ def test_bounded_ni_swap_violation(swap_entry):
 
 def test_bounded_ni_budget_exceeded(euler3):
     with pytest.raises(BudgetExceeded):
-        bounded_NI_check(euler3.presentation, 2, 3, 8, pair_budget=10**4)
+        bounded_NI_check(BoundedScan(euler3.presentation, 2, 3, 8, pair_budget=10**4))
 
 
 def test_agreement_euler_zero_mismatches(euler2):
