@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -308,7 +308,12 @@ class BoundedScan:
 
     @cached_property
     def table(self) -> AtomTable:
-        """The atom table over the scan's monomials, shared by the NI check and Armendariz."""
+        """The atom table over the scan's monomials, built on first read.
+
+        The NI check reads it only to form the closure rows of a proved
+        nilpotent outside J(R)<x>, so on a scan whose proved nilpotents are
+        all certified it builds none; Armendariz reads it at support >= 2.
+        """
         return AtomTable(self.A, self.monos)
 
     def poly(self, i: int) -> SkewPolynomial:
@@ -399,15 +404,46 @@ def _bounded_keys(L: int, R: int, support_cap: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-@dataclass
 class NICheckResult:
-    status: str  # "consistent" | "violation" | "inconclusive"
-    witness: Optional[dict] = None
-    stats: dict = field(default_factory=dict)
+    """The outcome of `bounded_NI_check`: a status, the first witness, and the counts behind them.
+
+    `stats` is a dict (`_scan_stats`).  Its closure_checks include the
+    checks of the proved nilpotents in J<x>, J the scan's certificate, and
+    those are counted on the first read of `stats` (`_CertifiedChecks`),
+    not by the check.  That is safe: each such check has a row that is 0
+    or nilpotent (proof at `_probe_rows`), so it is neither the first
+    failing check nor an unknown one, and the status, the witness and
+    closure_unknown are final without it.  The count keeps its own inputs,
+    never the scan, so it gives the same number whenever it is read, after
+    the scan is gone too, and the scan, which keeps this result as
+    `ni_result`, is in no reference cycle.
+    """
 
     CONSISTENT = "consistent"
     VIOLATION = "violation"
     INCONCLUSIVE = "inconclusive"
+
+    def __init__(
+        self,
+        status: str,
+        witness: Optional[dict] = None,
+        stats: Optional[dict] = None,
+        certified: Optional["_CertifiedChecks"] = None,
+    ):
+        self.status = status  # CONSISTENT, VIOLATION or INCONCLUSIVE
+        self.witness = witness
+        self._stats = {} if stats is None else stats
+        self._certified = certified
+
+    @property
+    def stats(self) -> dict:
+        if self._certified is not None:
+            self._stats["closure_checks"] += self._certified.count()
+            self._certified = None
+        return self._stats
+
+    def __repr__(self) -> str:
+        return f"NICheckResult({self.status!r}, witness={self.witness!r}, stats={self.stats!r})"
 
 
 def bounded_NI_check(scan: BoundedScan) -> NICheckResult:
@@ -418,85 +454,129 @@ def bounded_NI_check(scan: BoundedScan) -> NICheckResult:
     caps and the operation budget are the scan's, and the result is kept in
     `scan.ni_result`, so a second call returns it.
 
-    The products of each proved nilpotent f with every scanned h come from
-    the value rows of f in an `AtomTable`.  When f lies in J<x>, J the
-    scan's certificate, every h f and f h lies in that two-sided ideal of
-    nilpotents (proof at `_probe_rows`), so f adds one nilpotent check per
-    nonzero product, and only its zero products are counted, as the range
-    lengths of the join (`_count_zero_products`): no pair is formed, so a
-    block of such factors is bounded by their value rows alone.  The rows
-    of any other f are formed and go through `_probe_rows` in the scalar
-    scan's order, [h0 f, f h0, h1 f, ...].  The table, the key rows and the
-    statuses are the scan's.
+    The checks are those of the scalar scan, in its order: the products of
+    each proved nilpotent f with every scanned h, [h0 f, f h0, h1 f, ...],
+    then the sums f + g over the pairs of proved nilpotents, f not after g.
+    When f lies in J<x>, J the scan's certificate, every h f and f h lies
+    in that two-sided ideal of nilpotents (proof at `_probe_rows`), and so
+    does f + g when g lies in it too: none of those checks can fail or be
+    unknown.  So the walk that decides the status and the witness takes
+    only the others.  The product rows of each f outside J<x> are formed
+    from its value rows in the scan's `AtomTable`, and the sums with a
+    factor outside J<x> by the addition table; each block goes through
+    `_probe_rows`, and the walk stops at the first failing check.  The
+    certified checks before that point are counted when `stats` is first
+    read (`_CertifiedChecks`).  When every proved nilpotent lies in J<x>,
+    no row is formed and no table is built.
     """
     if scan.ni_result is not None:
         return scan.ni_result
     pn = scan.nilpotent_rows
-    H = len(scan.keys)
-    ops = H + len(pn) * len(pn) + 2 * len(pn) * H
+    H, n = len(scan.keys), len(pn)
+    ops = H + n * n + 2 * n * H
     if ops > scan.pair_budget:
         raise BudgetExceeded(ops, scan.pair_budget, "NI closure check")
+    K, K_pn = scan.keys, scan.keys[pn]
+    certified = np.zeros(n, dtype=bool)
+    if scan.certificate is not None:
+        certified = scan.certificate.mask[K_pn].all(axis=1)
     checks = unknown_checks = 0
 
-    def verdict(kind: str, f, g, hit) -> NICheckResult:
-        scan.ni_result = NICheckResult(
-            NICheckResult.VIOLATION,
-            witness={"kind": kind, "f": f, "g": g, "result": hit[1], "probe": hit[2]},
-            stats=_scan_stats(scan, checks, unknown_checks),
-        )
+    def result(status: str, witness: Optional[dict] = None, products: int = n, sums: int = n * (n + 1) // 2):
+        # the certified checks before the end of the walk: the product checks
+        # of the first `products` proved nilpotents, the first `sums` sum pairs
+        later = _CertifiedChecks(scan, certified, products, sums) if certified.any() else None
+        scan.ni_result = NICheckResult(status, witness, _scan_stats(scan, checks, unknown_checks), later)
         return scan.ni_result
 
-    if len(pn):
+    def violation(kind: str, f, g, hit, **end) -> NICheckResult:
+        return result(NICheckResult.VIOLATION, {"kind": kind, "f": f, "g": g, "result": hit[1], "probe": hit[2]}, **end)
+
+    open_factors = np.flatnonzero(~certified)
+    if len(open_factors):
         table = scan.table
-        K = scan.keys
-        K_pn = K[pn]
-        certified = np.zeros(len(pn), dtype=bool)
-        if scan.certificate is not None:
-            certified = scan.certificate.mask[K_pn].all(axis=1)
         # products first: the canonical witnesses (x*y on the Weyl-like fixture)
-        # live in the multiplication face.  Per f the rows are
-        # [h0 f, f h0, h1 f, ...], the order of the scalar scan this replaces.
-        factors = _factor_block(table, scan.support_cap)
+        # live in the multiplication face
         block = max(1, ROW_ENTRIES // (2 * table.width))
-        cuts = [0, *(np.flatnonzero(np.diff(certified)) + 1).tolist(), len(pn)]
-        for first, end in zip(cuts, cuts[1:]):  # runs of factors in J<x> or outside it
-            if certified[first]:
-                # each nonzero h f and f h is in J<x>, so a nilpotent check
-                for lo in range(first, end, factors):
-                    Kf = K_pn[lo : min(end, lo + factors)]
-                    for values in (table.left_values, table.right_values):
-                        checks += len(Kf) * H - _count_zero_products(table, values(Kf), scan.support_cap)
-                continue
-            for i in range(first, end):
-                left, right = table.left_values(K_pn[i : i + 1])[0], table.right_values(K_pn[i : i + 1])[0]
-                for lo in range(0, H, block):
-                    Kh = K[lo : lo + block]
-                    rows = np.empty((2 * len(Kh), table.width), dtype=np.int16)
-                    rows[0::2] = table.products(left, Kh)
-                    rows[1::2] = table.products(right, Kh)
-                    c, u, hit = _probe_rows(scan, table, rows, table.out_monos)
-                    checks += c
-                    unknown_checks += u
-                    if hit is not None:
-                        kind = "left_product" if hit[0] % 2 == 0 else "right_product"
-                        return verdict(kind, scan.poly(pn[i]), scan.poly(lo + hit[0] // 2), hit)
-        # sums f + g over the pairs i <= j of proved nilpotents, i-major;
-        # row i starts at flat pair index i n - i (i - 1) / 2
-        n = len(pn)
-        starts = np.arange(n) * n - np.arange(n) * (np.arange(n) - 1) // 2
-        block = max(1, ROW_ENTRIES // K_pn.shape[1])
-        for lo in range(0, n * (n + 1) // 2, block):
-            k = np.arange(lo, min(lo + block, n * (n + 1) // 2))
-            I = np.searchsorted(starts, k, "right") - 1
-            J = I + k - starts[I]
+        for i in open_factors.tolist():
+            left, right = table.left_values(K_pn[i : i + 1])[0], table.right_values(K_pn[i : i + 1])[0]
+            for lo in range(0, H, block):
+                Kh = K[lo : lo + block]
+                rows = np.empty((2 * len(Kh), table.width), dtype=np.int16)
+                rows[0::2] = table.products(left, Kh)
+                rows[1::2] = table.products(right, Kh)
+                c, u, hit = _probe_rows(scan, table, rows, table.out_monos)
+                checks += c
+                unknown_checks += u
+                if hit is not None:
+                    kind = "left_product" if hit[0] % 2 == 0 else "right_product"
+                    return violation(kind, scan.poly(pn[i]), scan.poly(lo + hit[0] // 2), hit, products=i, sums=0)
+        # sums f + g with f or g outside J<x>
+        for k, I, J in _pair_blocks(n, max(1, ROW_ENTRIES // K_pn.shape[1])):
+            keep = ~certified[I] | ~certified[J]
+            k, I, J = k[keep], I[keep], J[keep]
             c, u, hit = _probe_rows(scan, table, table.plus(K_pn[J], K_pn[I]), table.monos)
             checks += c
             unknown_checks += u
             if hit is not None:
-                return verdict("sum", scan.poly(pn[I[hit[0]]]), scan.poly(pn[J[hit[0]]]), hit)
-    status = NICheckResult.CONSISTENT if unknown_checks == 0 else NICheckResult.INCONCLUSIVE
-    scan.ni_result = NICheckResult(status, stats=_scan_stats(scan, checks, unknown_checks))
-    return scan.ni_result
+                f, g = scan.poly(pn[I[hit[0]]]), scan.poly(pn[J[hit[0]]])
+                return violation("sum", f, g, hit, sums=int(k[hit[0]]))
+    return result(NICheckResult.CONSISTENT if unknown_checks == 0 else NICheckResult.INCONCLUSIVE)
+
+
+def _pair_blocks(n: int, block: int):
+    """The pairs i <= j < n in i-major order, `block` at a time, as (flat index, i, j) arrays.
+
+    Row i of the pairs starts at flat index i n - i (i - 1) / 2.
+    """
+    at = np.arange(n)
+    starts = at * n - at * (at - 1) // 2
+    total = n * (n + 1) // 2
+    for lo in range(0, total, block):
+        k = np.arange(lo, min(lo + block, total))
+        I = np.searchsorted(starts, k, "right") - 1
+        yield k, I, I + k - starts[I]
+
+
+class _CertifiedChecks:
+    """The NI check's closure checks with factors in J<x> before the end of its walk, counted on demand.
+
+    Each such row is 0 or nilpotent (see `bounded_NI_check`), so the count
+    is of the nonzero rows: for each certified f among the first `products`
+    proved nilpotents, its 2H products less its zero products, which the
+    range join counts (`_count_zero_products`), without forming a pair; and
+    the sums f + g of two certified factors whose pair comes before flat
+    index `sums` of the sum walk (`_pair_blocks`), less those that are 0.
+    It keeps the presentation, the monomials, the support cap, the key rows
+    of the certified factors and their places among the proved nilpotents,
+    never the scan, and builds its own atom table.
+    """
+
+    def __init__(self, scan: BoundedScan, certified: np.ndarray, products: int, sums: int):
+        self.A, self.monos, self.support_cap = scan.A, scan.monos, scan.support_cap
+        self.H, self.n = len(scan.keys), len(certified)
+        self.at = np.flatnonzero(certified)
+        self.keys = scan.keys[scan.nilpotent_rows[self.at]]
+        self.products, self.sums = products, sums
+
+    def count(self) -> int:
+        joined = self.keys[self.at < self.products]
+        if not len(joined):  # the walk failed before the first certified factor, so before any sum
+            return 0
+        table = AtomTable(self.A, self.monos)
+        checks = 0
+        factors = _factor_block(table, self.support_cap)
+        for lo in range(0, len(joined), factors):
+            Kf = joined[lo : lo + factors]
+            for values in (table.left_values, table.right_values):
+                checks += len(Kf) * self.H - _count_zero_products(table, values(Kf), self.support_cap)
+        for _, a, b in _pair_blocks(len(self.at), max(1, ROW_ENTRIES // self.keys.shape[1])):
+            i, j = self.at[a], self.at[b]
+            before = i * self.n - i * (i - 1) // 2 + j - i < self.sums
+            checks += int(np.count_nonzero(~_zero_rows(table.plus(self.keys[b[before]], self.keys[a[before]]))))
+            if not before[-1]:  # the flat index only grows
+                break
+        return checks
 
 
 def _probe_rows(scan: BoundedScan, table: AtomTable, rows: np.ndarray, monos: list) -> tuple:
@@ -836,12 +916,24 @@ def bounded_skew_armendariz(
     When `scan` is a scan of A at the same degree cap and at least this
     support cap, they are the first rows of its keys, as enumeration runs by
     support size, and its atom table is the one used.
+
+    At support cap 1 in a bijective A the answer is `holds`, with nothing
+    enumerated.  Take f = c x^alpha and g = d x^beta.  As in
+    `_leading_chain_holds`, the lower terms of x^alpha d and x^alpha x^beta
+    have smaller total degree, so the x^(alpha+beta)-coefficient of fg is
+    c sigma^alpha(d) c_(alpha,beta), and c_(alpha,beta) is a unit when A is
+    bijective.  So fg = 0 forces c sigma^alpha(d) = 0, the only cross
+    product.  Bijectivity is needed: in Z_4[x1, x2] with x2 x1 = 2 x1 x2,
+    x2 (2 x1) = 0, yet 1 sigma^(0,1)(2) = 2.  The budgets are checked first,
+    so a refusal is the same with or without this shortcut.
     """
     # both budgets are checked on the counts, before anything is enumerated
     monos = multi_indices(A.n, 0, degree_cap)
     total = _admit_bounded_polys(A, monos, support_cap, pair_budget)
     if total**2 > pair_budget:
         raise BudgetExceeded(total**2, pair_budget, "Armendariz pair enumeration")
+    if support_cap == 1 and A.bijective:
+        return ArmendarizResult(True, degree_cap=degree_cap, support_cap=support_cap)
     if scan is not None and scan.A is A and scan.degree_cap == degree_cap and scan.support_cap >= support_cap:
         K, table = scan.keys[:total], scan.table
     else:

@@ -1,7 +1,7 @@
 import pytest
 
 from skewpbw import corpus
-from skewpbw.extension import make_extension
+from skewpbw.extension import make_extension, verify_presentation
 from skewpbw.maps import SigmaSystem, identity_map, make_sigma_derivation
 
 
@@ -53,6 +53,14 @@ def heisenberg2():
 @pytest.fixture(scope="session")
 def q8_twisted():
     return corpus.q8_twist()
+
+
+@pytest.fixture(scope="session")
+def z4_nonunit_d12():
+    """Z4[x1, x2], sigma = id, x2 x1 = 2 x1 x2: it verifies, but d_12 = 2 is no unit, so A is not bijective."""
+    ring = corpus.zn(4)
+    ident = identity_map(ring)
+    return verify_presentation(make_extension(ring, SigmaSystem([ident, ident]), d={(1, 2): ring.el([2])}))
 
 
 @pytest.fixture(scope="session")

@@ -4,18 +4,26 @@ When the scan's certificate J applies (J(R) Sigma-Delta-invariant, with
 J(R)^t = 0 for some t within the exponent cap), `_probe_rows` counts every
 nonzero row whose coefficients all lie in J as a nilpotent check and
 sends only the other rows through `scan.probe`.  A factor in J<x> has all
-its rows there, and `bounded_NI_check` counts them by the zero products
-that `_count_zero_products` counts.  On the corpus a block holds either certified
+its rows there, and so has the sum of two such factors: `bounded_NI_check`
+decides its status and witness without them, and counts them when its
+stats are first read, the products by the zero products that
+`_count_zero_products` counts.  On the corpus a block holds either certified
 rows only or none, and the proved nilpotents are all certified or none, so
 the property tests below mix both and compare them with the plain per-row
 walk and the scalar scan.
 """
+
+import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewpbw import corpus, probes
+from skewpbw.errors import BudgetExceeded
+from skewpbw.harness import SearchBudget
 from skewpbw.extension import AtomTable, make_extension, verify_presentation
 from skewpbw.maps import SigmaSystem, make_endomorphism, multi_indices
 from skewpbw.probes import (
@@ -307,6 +315,126 @@ def test_partly_certified_factors_match_scalar_scan(name, data):
     scan.certificate = Ideal.from_mask(A.base, mask)
     got = bounded_NI_check(scan)
     assert (got.status, got.stats, got.witness) == (ref.status, ref.stats, ref.witness)
+
+
+# ---------------------------------------------------------------------------
+# the decision walk: certified checks counted when the stats are read
+# ---------------------------------------------------------------------------
+
+BUDGETS = {
+    "recorded": lambda b: b,
+    "default": lambda b: SearchBudget(2, 2, 8, 10**6),  # `skewpbw check` without budget flags
+    "doubled": SearchBudget.doubled,
+}
+# the closure check asks for more operations than these budgets allow
+REFUSED = {("clifford_trunc_2", "doubled"), ("q8_twist", "default"), ("q8_twist", "doubled")}
+# (status, stats) of oracle_NI_check(BoundedScan(A, *budget.caps())), with no
+# witness, where that scalar scan takes 8 to 40 s on a 2-core VM: about a
+# minute in all, as long as the rest of the suite
+PINNED = {
+    ("euler_like_3", "default"): ("consistent", {
+        "enumerated": 2106, "proved_nilpotent": 216, "scan_unknown": 0, "closure_checks": 918_216, "closure_unknown": 0,
+    }),
+    ("euler_like_3", "doubled"): ("consistent", {
+        "enumerated": 4160, "proved_nilpotent": 416, "scan_unknown": 0, "closure_checks": 3_496_448, "closure_unknown": 0,
+    }),
+    ("poly_z4_2v", "doubled"): ("consistent", {
+        "enumerated": 3675, "proved_nilpotent": 175, "scan_unknown": 80, "closure_checks": 1_240_225, "closure_unknown": 0,
+    }),
+}
+# every proved nilpotent lies in J(R)<x> at the recorded budget
+ALL_CERTIFIED = [
+    "clifford_trunc_2", "euler_like_2", "euler_like_3", "heisenberg_2", "poly_z4_2v", "q8_twist", "quasi_comm_z3",
+]
+
+
+@functools.cache
+def _oracle(name, caps):
+    """(presentation, status, stats, witness) of oracle_NI_check at caps, once per session."""
+    entry, _, ref = scalar_reference(name)
+    if caps[:3] != _caps(entry):
+        ref = oracle_NI_check(BoundedScan(entry.presentation, *caps))
+    return entry.presentation, ref.status, ref.stats, ref.witness
+
+
+@pytest.mark.parametrize("label", sorted(BUDGETS))
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_decision_walk_matches_scalar_scan(name, label):
+    # status and witness from the walk alone; the stats, read once the scan
+    # is gone, count the certified checks before the hit too
+    entry = corpus.BUILDERS[name]()
+    caps = BUDGETS[label](SearchBudget(**entry.budget)).caps()
+    if (name, label) in REFUSED:
+        with pytest.raises(BudgetExceeded, match="NI closure check"):
+            bounded_NI_check(BoundedScan(entry.presentation, *caps))
+        return
+    if (name, label) in PINNED:
+        A, (status, stats), witness = entry.presentation, PINNED[name, label], None
+    else:
+        A, status, stats, witness = _oracle(name, caps)
+    scan = BoundedScan(A, *caps)
+    got = bounded_NI_check(scan)
+    assert (got.status, got.witness) == (status, witness)
+    alive = weakref.ref(scan)
+    del scan
+    gc.collect()
+    assert alive() is None  # the result does not keep its scan
+    assert got.stats == stats
+
+
+@pytest.mark.parametrize("name", ALL_CERTIFIED)
+def test_all_certified_check_forms_nothing(name, monkeypatch):
+    entry, _, ref = scalar_reference(name)
+    scan = BoundedScan(entry.presentation, *_caps(entry))
+    assert scan.certificate is not None and scan.certificate.mask[scan.keys[scan.nilpotent_rows]].all()
+
+    def refuse(*args, **kwargs):
+        pytest.fail("the check built a table or formed a closure row")
+
+    monkeypatch.setattr(AtomTable, "__init__", refuse)
+    monkeypatch.setattr(AtomTable, "products", refuse)
+    monkeypatch.setattr(probes, "_probe_rows", refuse)
+    got = bounded_NI_check(scan)
+    assert (got.status, got.witness) == (ref.status, ref.witness)
+    monkeypatch.undo()  # the count of the stats builds its own table
+    assert got.stats == ref.stats
+
+
+@pytest.fixture(scope="module")
+def shift_z8():
+    """sigma(R)<x> over R = Z_8 x Z_2^3, sigma the identity on Z_8 and the cyclic shift on Z_2^3.
+
+    J(R) = 2Z_8 x 0 is sigma-invariant with J^3 = 0, so the factors with a
+    coefficient in 2Z_8 alone are certified, and they lie among the others.
+    At (1, 1, 8) the first failing check is a sum, of two factors outside
+    J<x> (as on `cycle_z2_cubed`), and nonzero sums of two certified factors
+    come after it: they are not checks.
+    """
+    z2 = corpus.zn(2)
+    ring = corpus.product_ring(corpus.zn(8), corpus.product_ring(corpus.product_ring(z2, z2), z2))
+    m = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]]
+    shift = make_endomorphism(ring, m, name="id x cyclic shift")
+    return verify_presentation(make_extension(ring, SigmaSystem([shift]), name="shift_z8"))
+
+
+@pytest.mark.parametrize("entries", [probes.ROW_ENTRIES, 1])
+def test_certified_sums_after_the_hit_are_not_counted(shift_z8, entries, monkeypatch):
+    monkeypatch.setattr(probes, "ROW_ENTRIES", entries)
+    caps = (1, 1, 8)
+    ref = oracle_NI_check(BoundedScan(shift_z8, *caps))
+    scan = BoundedScan(shift_z8, *caps)
+    got = bounded_NI_check(scan)
+    assert got.status == ref.status == NICheckResult.VIOLATION
+    assert got.witness["kind"] == "sum" and got.witness == ref.witness
+    # certified factors on both sides of the hit, and a nonzero certified sum after it
+    pn = [scan.poly(i) for i in scan.nilpotent_rows]
+    in_J = [bool(scan.certificate.mask[list(f.terms.values())].all()) for f in pn]
+    hit = (pn.index(got.witness["f"]), pn.index(got.witness["g"]))
+    assert not in_J[hit[0]] and not in_J[hit[1]]
+    later = [(i, j) for i in range(len(pn)) for j in range(i, len(pn)) if (i, j) > hit and in_J[i] and in_J[j]]
+    assert any(not (pn[i] + pn[j]).is_zero for i, j in later)
+    assert any(in_J[: hit[0]])
+    assert got.stats == ref.stats
 
 
 @settings(max_examples=50, deadline=None)

@@ -128,6 +128,13 @@ def oracle_armendariz(A, degree_cap, support_cap):
     return True, None
 
 
+@functools.cache
+def scalar_armendariz(name, degree_cap, support_cap):
+    """oracle_armendariz on the presentation of `scalar_reference(name)`, once per caps and session."""
+    entry, _, _ = scalar_reference(name)
+    return oracle_armendariz(entry.presentation, degree_cap, support_cap)
+
+
 # ---------------------------------------------------------------------------
 # kernel against the engine
 # ---------------------------------------------------------------------------
@@ -360,9 +367,40 @@ def test_armendariz_matches_scalar_scan(name, shared):
     degree_cap, support_cap = min(degree_cap, 2), min(support_cap, 2)
     assert scan.degree_cap == degree_cap and scan.support_cap >= support_cap
     got = bounded_skew_armendariz(A, degree_cap, support_cap, scan=scan if shared else None)
-    holds, witness = oracle_armendariz(A, degree_cap, support_cap)
+    holds, witness = scalar_armendariz(name, degree_cap, support_cap)
     assert got.holds == holds
     assert got.witness == witness
+
+
+@pytest.mark.parametrize("degree_cap", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_support_one_armendariz_matches_scalar_scan(name, degree_cap, monkeypatch):
+    # every corpus presentation is bijective, so at support 1 the leading
+    # term decides: nothing is enumerated and no table is built
+    entry, _, _ = scalar_reference(name)
+    A = entry.presentation
+    assert A.bijective
+    monkeypatch.setattr(AtomTable, "__init__", lambda *a: pytest.fail("an atom table at support 1"))
+    monkeypatch.setattr(probes, "_bounded_keys", lambda *a: pytest.fail("an enumeration at support 1"))
+    got = bounded_skew_armendariz(A, degree_cap, 1)
+    monkeypatch.undo()
+    assert (got.holds, got.witness) == scalar_armendariz(name, degree_cap, 1) == (True, None)
+
+
+@pytest.mark.parametrize("degree_cap", [1, 2])
+def test_support_one_armendariz_enumerates_when_not_bijective(z4_nonunit_d12, degree_cap, monkeypatch):
+    # d_12 = 2 is no unit: x2 (2 x1) = 2 x2 x1 = 4 x1 x2 = 0, yet the cross
+    # product 1 sigma^(0,1)(2) = 2 is not, so the pairs are enumerated
+    A = z4_nonunit_d12
+    joined = []
+    real = probes._zero_products
+    monkeypatch.setattr(probes, "_zero_products", lambda *a: joined.append(1) or real(*a))
+    got = bounded_skew_armendariz(A, degree_cap, 1)
+    assert joined
+    holds, witness = oracle_armendariz(A, degree_cap, 1)
+    assert (got.holds, got.witness) == (holds, witness)
+    x1, x2 = A.variable(1), A.variable(2)
+    assert not holds and (witness["f"], witness["g"]) == (x2, x1 + x1)
 
 
 @pytest.mark.parametrize("name", ["matrix_poly_2", "poly_z4_2v", "swap_extension"])
@@ -372,9 +410,10 @@ def test_scans_match_scalar_scans_past_the_monomials(name, caps):
     A = corpus.BUILDERS[name]().presentation
     degree_cap, support_cap = caps
     scan = BoundedScan(A, degree_cap, support_cap, 8)
+    ref = oracle_armendariz(A, degree_cap, support_cap)
     for shared in (None, scan):
         got = bounded_skew_armendariz(A, degree_cap, support_cap, scan=shared)
-        assert (got.holds, got.witness) == oracle_armendariz(A, degree_cap, support_cap)
+        assert (got.holds, got.witness) == ref
     got = bounded_NI_check(scan)
     ref = oracle_NI_check(BoundedScan(A, degree_cap, support_cap, 8))
     assert (got.status, got.stats, got.witness) == (ref.status, ref.stats, ref.witness)

@@ -288,7 +288,7 @@ def test_armendariz_reads_the_scan(name, monkeypatch):
     b = _budget(name, "recorded")
     caps = (min(b.degree_cap, 2), min(b.support_cap, 2), b.pair_budget)
     alone = bounded_skew_armendariz(A, *caps)
-    scan.table  # made by the NI check in a harness run
+    scan.table  # the scan's own table, made before the spies: Armendariz reads it and builds no other
     built = []
     monkeypatch.setattr(AtomTable, "__init__", lambda *a: built.append(a) or pytest.fail("a second atom table"))
     monkeypatch.setattr(probes, "_bounded_keys", lambda *a: built.append(a) or pytest.fail("a second enumeration"))
